@@ -20,6 +20,7 @@ from .loperators import (
     matrix_sigma_tensor,
 )
 from .koperators import (
+    VARIANTS,
     KOperatorSpec,
     build_K,
     build_K0_diagonal,
@@ -76,13 +77,12 @@ class CheckReport:
 
 def _report(name: str, params: dict, lhs: Matrix, rhs: Matrix,
             finding: bool = False, scale_floor: float = 0.0) -> CheckReport:
-    exact_zero, res, worst = residual(lhs, rhs)
+    exact_zero, res, worst, diff = residual(lhs, rhs)
     if res is not None and scale_floor > 0:
-        raw = (lhs - rhs).max_abs()
-        res = min(res, raw / scale_floor)
+        res = min(res, diff.max_abs() / scale_floor)
     detail = None
     if worst is not None:
-        value = (lhs - rhs).entry(*worst)
+        value = diff.entry(*worst)
         text = str(value)
         if len(text) > 120:
             text = text[:117] + "..."
@@ -209,24 +209,17 @@ def variant_generator_exprs(ctx: ScalarContext, variant: str, params: ParamSet) 
     atoms.
     """
     p = params
-    if variant in ("upper", "diagonal"):
-        k = p.k_plus if variant == "upper" else ctx.zero()
-        return triangular_onsager_generators(ctx, k, p.eps_plus, p.eps_minus,
-                                             p.p_tilde)
-    if variant == "lower":
-        gens = triangular_onsager_generators(ctx, p.k_minus, p.eps_plus,
-                                             p.eps_minus, p.p_tilde)
-        return {name: expr_iota(ctx, g) for name, g in gens.items()}
-    if variant == "upper_alt":
-        gens = triangular_onsager_generators(ctx, p.k_minus, p.eps_minus,
-                                             p.eps_plus, p.p_tilde)
-        return {name: expr_sigma(ctx, g) for name, g in gens.items()}
-    if variant == "lower_alt":
-        gens = triangular_onsager_generators(ctx, p.k_plus, p.eps_minus,
-                                             p.eps_plus, p.p_tilde)
-        return {name: expr_sigma(ctx, expr_iota(ctx, g))
-                for name, g in gens.items()}
-    raise ValueError(f"no intertwining generator set for variant {variant!r}")
+    fam = VARIANTS[variant]
+    if not fam.triangular:
+        raise ValueError(f"no intertwining generator set for variant {variant!r}")
+    k = p.k_minus if fam.k_plus_zero else p.k_plus  # zero for diagonal
+    eps = (p.eps_minus, p.eps_plus) if fam.alt else (p.eps_plus, p.eps_minus)
+    gens = triangular_onsager_generators(ctx, k, *eps, p.p_tilde)
+    if fam.lower:
+        gens = {name: expr_iota(ctx, g) for name, g in gens.items()}
+    if fam.alt:
+        gens = {name: expr_sigma(ctx, g) for name, g in gens.items()}
+    return gens
 
 
 def check_intertwining(ctx: ScalarContext, variant: str, rep: Irrep,

@@ -4,12 +4,13 @@ Five families are built here, each pinned to one literal normalization (no
 overall-factor freedom is used):
 
 * diagonal       x^{s0 H} K0(x)
-* upper          x^{s0 H} exp^-1(a+ E q^H) K0(x) exp(a+ E q^H),   needs k- = 0
-* lower          x^{s0 H} exp(a- F) K0(x) exp^-1(a- F),           needs k+ = 0
-* upper_alt      x^{-s1 H} exp^-1(b- F q^-H) K0+(x) exp(b- F q^-H), needs k+ = 0
-* lower_alt      x^{-s1 H} exp(b+ E) K0+(x) exp^-1(b+ E),         needs k- = 0
+* upper          x^{s0 H} exp^-1(a+ E q^H) K0(x) exp(a+ E q^H)
+* lower          x^{s0 H} exp(a- F) K0(x) exp^-1(a- F)
+* upper_alt      x^{-s1 H} exp^-1(b- F q^-H) K0+(x) exp(b- F q^-H)
+* lower_alt      x^{-s1 H} exp(b+ E) K0+(x) exp^-1(b+ E)
 
-plus the q-Onsager candidate for k+ k- != 0 (spectral function of the
+(which of k+ / k- each one needs to vanish is stated in VARIANTS), plus the
+q-Onsager candidate for k+ k- != 0 (spectral function of the
 evaluated W1 generator), which is diagonalizable in the exact field only in
 its triangular degenerations.
 
@@ -43,8 +44,33 @@ from .scalars import (
     q_factorial_base,
 )
 
-VARIANTS = ("diagonal", "upper", "lower", "upper_alt", "lower_alt",
-            "onsager_candidate")
+
+@dataclass(frozen=True)
+class Variant:
+    """What fixes a K-family: which of k+ / k- must vanish, whether it is an
+    alternate family (sigma image: eps+ <-> eps-, gradation s1, core ratio
+    in q^(H-1)) and whether it is a lower family (iota image: the core is
+    conjugated as exp(.) K0 exp^-1(.) rather than exp^-1(.) K0 exp(.))."""
+
+    k_plus_zero: bool
+    k_minus_zero: bool
+    alt: bool = False
+    lower: bool = False
+
+    @property
+    def triangular(self) -> bool:
+        return self.k_plus_zero or self.k_minus_zero
+
+
+VARIANTS = {
+    "diagonal": Variant(k_plus_zero=True, k_minus_zero=True),
+    "upper": Variant(k_plus_zero=False, k_minus_zero=True),
+    "lower": Variant(k_plus_zero=True, k_minus_zero=False, lower=True),
+    "upper_alt": Variant(k_plus_zero=True, k_minus_zero=False, alt=True),
+    "lower_alt": Variant(k_plus_zero=False, k_minus_zero=True, alt=True,
+                         lower=True),
+    "onsager_candidate": Variant(k_plus_zero=False, k_minus_zero=False),
+}
 
 
 class NonNilpotentError(ValueError):
@@ -67,17 +93,9 @@ class KOperatorSpec:
 
     def validate(self, ctx: ScalarContext):
         p = self.params
-        kp0 = ctx.is_scalar_zero(p.k_plus)
-        km0 = ctx.is_scalar_zero(p.k_minus)
-        need = {
-            "diagonal": kp0 and km0,
-            "upper": km0,
-            "lower": kp0,
-            "upper_alt": kp0,
-            "lower_alt": km0,
-            "onsager_candidate": True,
-        }[self.variant]
-        if not need:
+        fam = VARIANTS[self.variant]
+        if ((fam.k_plus_zero and not ctx.is_scalar_zero(p.k_plus))
+                or (fam.k_minus_zero and not ctx.is_scalar_zero(p.k_minus))):
             raise ValueError(
                 f"variant {self.variant!r} violates its k-constraint "
                 f"(k_plus={p.raw['k_plus']}, k_minus={p.raw['k_minus']})")
@@ -192,21 +210,16 @@ def _exp_argument(rep: Irrep, spec: KOperatorSpec):
     ctx = rep.ctx
     p = spec.params
     x = spec.x
+    fam = VARIANTS[spec.variant]
     lam = ctx.q(1) - ctx.q(-1)
-    v = spec.variant
-    if v == "upper":
-        coeff = -(ctx.q(1) * p.k_plus * ctx.x_power(x, -p.s0)) / (lam * p.eps_minus)
-        return coeff, rep.e_mat * cartan_power(rep, 1)
-    if v == "lower":
-        coeff = -(p.k_minus * ctx.x_power(x, p.s0)) / (lam * p.eps_minus)
-        return coeff, rep.f_mat
-    if v == "upper_alt":
-        coeff = -(ctx.q(1) * p.k_minus * ctx.x_power(x, -p.s1)) / (lam * p.eps_plus)
-        return coeff, rep.f_mat * cartan_power(rep, -1)
-    if v == "lower_alt":
-        coeff = -(p.k_plus * ctx.x_power(x, p.s1)) / (lam * p.eps_plus)
-        return coeff, rep.e_mat
-    raise ValueError(f"variant {v!r} has no factored form")
+    # the surviving k multiplies E (k+) or F (k-); sigma swaps eps and s
+    k, gen, h = ((p.k_minus, rep.f_mat, -1) if fam.k_plus_zero
+                 else (p.k_plus, rep.e_mat, 1))
+    eps, s = (p.eps_plus, p.s1) if fam.alt else (p.eps_minus, p.s0)
+    if fam.lower:
+        return -(k * ctx.x_power(x, s)) / (lam * eps), gen
+    coeff = -(ctx.q(1) * k * ctx.x_power(x, -s)) / (lam * eps)
+    return coeff, gen * cartan_power(rep, h)
 
 
 def build_K(spec: KOperatorSpec, rep: Irrep) -> KOperator:
@@ -216,28 +229,24 @@ def build_K(spec: KOperatorSpec, rep: Irrep) -> KOperator:
     spec.validate(ctx)
     p = spec.params
     x = spec.x
-    v = spec.variant
-    if v == "onsager_candidate":
+    fam = VARIANTS[spec.variant]
+    if not fam.triangular:
         raise ValueError("the q-Onsager candidate has no factored form; "
                          "use build_K_onsager_candidate")
-    if v == "diagonal":
-        mat = spectral_cartan(rep, x, p.s0) * build_K0_diagonal(rep, p, x, "minusH")
-        return KOperator(mat, spec, "factored")
+    _, prefix_exp = _variant_eps_prefix(spec)
+    core = build_K0_diagonal(rep, p, x, "plusH" if fam.alt else "minusH")
+    prefix = spectral_cartan(rep, x, prefix_exp)
+    if fam.k_plus_zero and fam.k_minus_zero:
+        return KOperator(prefix * core, spec, "factored")
 
     coeff, word_mat = _exp_argument(rep, spec)
     arg = word_mat.scaled(coeff)
     exp_plus = q_exp_nilpotent(ctx, arg, inverse=False)
     exp_minus = q_exp_nilpotent(ctx, arg, inverse=True)
-    if v in ("upper", "lower"):
-        core = build_K0_diagonal(rep, p, x, "minusH")
-        prefix = spectral_cartan(rep, x, p.s0)
-    else:
-        core = build_K0_diagonal(rep, p, x, "plusH")
-        prefix = spectral_cartan(rep, x, -p.s1)
-    if v in ("upper", "upper_alt"):
-        mat = prefix * exp_minus * core * exp_plus
-    else:
+    if fam.lower:
         mat = prefix * exp_plus * core * exp_minus
+    else:
+        mat = prefix * exp_minus * core * exp_plus
     return KOperator(mat, spec, "factored")
 
 
@@ -275,9 +284,9 @@ def _spectral_argument(rep: Irrep, spec: KOperatorSpec) -> Matrix:
 def _variant_eps_prefix(spec: KOperatorSpec):
     """(eps in the spectral function's denominator, Cartan prefactor exponent)."""
     p = spec.params
-    if spec.variant in ("upper", "lower", "diagonal", "onsager_candidate"):
-        return p.eps_plus, p.s0
-    return p.eps_minus, -p.s1
+    if VARIANTS[spec.variant].alt:
+        return p.eps_minus, -p.s1
+    return p.eps_plus, p.s0
 
 
 def _triangular_shape(mat: Matrix):
@@ -328,14 +337,10 @@ def _triangular_eig(mat: Matrix):
             w[j] = s / (eigs[i] - grid[j][j])
         cols[i] = w
     v_entries = {(r, c): cols[c][r] for c in range(n) for r in range(n)
-                 if not _is_zero_scalar(ctx, cols[c][r])}
+                 if not ctx.is_scalar_zero(cols[c][r])}
     v = Matrix.from_scalar_entries(ctx, n, v_entries)
     v_inv = _unitriangular_inverse(ctx, cols, n, shape)
     return v, eigs, v_inv
-
-
-def _is_zero_scalar(ctx, s):
-    return s.is_zero() if ctx.is_exact else s == 0
 
 
 def _unitriangular_inverse(ctx, cols, n, shape):
@@ -358,7 +363,7 @@ def _unitriangular_inverse(ctx, cols, n, shape):
             w[i] = -s
         inv_cols[j] = w
     entries = {(r, c): inv_cols[c][r] for c in range(n) for r in range(n)
-               if not _is_zero_scalar(ctx, inv_cols[c][r])}
+               if not ctx.is_scalar_zero(inv_cols[c][r])}
     return Matrix.from_scalar_entries(ctx, n, entries)
 
 
@@ -483,11 +488,5 @@ def build_K_upper_split(rep: Irrep, params: ParamSet, x: Spectral) -> KOperator:
 
 def variant_scalar_k(variant: str):
     """Which (k+, k-) pair survives in the 2x2 fundamental image of a variant."""
-    return {
-        "diagonal": (False, False),
-        "upper": (True, False),
-        "lower": (False, True),
-        "upper_alt": (False, True),
-        "lower_alt": (True, False),
-        "onsager_candidate": (True, True),
-    }[variant]
+    fam = VARIANTS[variant]
+    return not fam.k_plus_zero, not fam.k_minus_zero

@@ -331,17 +331,18 @@ def lift(mat: Matrix, dims: tuple, legs: tuple) -> Matrix:
 
 
 def residual(lhs: Matrix, rhs: Matrix):
-    """Compare two matrices: (exact_zero, residual, worst) per backend.
+    """Compare two matrices: (exact_zero, residual, worst, lhs - rhs).
 
     Exact backend: residual is None and exact_zero is the verdict.  Numeric:
     exact_zero is None and residual is the max-entry difference normalized by
-    the larger max-entry magnitude of the two sides.
+    the larger max-entry magnitude of the two sides.  worst locates the
+    diagnostic entry of the difference (None when it is exactly zero).
     """
     diff = lhs - rhs
     if lhs.ctx.is_exact:
         ok = diff.is_zero()
-        return ok, None, (None if ok else diff.worst_entry())
+        return ok, None, (None if ok else diff.worst_entry()), diff
     scale = max(lhs.max_abs(), rhs.max_abs())
     raw = diff.max_abs()
     res = raw / scale if scale > 0 else raw
-    return None, res, diff.worst_entry()
+    return None, res, diff.worst_entry(), diff

@@ -186,13 +186,6 @@ def eval_word(rep: Irrep, word, coeff=None) -> Matrix:
     return out
 
 
-def eval_expr(rep: Irrep, expr) -> Matrix:
-    out = Matrix.zero(rep.ctx, rep.dim)
-    for coeff, word in expr:
-        out = out + eval_word(rep, word, coeff)
-    return out
-
-
 def sigma_word(ctx: ScalarContext, word):
     """sigma: E <-> F, q^(xi H) -> q^(-xi H), extended multiplicatively."""
     out = []
@@ -395,14 +388,6 @@ def delta_expr(ctx: ScalarContext, expr):
                      for dc, dl, dr in datom]
         out.extend(terms)
     return tuple(out)
-
-
-def tensor_qcomm(ta, tb, p):
-    prod_ab = tuple((ca * cb, la + lb, ra + rb)
-                    for ca, la, ra in ta for cb, lb, rb in tb)
-    prod_ba = tuple((cb * ca * (-p), lb + la, rb + ra)
-                    for ca, la, ra in ta for cb, lb, rb in tb)
-    return prod_ab + prod_ba
 
 
 def eval_tensor_expr(rep1: Irrep, rep2: Irrep, params: ParamSet,

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 try:
     from gmpy2 import mpq as _mpq
-except ImportError:  # pragma: no cover - gmpy2 is a hard dep, Fraction is a safety net
+except ImportError:  # gmpy2 is optional (the "gmpy" extra); Fraction is exact too
     _mpq = Fraction
 
 
@@ -190,10 +190,6 @@ _POLY_ZERO = LaurentPolynomial({}, _trusted=True)
 _POLY_ONE = LaurentPolynomial({0: _R1}, _trusted=True)
 
 
-def poly_zero() -> LaurentPolynomial:
-    return _POLY_ZERO
-
-
 def poly_one() -> LaurentPolynomial:
     return _POLY_ONE
 
@@ -264,10 +260,6 @@ def poly_gcd(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
                 y = {e - m: c for e, c in y.items()}
     lead = x[max(x)]
     return LaurentPolynomial({e: c / lead for e, c in x.items()}, _trusted=True)
-
-
-def poly_lcm(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
-    return poly_divexact(a * b, poly_gcd(a, b))
 
 
 def _normalize_den(d: LaurentPolynomial):
@@ -587,11 +579,6 @@ class ScalarContext:
             return self.v(2 * x.exp * k)
         base = x.value if x.value is not None else self.q_value ** x.exp
         return base ** k
-
-    def spectral_value(self, x: Spectral) -> complex:
-        if x.value is not None:
-            return x.value
-        return self.q_value ** x.exp
 
     def is_scalar_zero(self, s) -> bool:
         if self.is_exact:

@@ -13,8 +13,9 @@ import json
 import math
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .checks import (
+from .checks import (  # the check_* names are called through _run
     CheckReport,
     check_appendix,
     check_aux_lemmas,
@@ -26,6 +27,7 @@ from .checks import (
     check_symmetries,
     check_ybe,
 )
+from .koperators import VARIANTS
 from .representations import make_irrep, make_params
 from .scalars import PoleError, ScalarContext, Spectral, rational
 
@@ -33,7 +35,8 @@ SUITES = ("all", "ybe", "reflection", "intertwining", "coideal", "appendix",
           "symmetries", "onsager")
 SPECTRAL_EXPONENTS = (0, 1, -1, 2, -2, 3)
 GRADATIONS = (-1, 0, 1, 2)
-K_VARIANTS = ("diagonal", "upper", "lower", "upper_alt", "lower_alt")
+# the five K-families; the onsager suite covers the k+ k- != 0 candidate
+_TRIANGULAR = {v: fam for v, fam in VARIANTS.items() if fam.triangular}
 
 
 class ConfigError(ValueError):
@@ -215,39 +218,48 @@ def run_suite(config: SuiteConfig) -> list:
     suites = SUITES[1:] if config.suite == "all" else (config.suite,)
     reports = []
     for name in suites:
-        runner = _SUITE_RUNNERS[name]
-        reports.extend(runner(ctx, config, drawer))
+        for check, *args in _SUITE_RUNNERS[name](ctx, config, drawer):
+            reports.extend(_run(ctx, drawer, check, args))
     reports.sort(key=lambda r: (r.name, json.dumps(r.params, sort_keys=True,
                                                    default=str)))
     return reports
 
 
-def _timed(fn, *args, **kwargs):
-    start = time.perf_counter()
-    out = fn(*args, **kwargs)
-    elapsed = int(round((time.perf_counter() - start) * 1000))
-    if isinstance(out, CheckReport):
-        out.elapsed_ms = elapsed
-        return [out]
-    for r in out:
-        r.elapsed_ms = elapsed
-    return list(out)
+class _Draw(dict):
+    """Argument slot that `_run` fills with `Drawer.params(ctx, **self)`."""
 
 
-def _with_pole_retry(drawer, build_params, run):
-    """Run a check, redrawing parameters when a telescoping pole is hit."""
+def _run(ctx, drawer, check, args) -> list:
+    """Call the named check; returns its reports stamped with the call's time.
+
+    The check is looked up in this module's namespace at call time, so a
+    wrapped `check_*` attribute is the one called.  A `_Draw` slot is drawn
+    before the call and redrawn when the check hits a telescoping pole.
+    """
+    redraw = any(isinstance(a, _Draw) for a in args)
     for _ in range(20):
-        params = build_params()
+        call = [drawer.params(ctx, **a) if isinstance(a, _Draw) else a
+                for a in args]
+        start = time.perf_counter()
         try:
-            return run(params)
+            out = globals()[check](*call)
         except PoleError:
-            continue
+            if redraw:
+                continue
+            raise
+        elapsed = int(round((time.perf_counter() - start) * 1000))
+        out = [out] if isinstance(out, CheckReport) else list(out)
+        for r in out:
+            r.elapsed_ms = elapsed
+        return out
     raise ConfigError("persistent pole collisions; pinned parameters sit on "
                       "a vanishing telescoping factor")
 
 
+# Each suite yields (check name, *positional arguments), drawing its inputs
+# lazily: `_run` finishes one call before the next one's inputs are drawn.
+
 def _suite_ybe(ctx, config, drawer):
-    out = []
     for n in config.dims:
         rep = make_irrep(ctx, n)
         for _ in range(config.draws):
@@ -256,73 +268,48 @@ def _suite_ybe(ctx, config, drawer):
             y = drawer.spectral(ctx, config.y_exp)
             z = drawer.spectral(ctx, None)
             for kind in ("RRR", "RbRbRb", "LLR", "LbLbRb"):
-                out.extend(_timed(check_ybe, ctx, kind, rep, params, x, y, z))
-    return out
+                yield "check_ybe", ctx, kind, rep, params, x, y, z
+
+
+def _zeroed(fam) -> _Draw:
+    return _Draw(k_plus_zero=fam.k_plus_zero, k_minus_zero=fam.k_minus_zero)
 
 
 def _suite_reflection(ctx, config, drawer):
-    out = []
     for _ in range(config.draws):
         x = drawer.spectral(ctx, config.x_exp)
         y = drawer.spectral(ctx, config.y_exp)
-        out.extend(_with_pole_retry(
-            drawer,
-            lambda: drawer.params(ctx, need_k_plus=True, need_k_minus=True),
-            lambda p: _timed(check_reflection, ctx, "matrix", None, None, p, x, y)))
+        yield ("check_reflection", ctx, "matrix", None, None,
+               _Draw(need_k_plus=True, need_k_minus=True), x, y)
     for n in config.dims:
         rep = make_irrep(ctx, n)
-        for variant in K_VARIANTS:
-            kp0, km0 = _variant_zeroing(variant)
+        for variant, fam in _TRIANGULAR.items():
             for _ in range(config.draws):
                 x = drawer.spectral(ctx, config.x_exp)
                 y = drawer.spectral(ctx, config.y_exp)
-                out.extend(_with_pole_retry(
-                    drawer,
-                    lambda: drawer.params(ctx, k_plus_zero=kp0, k_minus_zero=km0),
-                    lambda p: _timed(check_reflection, ctx, "operator", variant,
-                                     rep, p, x, y)))
-    return out
-
-
-def _variant_zeroing(variant):
-    return {
-        "diagonal": (True, True),
-        "upper": (False, True),
-        "lower": (True, False),
-        "upper_alt": (True, False),
-        "lower_alt": (False, True),
-    }[variant]
+                yield ("check_reflection", ctx, "operator", variant, rep,
+                       _zeroed(fam), x, y)
 
 
 def _suite_intertwining(ctx, config, drawer):
-    out = []
     for n in config.dims:
         rep = make_irrep(ctx, n)
-        for variant in K_VARIANTS:
-            kp0, km0 = _variant_zeroing(variant)
+        for variant, fam in _TRIANGULAR.items():
             for _ in range(config.draws):
                 x = drawer.spectral(ctx, config.x_exp)
-                out.extend(_with_pole_retry(
-                    drawer,
-                    lambda: drawer.params(ctx, k_plus_zero=kp0, k_minus_zero=km0),
-                    lambda p: _timed(check_intertwining, ctx, variant, rep, p, x)))
+                yield "check_intertwining", ctx, variant, rep, _zeroed(fam), x
         for _ in range(config.draws):
             x = drawer.spectral(ctx, config.x_exp)
-            out.extend(_with_pole_retry(
-                drawer,
-                lambda: drawer.params(ctx, k_minus_zero=True),
-                lambda p: _timed(check_aux_lemmas, ctx, rep, p, x)))
-    return out
+            yield "check_aux_lemmas", ctx, rep, _Draw(k_minus_zero=True), x
 
 
 def _suite_coideal(ctx, config, drawer):
-    out = []
     for n in config.dims:
         rep = make_irrep(ctx, n)
         for _ in range(config.draws):
             params = drawer.params(ctx)
             x = drawer.spectral(ctx, config.x_exp)
-            out.extend(_timed(check_coideal_algebras, ctx, rep, params, x))
+            yield "check_coideal_algebras", ctx, rep, params, x
     for n in config.dims:
         for m in config.dims:
             rep1 = make_irrep(ctx, n)
@@ -331,59 +318,42 @@ def _suite_coideal(ctx, config, drawer):
                 params = drawer.params(ctx)
                 x = drawer.spectral(ctx, config.x_exp)
                 y = drawer.spectral(ctx, config.y_exp)
-                out.extend(_timed(check_coideal_coproduct, ctx, rep1, rep2,
-                                  params, x, y))
-    return out
+                yield "check_coideal_coproduct", ctx, rep1, rep2, params, x, y
 
 
 def _suite_appendix(ctx, config, drawer):
     halves = (-2, -1, 0, 1, 2, 3)
-    out = []
     for n in config.dims:
         rep = make_irrep(ctx, n)
         for _ in range(config.draws):
             a = drawer.rational_str()
-            from fractions import Fraction
-
             b = Fraction(drawer.rng.choice(halves), 2)
             c = Fraction(drawer.rng.choice(halves), 2)
             for ident in range(1, 14):
-                out.extend(_timed(check_appendix, ctx, ident, rep, a, b, c))
-    return out
+                yield "check_appendix", ctx, ident, rep, a, b, c
 
 
 def _suite_symmetries(ctx, config, drawer):
-    out = []
     for n in config.dims:
         rep = make_irrep(ctx, n)
         for _ in range(config.draws):
             params = drawer.params(ctx)
             x = drawer.spectral(ctx, config.x_exp)
-            out.extend(_timed(check_symmetries, ctx, rep, params, x))
-    return out
+            yield "check_symmetries", ctx, rep, params, x
 
 
 def _suite_onsager(ctx, config, drawer):
-    out = []
+    # generic k+ k- != 0, then the triangular degenerations, which satisfy
+    # both relations
+    draws = (_Draw(need_k_plus=True, need_k_minus=True),
+             _Draw(k_minus_zero=True, need_k_plus=True),
+             _Draw(k_plus_zero=True, need_k_minus=True))
     for n in config.dims:
         rep = make_irrep(ctx, n)
         for _ in range(config.draws):
             x = drawer.spectral(ctx, config.x_exp)
-            out.extend(_with_pole_retry(
-                drawer,
-                lambda: drawer.params(ctx, need_k_plus=True,
-                                      need_k_minus=True),
-                lambda p: _timed(check_onsager_candidate, ctx, rep, p, x)))
-            # triangular degenerations satisfy both relations
-            out.extend(_with_pole_retry(
-                drawer,
-                lambda: drawer.params(ctx, k_minus_zero=True, need_k_plus=True),
-                lambda p: _timed(check_onsager_candidate, ctx, rep, p, x)))
-            out.extend(_with_pole_retry(
-                drawer,
-                lambda: drawer.params(ctx, k_plus_zero=True, need_k_minus=True),
-                lambda p: _timed(check_onsager_candidate, ctx, rep, p, x)))
-    return out
+            for draw in draws:
+                yield "check_onsager_candidate", ctx, rep, draw, x
 
 
 _SUITE_RUNNERS = {

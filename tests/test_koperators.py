@@ -6,6 +6,7 @@ import pytest
 from conftest import rand_params, seeded
 from qreflect.checks import finite_iota_matrix, finite_sigma_matrix
 from qreflect.koperators import (
+    VARIANTS,
     KOperatorSpec,
     NonNilpotentError,
     RepeatedEigenvalueError,
@@ -16,6 +17,7 @@ from qreflect.koperators import (
     build_K_upper_split,
     kappa,
     q_exp_nilpotent,
+    variant_scalar_k,
 )
 from qreflect.linalg import Matrix
 from qreflect.loperators import build_K_scalar
@@ -157,7 +159,18 @@ def test_upper_with_zero_k_is_diagonal(ctx):
         assert k.matrix.equals(alt_diag), variant
 
 
-def test_variant_constraints_enforced(ctx):
+# which k survives in each variant, stated apart from koperators.VARIANTS
+SURVIVING_K = {
+    "diagonal": (False, False),
+    "upper": (True, False),
+    "lower": (False, True),
+    "upper_alt": (False, True),
+    "lower_alt": (True, False),
+    "onsager_candidate": (True, True),
+}
+
+
+def test_variant_constraints_enforced(ctx, nctx):
     rng = seeded(37)
     params = rand_params(ctx, rng, need_k=True)  # both k nonzero
     x = Spectral.q_power(1)
@@ -167,6 +180,24 @@ def test_variant_constraints_enforced(ctx):
             build_K(KOperatorSpec(variant, params, x), rep)
     with pytest.raises(ValueError):
         KOperatorSpec("sideways", params, x)
+
+    assert set(VARIANTS) == set(SURVIVING_K)
+    for variant, keep in SURVIVING_K.items():
+        assert variant_scalar_k(variant) == keep, variant
+    # one-sided parameters: a variant accepts them iff it keeps that k only
+    for c in (ctx, nctx):
+        only_plus = rand_params(c, rng, k_minus_zero=True, need_k=True)
+        only_minus = rand_params(c, rng, k_plus_zero=True, need_k=True)
+        for params, accepted in (
+                (only_plus, {"upper", "lower_alt", "onsager_candidate"}),
+                (only_minus, {"lower", "upper_alt", "onsager_candidate"})):
+            for variant in SURVIVING_K:
+                spec = KOperatorSpec(variant, params, x)
+                if variant in accepted:
+                    spec.validate(c)
+                else:
+                    with pytest.raises(ValueError):
+                        spec.validate(c)
 
 
 def test_fundamental_reduction_upper_lower(ctx):

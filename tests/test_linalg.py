@@ -93,18 +93,19 @@ def test_transpose_and_residual(ctx):
     rng = seeded(31)
     m, _ = rand_matrix(ctx, rng, 3)
     assert m.transpose().transpose().equals(m)
-    ok, res, worst = residual(m, m)
-    assert ok is True and res is None and worst is None
+    ok, res, worst, diff = residual(m, m)
+    assert ok is True and res is None and worst is None and diff.is_zero()
     shifted = m + Matrix.identity(ctx, 3)
-    ok, res, worst = residual(m, shifted)
+    ok, res, worst, diff = residual(m, shifted)
     assert ok is False and worst is not None
+    assert diff.equals(-Matrix.identity(ctx, 3))
 
 
 def test_numeric_residual_normalization():
     nctx = ScalarContext(backend="numeric", q_value=2.0 + 0j)
     big = Matrix.from_scalar_entries(nctx, 2, {(0, 0): 1e8 + 0j})
     tiny = Matrix.from_scalar_entries(nctx, 2, {(0, 0): 1e8 + 1e-4j})
-    ok, res, _ = residual(big, tiny)
+    ok, res, _, _ = residual(big, tiny)
     assert ok is None
     assert res < 1e-11  # scale-free: 1e-4 / 1e8
 
