@@ -43,6 +43,7 @@ from .koperators import (
     build_K_onsager_candidate,
     build_K_unfactored,
     build_K_upper_split,
+    candidate_intertwining_sides,
     kappa,
     q_exp_nilpotent,
 )

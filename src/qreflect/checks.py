@@ -24,8 +24,8 @@ from .koperators import (
     KOperatorSpec,
     build_K,
     build_K0_diagonal,
-    build_K_onsager_candidate,
     build_K_unfactored,
+    candidate_intertwining_sides,
     q_exp_nilpotent,
     variant_scalar_k,
 )
@@ -521,19 +521,22 @@ def check_onsager_candidate(ctx: ScalarContext, rep: Irrep, params: ParamSet,
     The W1 relation is expected to hold; the W0 residual is reported as a
     finding, never as a pass/fail verdict.
     """
-    kop = build_K_onsager_candidate(rep, params, x).matrix
     wgens = onsager_generators(ctx, params)
     xinv = x.inverse()
+    names = (("W1", False), ("W0", True))
+    pairs = [(eval_affine_expr(rep, params, xinv, wgens[name]),
+              eval_affine_expr(rep, params, x, wgens[name]))
+             for name, _ in names]
+    sides, cleared = candidate_intertwining_sides(rep, params, x, pairs)
     pd = _params_dict(params, rep, x=x)
     degenerate = (ctx.is_scalar_zero(params.k_plus)
                   or ctx.is_scalar_zero(params.k_minus))
     out = []
-    for name, finding in (("W1", False), ("W0", True)):
-        expr = wgens[name]
-        lhs = eval_affine_expr(rep, params, xinv, expr) * kop
-        rhs = kop * eval_affine_expr(rep, params, x, expr)
+    for (name, finding), (lhs, rhs) in zip(names, sides):
         rpt = _report(f"onsager/int_{name}", pd, lhs, rhs,
                       finding=finding and not degenerate)
+        if cleared and rpt.detail is not None:
+            rpt.detail = "cleared by P: " + rpt.detail
         if rpt.is_finding and (rpt.exact_zero is True
                                or (rpt.residual is not None
                                    and rpt.residual < 1e-12)):

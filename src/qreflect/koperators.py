@@ -384,9 +384,12 @@ def build_K_unfactored(spec: KOperatorSpec, rep: Irrep) -> KOperator:
     Triangular arguments are diagonalized exactly (their eigenvalues sit on
     the diagonal).  The non-triangular k+ k- != 0 candidate needs no
     eigenvalues at all on the exact backend: with x = q^m the telescoped
-    spectral function is a polynomial in the argument (t >= 0) or the inverse
-    of one (t < 0), so it is evaluated as a finite matrix product; the
-    numeric backend diagonalizes instead, giving an independent route.
+    spectral function is a matrix polynomial P in the argument, so for
+    t = m s >= 0 the operator is the finite product x^{s0 H} P.  For t < 0 it
+    is x^{s0 H} P^-1, which is never formed: `candidate_intertwining_sides`
+    certifies it in a form cleared of P^-1, and this function raises
+    ValueError.  The numeric backend diagonalizes instead, giving an
+    independent route.
     """
     ctx = rep.ctx
     spec.validate(ctx)
@@ -400,6 +403,10 @@ def build_K_unfactored(spec: KOperatorSpec, rep: Irrep) -> KOperator:
         fvals = [_spectral_function(ctx, spec, eps, z) for z in eigs]
         core = v * Matrix.diagonal(ctx, fvals) * v_inv
     elif ctx.is_exact:
+        if _telescoped_t(spec) < 0:
+            raise ValueError("at t = m s < 0 the exact candidate is the inverse "
+                             "of a matrix polynomial; use "
+                             "candidate_intertwining_sides")
         core = _polynomial_spectral_core(ctx, spec, eps, arg)
     else:
         core = _numeric_spectral_core(ctx, spec, eps, arg)
@@ -407,24 +414,29 @@ def build_K_unfactored(spec: KOperatorSpec, rep: Irrep) -> KOperator:
     return KOperator(mat, spec, "unfactored")
 
 
+def _telescoped_t(spec: KOperatorSpec) -> int:
+    return spec.x.exp * spec.params.s
+
+
 def _polynomial_spectral_core(ctx, spec, eps, arg: Matrix) -> Matrix:
-    """f(M) = prod_{j<|t|} (1 + q^{|t|-2j-1} M / eps), inverted when t < 0.
+    """P = prod_{j<|t|} (1 + q^{|t|-2j-1} M / eps).
 
     This is the telescoped spectral function applied directly to the matrix
-    argument; no eigenvalues are needed.
+    argument (no eigenvalues are needed): f(M) = P for t >= 0 and P^-1 for
+    t < 0.  For t < 0 each factor is tested for singularity by a
+    fraction-free determinant; det P is their product, so PoleError is
+    raised exactly when P has no inverse.
     """
-    t = spec.x.exp * spec.params.s
+    t = _telescoped_t(spec)
     n = arg.size
     core = Matrix.identity(ctx, n)
     for j in range(abs(t)):
         coeff = ctx.q(abs(t) - 2 * j - 1) / eps
-        core = core * (Matrix.identity(ctx, n) + arg.scaled(coeff))
-    if t < 0:
-        try:
-            core = core.inverse()
-        except ZeroDivisionError:
+        factor = Matrix.identity(ctx, n) + arg.scaled(coeff)
+        if t < 0 and factor.is_singular():
             raise PoleError("spectral-function pole: an eigenvalue of the "
                             "argument meets a vanishing telescoping factor")
+        core = core * factor
     return core
 
 
@@ -457,9 +469,43 @@ def build_K_onsager_candidate(rep: Irrep, params: ParamSet, x: Spectral) -> KOpe
     The candidate intertwines W1 identically but fails the W0 relation for
     generic spectral points; at x^s = q^{-1}, 1, q (where the spectral
     function is constant or a single linear factor) it satisfies both.
+    On the exact backend at t = m s < 0 it is not formed (ValueError); its
+    relations are certified by `candidate_intertwining_sides`.
     """
     spec = KOperatorSpec("onsager_candidate", params, x)
     return build_K_unfactored(spec, rep)
+
+
+def candidate_intertwining_sides(rep: Irrep, params: ParamSet, x: Spectral,
+                                 pairs) -> tuple:
+    """Both sides of ev_{1/x}(a) K = K ev_x(a) for the q-Onsager candidate K,
+    one (lhs, rhs) per (ev_{1/x}(a), ev_x(a)) pair; returns (sides, cleared).
+
+    Wherever K can be formed the sides are (left K, K right).  On the exact
+    backend with a non-triangular argument and t = m s < 0, K = C P^-1 with
+    C = x^{s0 H} and P the telescoped matrix polynomial; C and P are
+    invertible, so the relation holds exactly when
+
+        P (C^-1 left C) = right P,
+
+    which needs only products and the diagonal C^-1 = x^{-s0 H}.  Its
+    difference is P C^-1 D P for the difference D of the uncleared form;
+    `cleared` is True for these sides.  A singular P raises PoleError.
+    """
+    ctx = rep.ctx
+    spec = KOperatorSpec("onsager_candidate", params, x)
+    cleared = False
+    if ctx.is_exact and x.exp is not None and _telescoped_t(spec) < 0:
+        arg = _spectral_argument(rep, spec)
+        cleared = _triangular_shape(arg) is None
+    if not cleared:
+        k = build_K_unfactored(spec, rep).matrix
+        return [(left * k, k * right) for left, right in pairs], False
+    eps, prefix_exp = _variant_eps_prefix(spec)
+    p = _polynomial_spectral_core(ctx, spec, eps, arg)
+    c = spectral_cartan(rep, x, prefix_exp)
+    c_inv = spectral_cartan(rep, x, -prefix_exp)
+    return [(p * (c_inv * left * c), right * p) for left, right in pairs], True
 
 
 def build_K_upper_split(rep: Irrep, params: ParamSet, x: Spectral) -> KOperator:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import defaultdict
 
 from .scalars import (
+    LaurentPolynomial,
     RationalExpression,
     ScalarContext,
     poly_divexact,
@@ -212,53 +213,45 @@ class Matrix:
         return Matrix(self.ctx, self.size,
                       {(j, i): v for (i, j), v in self.entries.items()}, self.den)
 
-    def inverse(self) -> "Matrix":
-        """Field-exact inverse by Gauss-Jordan elimination (both backends)."""
-        ctx = self.ctx
+    def det(self):
+        """Determinant as a field scalar (see `_numerator_det`)."""
+        num = self._numerator_det()
+        if self.ctx.is_exact:
+            return RationalExpression(num, self.den ** self.size)
+        return num / self.den ** self.size
+
+    def is_singular(self) -> bool:
+        """True when the determinant vanishes; takes no gcd."""
+        num = self._numerator_det()
+        return num.is_zero() if self.ctx.is_exact else num == 0
+
+    def _numerator_det(self):
+        """Determinant of the entry grid before the common denominator, by
+        Bareiss (1968) fraction-free elimination: each step's division by the
+        previous pivot is exact, so exact entries stay Laurent polynomials."""
+        exact = self.ctx.is_exact
         n = self.size
-        grid = self.to_dense()
-        aug = [[ctx.one() if i == j else ctx.zero() for j in range(n)]
-               for i in range(n)]
-        for col in range(n):
-            pivot = None
-            if ctx.is_exact:
-                for r in range(col, n):
-                    if not grid[r][col].is_zero():
-                        pivot = r
-                        break
-            else:
-                best = 0.0
-                for r in range(col, n):
-                    mag = abs(grid[r][col])
-                    if mag > best:
-                        best, pivot = mag, r
-                if best == 0.0:
-                    pivot = None
-            if pivot is None:
-                raise ZeroDivisionError("matrix is singular")
-            if pivot != col:
-                grid[col], grid[pivot] = grid[pivot], grid[col]
-                aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv_p = (grid[col][col].inverse() if ctx.is_exact
-                     else 1 / grid[col][col])
-            grid[col] = [v * inv_p for v in grid[col]]
-            aug[col] = [v * inv_p for v in aug[col]]
-            for r in range(n):
-                if r == col:
-                    continue
-                f = grid[r][col]
-                if ctx.is_exact and f.is_zero():
-                    continue
-                grid[r] = [a - f * b for a, b in zip(grid[r], grid[col])]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-        entries = {}
-        for i in range(n):
-            for j in range(n):
-                v = aug[i][j]
-                keep = (not v.is_zero()) if ctx.is_exact else v != 0
-                if keep:
-                    entries[(i, j)] = v
-        return Matrix.from_scalar_entries(ctx, n, entries)
+        zero = LaurentPolynomial() if exact else 0j
+        a = [[self.entries.get((i, j), zero) for j in range(n)]
+             for i in range(n)]
+        sign = 1
+        prev = None
+        for k in range(n - 1):
+            if a[k][k] == zero:
+                swap = next((r for r in range(k + 1, n) if a[r][k] != zero),
+                            None)
+                if swap is None:
+                    return zero
+                a[k], a[swap] = a[swap], a[k]
+                sign = -sign
+            for i in range(k + 1, n):
+                for j in range(k + 1, n):
+                    t = a[i][j] * a[k][k] - a[i][k] * a[k][j]
+                    if prev is not None:
+                        t = poly_divexact(t, prev) if exact else t / prev
+                    a[i][j] = t
+            prev = a[k][k]
+        return -a[-1][-1] if sign < 0 else a[-1][-1]
 
     def to_dense(self):
         """List-of-lists of field scalars."""

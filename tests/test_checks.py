@@ -1,6 +1,7 @@
 """Residual checkers: positive grids, negative (perturbed) cases, and the
 cross-level oracles connecting matrix and operator reflection equations."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -28,9 +29,10 @@ from qreflect.representations import (
     eval_affine_expr,
     make_irrep,
     make_params,
+    onsager_generators,
     triangular_onsager_generators,
 )
-from qreflect.scalars import ScalarContext, Spectral
+from qreflect.scalars import PoleError, ScalarContext, Spectral
 
 
 def spectral(rng):
@@ -277,6 +279,42 @@ def test_onsager_candidate_exact_finding(ctx):
             assert r.exact_zero, (r.name, m)
 
 
+# (t, m, s0, s1) with t = m (s0 + s1) < 0.  (n=3, t=-4) and (n=2, t=-8) are
+# the slow cases: a Gauss-Jordan inverse of P over Q(v) takes over 30 s each
+NEGATIVE_T = ((-2, -1, 1, 1), (-3, 3, -1, 0), (-4, -2, 1, 1), (-8, -2, 2, 2))
+
+
+def test_onsager_candidate_exact_negative_t():
+    """Exact t < 0 verdicts of the candidate (certified cleared of P^-1):
+    W1 holds exactly and W0 is a nonzero finding for |t| >= 2.  Each
+    verdict is confirmed at the same rational parameters on the numeric
+    backend and with v pinned to 7/5."""
+    budget_s = 10
+    exact = ScalarContext()
+    nctx = ScalarContext(backend="numeric", q_value=1.4 + 0.3j)
+    pinned = ScalarContext(v_value=Fraction(7, 5))
+    start = time.perf_counter()
+    for n in (2, 3):
+        for t, m, s0, s1 in NEGATIVE_T:
+            x = Spectral.q_power(m)
+            for c in (exact, nctx, pinned):
+                params = make_params(c, "3/2", "-5/7", k_plus="2/3",
+                                     k_minus="1/4", s0=s0, s1=s1)
+                w1, w0 = check_onsager_candidate(c, make_irrep(c, n), params, x)
+                case = (n, t, c.backend, c.v_value)
+                assert (w1.name, w0.name) == ("onsager/int_W1", "onsager/int_W0")
+                assert not w1.is_finding and w0.is_finding, case
+                if c.is_exact:
+                    assert w1.exact_zero is True, case
+                    assert w0.exact_zero is False, case
+                    assert w0.detail.startswith("cleared by P: "), case
+                else:
+                    assert w1.residual < 1e-9, case
+                    assert w0.residual > 1e-6, case
+    elapsed = time.perf_counter() - start
+    assert elapsed < budget_s, f"took {elapsed:.1f}s, budget {budget_s}s"
+
+
 def test_onsager_candidate_numeric_finding():
     nctx = ScalarContext(backend="numeric", q_value=1.4 + 0j)
     params = make_params(nctx, "3/2", "-5/7", k_plus="2/3", k_minus="1/4",
@@ -288,6 +326,38 @@ def test_onsager_candidate_numeric_finding():
     w0 = reports["onsager/int_W0"]
     assert w0.is_finding
     assert w0.residual > 1e-3
+
+
+def test_onsager_candidate_pole_raises():
+    """At t < 0 the candidate is x^{s0 H} P^-1 with the telescoped
+    P = prod_j (1 + q^(|t|-2j-1) ev_x(W1) / eps+).  With v pinned, the
+    determinant of one factor is linear in k-: solve for its root, and the
+    check must raise PoleError rather than return a verdict."""
+    ctx = ScalarContext(v_value=Fraction(7, 5))
+    rep = make_irrep(ctx, 2)
+    x = Spectral.q_power(-1)          # t = m (s0 + s1) = -2
+
+    def params(k_minus):
+        return make_params(ctx, "3/2", "-5/7", k_plus="2/3", k_minus=k_minus,
+                           s0=1, s1=1)
+
+    def factor_det(k_minus, j):
+        p = params(k_minus)
+        w1 = eval_affine_expr(rep, p, x, onsager_generators(ctx, p)["W1"])
+        f = Matrix.identity(ctx, 2) + w1.scaled(ctx.q(1 - 2 * j) / p.eps_plus)
+        e = f.entry
+        # v is pinned, so the determinant is a rational constant
+        return (e(0, 0) * e(1, 1) - e(0, 1) * e(1, 0)).evaluate(1)
+
+    for j in (0, 1):
+        d0, d1 = factor_det(0, j), factor_det(1, j)
+        root = -d0 / (d1 - d0)
+        assert root != 0 and factor_det(root, j) == 0
+        with pytest.raises(PoleError):
+            check_onsager_candidate(ctx, rep, params(root), x)
+        # one step off the root the same check decides
+        reports = check_onsager_candidate(ctx, rep, params(root + 1), x)
+        assert [r.exact_zero for r in reports] == [True, False]
 
 
 def test_appendix_zero_coefficient_trivial(ctx):

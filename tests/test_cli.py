@@ -2,6 +2,8 @@
 report round-trips, exit codes."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -114,6 +116,24 @@ def test_cli_onsager_findings_do_not_fail(tmp_path, capsys):
     assert code == 0
     assert "FINDING" in captured.out
     assert "failed 0" in captured.out
+
+
+def readme_verify_lines():
+    """The `verify ...` command lines of the README's "Command line" block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    return [line for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("verify ")]
+
+
+def test_readme_command_lines_run(tmp_path):
+    lines = readme_verify_lines()
+    assert len(lines) == 3
+    for k, line in enumerate(lines):
+        out = tmp_path / f"report{k}"
+        argv = shlex.split(line)[1:] + ["--dims", "2", "--out", str(out)]
+        assert main(argv) == 0, line
+        assert out.read_text()
 
 
 def test_config_file_with_flag_overrides(tmp_path):

@@ -24,8 +24,10 @@ from qreflect.loperators import build_K_scalar
 from qreflect.representations import (
     cartan_power,
     casimir,
+    eval_affine_expr,
     make_irrep,
     make_params,
+    onsager_generators,
     spectral_cartan,
 )
 from qreflect.scalars import (
@@ -303,13 +305,16 @@ def test_candidate_degenerations_exact(ctx):
 
 
 def test_candidate_exact_polynomial_route(ctx):
-    """With x = q^m the spectral function is (an inverse of) a polynomial in
-    the evaluated W1, so the k+ k- != 0 candidate is exact; the numeric
-    eigendecomposition route must agree with it."""
+    """With x = q^m the spectral function is a polynomial P in the evaluated
+    W1 (t = m s >= 0) or its inverse (t < 0), so the k+ k- != 0 candidate is
+    exact; the numeric eigendecomposition route must agree with it.  At
+    t < 0 (here m = 2, s = -1) the exact candidate C P^-1 (C = x^{s0 H}) is
+    never formed, so there the numeric candidate must satisfy K P = C."""
     rng = seeded(67)
     q0 = 1.8
     nctx = ScalarContext(backend="numeric", q_value=q0 + 0j)
     v0 = (q0 + 0j) ** 0.5
+    negative_t = []
     for m in (2, -2):
         x = Spectral.q_power(m)
         params = rand_params(ctx, rng, need_k=True)
@@ -317,13 +322,32 @@ def test_candidate_exact_polynomial_route(ctx):
                                       ("eps_plus", "eps_minus", "k_plus",
                                        "k_minus")),
                               s0=params.s0, s1=params.s1)
-        k_exact = build_K_onsager_candidate(make_irrep(ctx, 3), params, x)
         k_num = build_K_onsager_candidate(make_irrep(nctx, 3), nparams, x)
+        rep = make_irrep(ctx, 3)
+        t = m * params.s
+        negative_t.append(t < 0)
+        if t >= 0:
+            k_exact = build_K_onsager_candidate(rep, params, x).matrix
+            target, k_num_mat = k_exact, k_num.matrix
+        else:
+            w1 = eval_affine_expr(rep, params, x,
+                                  onsager_generators(ctx, params)["W1"])
+            poly = Matrix.identity(ctx, 3)
+            for j in range(-t):
+                poly = poly * (Matrix.identity(ctx, 3)
+                               + w1.scaled(ctx.q(-t - 2 * j - 1)
+                                           / params.eps_plus))
+            target = spectral_cartan(rep, x, params.s0)
+            p_num = Matrix(nctx, 3, {
+                (i, j): poly.entry(i, j).evaluate(v0)
+                for i in range(3) for j in range(3)})
+            k_num_mat = k_num.matrix * p_num
         for i in range(3):
             for j in range(3):
-                ev = k_exact.matrix.entry(i, j).evaluate(v0)
-                nv = k_num.matrix.entry(i, j)
-                assert abs(ev - nv) < 1e-9 * max(1.0, abs(nv)), (i, j)
+                ev = target.entry(i, j).evaluate(v0)
+                nv = k_num_mat.entry(i, j)
+                assert abs(ev - nv) < 1e-9 * max(1.0, abs(nv)), (m, i, j)
+    assert negative_t == [True, False]
 
 
 def test_candidate_numeric_general():

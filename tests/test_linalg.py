@@ -3,7 +3,7 @@
 from conftest import seeded
 from qreflect.linalg import Matrix, lift, residual
 from qreflect.scalars import RationalExpression, ScalarContext
-from test_scalars import rand_expr
+from test_scalars import rand_expr, rand_poly
 
 
 def rand_matrix(ctx, rng, n, density=0.7):
@@ -51,6 +51,56 @@ def test_scaled_divided_inverse(ctx):
     while s.is_zero():
         s = rand_expr(rng)
     assert m.scaled(s).divided(s).equals(m)
+
+
+def _hadamard_bound(grid):
+    """|det| <= product of the row norms."""
+    import numpy as np
+
+    return float(np.prod([np.linalg.norm(row) for row in grid])) or 1.0
+
+
+def test_bareiss_det_against_numpy(ctx):
+    """Fraction-free determinant at v0 = 1.3 against numpy.linalg.det, on
+    random 2-4 matrices (Laurent-polynomial entries over one random
+    denominator) and on singular ones: a row that is a combination of two
+    others, and a zero column.  Permutation-like matrices force pivot swaps."""
+    import numpy as np
+
+    rng = seeded(41)
+    v0 = 1.3
+    zero = RationalExpression.constant(0)
+    nctx = ScalarContext(backend="numeric", q_value=v0 * v0 + 0j)
+    for trial in range(9):
+        n = 2 + trial % 3
+        den = rand_expr(rng)
+        entries = {(i, j): RationalExpression(rand_poly(rng)) / den
+                   for i in range(n) for j in range(n)}
+        singular = trial >= 6
+        if singular and trial % 2:
+            a, b = RationalExpression(rand_poly(rng)), rand_expr(rng)
+            for j in range(n):
+                entries[(n - 1, j)] = a * entries[(0, j)] + b * entries[(1, j)]
+        elif singular:
+            for i in range(n):
+                entries[(i, 1)] = zero
+        m = Matrix.from_scalar_entries(ctx, n, entries)
+        grid = np.array([[complex(entries[(i, j)].evaluate(v0))
+                          for j in range(n)] for i in range(n)])
+        det = m.det()
+        assert m.is_singular() is singular, trial
+        assert det.is_zero() is singular, trial
+        bound = 1e-9 * _hadamard_bound(grid)
+        assert abs(complex(det.evaluate(v0)) - np.linalg.det(grid)) < bound
+        nm = Matrix.from_scalar_entries(nctx, n, {k: complex(e.evaluate(v0))
+                                                  for k, e in entries.items()})
+        assert abs(nm.det() - np.linalg.det(grid)) < bound
+    perm = Matrix.from_scalar_entries(ctx, 3, {
+        (0, 1): ctx.q(1), (1, 2): ctx.rational(2), (2, 0): ctx.rational(3)})
+    assert perm.det() == ctx.q(1) * ctx.rational(6)
+    swap = Matrix.from_scalar_entries(ctx, 2, {
+        (0, 1): ctx.q(1), (1, 0): ctx.rational(2)})
+    assert swap.det() == -(ctx.q(1) * ctx.rational(2))
 
 
 def test_kron_row_major(ctx):
