@@ -4,7 +4,10 @@ Two backends share one API:
 
 * exact   -- the univariate rational-function field Q(v), v = q^(1/2).
              Scalars are `RationalExpression` objects (reduced fractions of
-             Laurent polynomials in v with rational coefficients).  The
+             Laurent polynomials in v with rational coefficients).  Each
+             polynomial is a rational content times a primitive map of
+             Python ints, so products, sums, exact divisions and gcds run
+             on ints and touch one rational per polynomial.  The
              spectral parameter is always an integer power of q, so every
              infinite q-Pochhammer ratio telescopes to a finite product.
              Optionally v may be pinned to an exact rational value, in which
@@ -21,10 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from types import MappingProxyType
 
 try:
     from gmpy2 import mpq as _mpq
-except ImportError:  # gmpy2 is optional (the "gmpy" extra); Fraction is exact too
+except ImportError:  # gmpy2 is optional (the "gmpy" extra); it types only the contents
     _mpq = Fraction
 
 
@@ -54,63 +59,97 @@ _R1 = rational(1)
 class LaurentPolynomial:
     """Laurent polynomial in v = q^(1/2) with rational coefficients.
 
-    Canonical form: the coefficient map stores no zero coefficients.
-    Exponents may be negative.
+    Stored as `content` * `prim`: `prim` maps exponent -> Python int, with
+    gcd 1 and a positive coefficient at the highest exponent; `content` is a
+    nonzero rational of the active type (`rational()`).  Zero is the empty
+    `prim` with content 1.  The form is canonical, so equal polynomials have
+    equal slots.  Exponents may be negative.
+
+    A product of primitive integer polynomials is primitive (Gauss's lemma),
+    so a product multiplies the contents once and convolves the ints, and a
+    sum brings both contents to one common factor, adds ints and takes one
+    integer gcd: no rational arithmetic runs per coefficient.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("content", "prim")
 
-    def __init__(self, coeffs=None, _trusted=False):
-        if coeffs is None:
-            self.coeffs = {}
-        elif _trusted:
-            self.coeffs = coeffs
-        else:
-            self.coeffs = {e: rational(c) for e, c in coeffs.items() if c != 0}
+    def __init__(self, coeffs=None):
+        """Build from a map exponent -> rational; zero coefficients are dropped."""
+        rats = {e: rational(c) for e, c in (coeffs or {}).items() if c != 0}
+        den = lcm(*(int(c.denominator) for c in rats.values()))
+        ints = {e: int(c.numerator) * (den // int(c.denominator)) for e, c in rats.items()}
+        h, self.prim = _split_content(ints) if ints else (1, ints)
+        self.content = rational(h, den)
 
     @staticmethod
     def constant(c) -> "LaurentPolynomial":
         c = rational(c)
-        return LaurentPolynomial({0: c} if c else {}, _trusted=True)
+        return _poly(c, {0: 1}) if c else _POLY_ZERO
 
     @staticmethod
     def v_power(k: int, coeff=1) -> "LaurentPolynomial":
         c = rational(coeff)
-        return LaurentPolynomial({int(k): c} if c else {}, _trusted=True)
+        return _poly(c, {int(k): 1}) if c else _POLY_ZERO
+
+    @property
+    def coeffs(self):
+        """Read-only view exponent -> rational coefficient (content * prim)."""
+        c = self.content
+        return MappingProxyType({e: c * a for e, a in self.prim.items()})
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.prim
 
     def is_one(self) -> bool:
-        return self.coeffs == {0: _R1}
+        return self.prim == _ONE_PRIM and self.content == 1
 
     def min_exp(self) -> int:
-        return min(self.coeffs)
+        return min(self.prim)
 
     def max_exp(self) -> int:
-        return max(self.coeffs)
+        return max(self.prim)
 
     def __add__(self, other):
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b = self.prim, other.prim
+        if not b:
+            return self
+        if not a:
+            return other
+        ca, cb = self.content, other.content
         if len(a) < len(b):
-            a, b = b, a
-        out = dict(a)
+            a, b, ca, cb = b, a, cb, ca
+        na, da = int(ca.numerator), int(ca.denominator)
+        nb, db = int(cb.numerator), int(cb.denominator)
+        same = na == nb and da == db
+        if same:
+            fa = fb = 1
+        else:
+            # ca = fa * gn/den and cb = fb * gn/den with integer fa, fb
+            gn, gd = gcd(na, nb), gcd(da, db)
+            fa, fb = na // gn * (db // gd), nb // gn * (da // gd)
+            na, da = gn, da // gd * db
+        out = dict(a) if fa == 1 else {e: fa * c for e, c in a.items()}
         for e, c in b.items():
+            if fb != 1:
+                c *= fb
             s = out.get(e)
             if s is None:
                 out[e] = c
             else:
-                s = s + c
+                s += c
                 if s:
                     out[e] = s
                 else:
                     del out[e]
-        return LaurentPolynomial(out, _trusted=True)
+        if not out:
+            return _POLY_ZERO
+        h, prim = _split_content(out)
+        return _poly(ca if same and h == 1 else rational(na * h, da), prim)
 
     def __neg__(self):
-        return LaurentPolynomial({e: -c for e, c in self.coeffs.items()}, _trusted=True)
+        return _poly(-self.content, self.prim) if self.prim else self
 
     def __sub__(self, other):
         if not isinstance(other, LaurentPolynomial):
@@ -120,21 +159,26 @@ class LaurentPolynomial:
     def __mul__(self, other):
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b = self.prim, other.prim
         if not a or not b:
             return _POLY_ZERO
+        ka, kb = self.content, other.content
+        content = ka if kb == 1 else kb if ka == 1 else ka * kb
         if len(a) > len(b):
             a, b = b, a
         if len(a) == 1:
-            (e0, c0), = a.items()
-            return LaurentPolynomial({e0 + e: c0 * c for e, c in b.items()}, _trusted=True)
-        out = {}
-        for ea, ca in a.items():
+            # a primitive monomial has coefficient 1: the product is a shift
+            (e0, _), = a.items()
+            return _poly(content, {e0 + e: c for e, c in b.items()} if e0 else b)
+        rows = iter(a.items())
+        ea, ca = next(rows)
+        out = {ea + eb: ca * cb for eb, cb in b.items()}
+        get = out.get
+        for ea, ca in rows:
             for eb, cb in b.items():
                 e = ea + eb
-                s = out.get(e)
-                out[e] = ca * cb if s is None else s + ca * cb
-        return LaurentPolynomial({e: c for e, c in out.items() if c}, _trusted=True)
+                out[e] = get(e, 0) + ca * cb
+        return _poly(content, {e: c for e, c in out.items() if c})
 
     def __pow__(self, k: int):
         if k < 0:
@@ -150,127 +194,176 @@ class LaurentPolynomial:
 
     def scale(self, c):
         c = rational(c)
-        if not c:
+        if not c or not self.prim:
             return _POLY_ZERO
-        return LaurentPolynomial({e: a * c for e, a in self.coeffs.items()}, _trusted=True)
+        return _poly(self.content * c, self.prim)
 
     def shift(self, k: int):
         """Multiply by v^k."""
         if not k:
             return self
-        return LaurentPolynomial({e + k: c for e, c in self.coeffs.items()}, _trusted=True)
+        return _poly(self.content, {e + k: c for e, c in self.prim.items()})
 
     def __eq__(self, other):
-        return isinstance(other, LaurentPolynomial) and self.coeffs == other.coeffs
+        return (isinstance(other, LaurentPolynomial) and self.prim == other.prim
+                and self.content == other.content)
 
     def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+        return hash((self.content, frozenset(self.prim.items())))
 
     def evaluate(self, v):
         """Value at a concrete v (rational or complex)."""
         if isinstance(v, complex) or isinstance(v, float):
             v = complex(v)
-            return sum((float(c) * v ** e for e, c in self.coeffs.items()), 0j)
+            # n*c/d is the correctly rounded float of the coefficient content*c
+            n, d = int(self.content.numerator), int(self.content.denominator)
+            return sum((n * c / d * v ** e for e, c in self.prim.items()), 0j)
         v = rational(v)
         acc = _R0
-        for e, c in self.coeffs.items():
+        for e, c in self.prim.items():
             acc += c * v ** e
-        return acc
+        return self.content * acc
 
     def __str__(self):
-        if not self.coeffs:
+        if not self.prim:
             return "0"
-        return " + ".join(f"{c}*v^{e}" for e, c in sorted(self.coeffs.items()))
+        k = self.content
+        return " + ".join(f"{k * c}*v^{e}" for e, c in sorted(self.prim.items()))
 
     def __repr__(self):
         return f"LaurentPolynomial({self})"
 
 
-_POLY_ZERO = LaurentPolynomial({}, _trusted=True)
-_POLY_ONE = LaurentPolynomial({0: _R1}, _trusted=True)
+_new_poly = object.__new__
+
+
+def _poly(content, prim) -> LaurentPolynomial:
+    """Wrap slots already in canonical form."""
+    p = _new_poly(LaurentPolynomial)
+    p.content = content
+    p.prim = prim
+    return p
+
+
+def _split_content(ints: dict):
+    """(h, ints / h) for a nonempty map of nonzero ints: h is their gcd,
+    signed so that the quotient's leading coefficient is positive."""
+    h = gcd(*ints.values())
+    if ints[max(ints)] < 0:
+        h = -h
+    return h, ints if h == 1 else {e: c // h for e, c in ints.items()}
+
+
+_ONE_PRIM = {0: 1}
+_POLY_ZERO = _poly(_R1, {})
+_POLY_ONE = _poly(_R1, _ONE_PRIM)
 
 
 def poly_one() -> LaurentPolynomial:
     return _POLY_ONE
 
 
-def _divmod_shifted(a: dict, b: dict):
-    """Long division of ordinary polynomials given as exponent->coeff dicts."""
-    db = max(b)
-    lb = b[db]
-    rem = dict(a)
-    quo = {}
-    while rem:
-        dr = max(rem)
-        if dr < db:
-            break
-        q = rem[dr] / lb
-        quo[dr - db] = q
-        for e, c in b.items():
-            k = dr - db + e
-            s = rem.get(e + dr - db, _R0) - q * c
-            if s:
-                rem[k] = s
-            else:
-                rem.pop(k, None)
-    return quo, rem
+def poly_divexact(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
+    """a / b, raising ArithmeticError unless b divides a.
 
-
-def poly_divmod(a: LaurentPolynomial, b: LaurentPolynomial):
-    """Divide Laurent polynomials after shifting both to lowest exponent 0.
-
-    Returns (quotient, remainder) with a = q*b + r up to a common monomial
-    shift; exact division holds iff the remainder is zero.
+    Long division of the primitive parts over Z, the contents divided apart:
+    an exact quotient of primitive integer polynomials is primitive over Z
+    (Gauss's lemma), so every quotient digit is an integer and a remainder
+    in any digit means the division is inexact.  Quotient keys run from the
+    highest exponent down.
     """
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    if a.is_zero():
-        return _POLY_ZERO, _POLY_ZERO
-    sa, sb = a.min_exp(), b.min_exp()
-    ad = {e - sa: c for e, c in a.coeffs.items()}
-    bd = {e - sb: c for e, c in b.coeffs.items()}
-    quo, rem = _divmod_shifted(ad, bd)
-    shift = sa - sb
-    return (LaurentPolynomial(quo, _trusted=True).shift(shift),
-            LaurentPolynomial(rem, _trusted=True).shift(sa))
+    ap, bp = a.prim, b.prim
+    if not ap:
+        return _POLY_ZERO
+    db = max(bp)
+    lb = bp[db]
+    lowest = min(ap) - min(bp)
+    rem = dict(ap)
+    quo = {}
+    while rem:
+        k0 = max(rem) - db
+        if k0 < lowest:
+            raise ArithmeticError("inexact polynomial division")
+        q, r = divmod(rem[k0 + db], lb)
+        if r:
+            raise ArithmeticError("inexact polynomial division")
+        quo[k0] = q
+        for e, c in bp.items():
+            k = k0 + e
+            s = rem.get(k, 0) - q * c
+            if s:
+                rem[k] = s
+            else:
+                del rem[k]
+    return _poly(a.content if b.content == 1 else a.content / b.content, quo)
 
 
-def poly_divexact(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
-    q, r = poly_divmod(a, b)
-    if not r.is_zero():
-        raise ArithmeticError("inexact polynomial division")
-    return q
+def _pseudo_rem(x: dict, y: dict) -> dict:
+    """A nonzero integer multiple of the remainder of x by y (int maps, y's
+    leading coefficient positive)."""
+    dy = max(y)
+    ly = y[dy]
+    rem = dict(x)
+    while rem:
+        dr = max(rem)
+        if dr < dy:
+            break
+        c = rem[dr]
+        g = gcd(c, ly)
+        m, q = ly // g, c // g
+        if m != 1:
+            rem = {e: m * r for e, r in rem.items()}
+        k0 = dr - dy
+        for e, yc in y.items():
+            k = k0 + e
+            s = rem.get(k, 0) - q * yc
+            if s:
+                rem[k] = s
+            else:
+                del rem[k]
+    return rem
+
+
+def _primitive_ints(x: dict) -> dict:
+    """x divided by its integer content and monomial factor, leading
+    coefficient positive, lowest exponent 0."""
+    if not x:
+        return x
+    x = _split_content(x)[1]
+    s = min(x)
+    return {e - s: c for e, c in x.items()} if s else x
 
 
 def poly_gcd(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
-    """Monic gcd (lowest exponent 0) of two Laurent polynomials over Q."""
+    """Monic gcd (lowest exponent 0) of two Laurent polynomials over Q.
+
+    Primitive polynomial remainder sequence (Collins 1967, Brown 1971) on the
+    integer parts: each pseudo-remainder is stripped of its integer content
+    and monomial factor, so no rational appears before the final monic
+    scaling.
+    """
     if a.is_zero():
         return _normalize_den(b)[0] if not b.is_zero() else _POLY_ZERO
     if b.is_zero():
         return _normalize_den(a)[0]
-    x = {e - a.min_exp(): c for e, c in a.coeffs.items()}
-    y = {e - b.min_exp(): c for e, c in b.coeffs.items()}
+    x, y = _primitive_ints(a.prim), _primitive_ints(b.prim)
     while y:
-        _, r = _divmod_shifted(x, y)
-        x, y = y, r
-        if y:
-            # strip any monomial factor picked up by the remainder
-            m = min(y)
-            if m:
-                y = {e - m: c for e, c in y.items()}
-    lead = x[max(x)]
-    return LaurentPolynomial({e: c / lead for e, c in x.items()}, _trusted=True)
+        x, y = y, _primitive_ints(_pseudo_rem(x, y))
+    return _poly(rational(1, x[max(x)]), x)
 
 
 def _normalize_den(d: LaurentPolynomial):
-    """Return (monic lowest-exponent-0 version of d, compensating factor m).
-
-    d == normalized * m where m is a monomial with rational coefficient.
-    """
-    s = d.min_exp()
-    lead = d.coeffs[d.max_exp()]
-    norm = LaurentPolynomial({e - s: c / lead for e, c in d.coeffs.items()}, _trusted=True)
-    return norm, LaurentPolynomial({s: lead}, _trusted=True)
+    """Return (monic lowest-exponent-0 version of d, exponent s, rational c)
+    with d == c * v^s * normalized; the keys shift, no coefficient divides."""
+    prim = d.prim
+    s = min(prim)
+    lead = prim[max(prim)]
+    c = d.content * lead
+    if not s and c == 1:
+        return d, s, c
+    return _poly(rational(1, lead), {e - s: a for e, a in prim.items()}), s, c
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +397,10 @@ class RationalExpression:
             if not g.is_one():
                 num = poly_divexact(num, g)
                 den = poly_divexact(den, g)
-            den, m = _normalize_den(den)
-            if not m.is_one():
-                (e, c), = m.coeffs.items()
-                num = LaurentPolynomial(
-                    {ee - e: cc / c for ee, cc in num.coeffs.items()}, _trusted=True)
+            den, s, c = _normalize_den(den)
+            if s or c != 1:
+                num = _poly(num.content / c,
+                            {e - s: a for e, a in num.prim.items()} if s else num.prim)
         self.num = num
         self.den = den
 

@@ -73,10 +73,22 @@ class SuiteConfig:
             raise ConfigError("backend must be 'exact' or 'numeric'")
         if self.draws < 1:
             raise ConfigError("draws must be >= 1")
-        if self.eps_plus is not None and _is_zero_string(self.eps_plus):
-            raise ConfigError("eps_plus must be nonzero")
-        if self.eps_minus is not None and _is_zero_string(self.eps_minus):
-            raise ConfigError("eps_minus must be nonzero")
+        try:
+            tol_ok = math.isfinite(self.tol) and self.tol > 0
+        except TypeError:
+            tol_ok = False
+        if not tol_ok:
+            raise ConfigError(f"tol must be a finite number > 0 (got {self.tol!r})")
+        for name in ("eps_plus", "eps_minus", "k_plus", "k_minus", "p_tilde"):
+            text = getattr(self, name)
+            if text is None or text == "":  # unpinned: drawn from the seed
+                continue
+            try:
+                value = rational(str(text))
+            except (ValueError, ZeroDivisionError):
+                raise ConfigError(f"{name} must be a rational such as 3/7 (got {text!r})")
+            if name.startswith("eps") and value == 0:
+                raise ConfigError(f"{name} must be nonzero")
         for name in ("x_exp", "y_exp", "s0", "s1"):
             v = getattr(self, name)
             if v is not None and v != int(v):
@@ -110,13 +122,6 @@ class SuiteConfig:
             "p_tilde": self.p_tilde,
             "seed": self.seed, "tol": self.tol, "draws": self.draws,
         }
-
-
-def _is_zero_string(s) -> bool:
-    try:
-        return rational(str(s)) == 0
-    except (ValueError, ZeroDivisionError):
-        return False
 
 
 def _parse_complex(text: str) -> complex:

@@ -89,6 +89,8 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         small_config(eps_plus="0").validate()
     with pytest.raises(ConfigError):
+        small_config(eps_minus=0).validate()
+    with pytest.raises(ConfigError):
         small_config(backend="numeric", q="symbolic").context()
     with pytest.raises(ConfigError):
         small_config(q="2/3").context()
@@ -106,6 +108,32 @@ def test_cli_exit_codes(tmp_path):
     assert main(["--suite", "reflection", "--dims", "2", "--eps-plus", "0"]) == 2
     assert main(["--suite", "ybe", "--dims", ""]) == 2
     assert main(["--suite", "ybe", "--dims", "2", "--q", "2/3"]) == 2
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_cli_rejects_tolerance_that_is_not_finite_positive(tol, capsys):
+    # before validation these ran and failed every numeric check (exit 1)
+    code = main(["--suite", "ybe", "--dims", "2", "--backend", "numeric",
+                 "--q", "1.4+0.3i", "--tol", tol])
+    assert code == 2
+    assert "tol" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="tol"):
+        small_config(tol=float(tol)).validate()
+
+
+@pytest.mark.parametrize("key,text", [
+    ("eps_plus", "abc"), ("eps_minus", "1/0"), ("k_plus", "1/x"),
+    ("k_minus", "1/0"), ("p_tilde", "x"),
+])
+def test_cli_rejects_malformed_pinned_rationals(key, text, capsys):
+    # before validation these ended in a ValueError or ZeroDivisionError
+    # traceback, or (p_tilde) in a message that did not name the key
+    flag = "--" + key.replace("_", "-")
+    assert main(["--suite", "ybe", "--dims", "2", flag, text]) == 2
+    assert key in capsys.readouterr().err
+    with pytest.raises(ConfigError, match=key):
+        small_config(**{key: text}).validate()
+    small_config(**{key: "-3/7"}).validate()
 
 
 def test_cli_onsager_findings_do_not_fail(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """The scalar layer: q-combinatorics, the Q(v) field, backend agreement."""
 
+import math
+
 import pytest
 
 from conftest import seeded
@@ -13,6 +15,8 @@ from qreflect.scalars import (
     poch_finite,
     poch_infinite_truncated,
     poch_ratio_telescoped,
+    poly_divexact,
+    poly_gcd,
     q_factorial,
     q_integer,
     rational,
@@ -27,12 +31,26 @@ def rand_poly(rng, terms=4, span=6):
     return LaurentPolynomial(coeffs)
 
 
-def rand_expr(rng):
-    num = rand_poly(rng)
-    den = rand_poly(rng)
-    while den.is_zero():
-        den = rand_poly(rng)
-    return RationalExpression(num, den)
+def rand_expr(rng, poly=rand_poly):
+    num = poly(rng)
+    return RationalExpression(num, nonzero(rng, poly))
+
+
+def big_poly(rng, terms=5, span=6, bits=64):
+    """Like rand_poly, with rational coefficients of about `bits` bits."""
+    coeffs = {}
+    for _ in range(rng.randint(1, terms)):
+        e = rng.randint(-span, span)
+        c = rational(rng.randint(-2 ** bits, 2 ** bits), rng.randint(1, 2 ** bits))
+        coeffs[e] = coeffs.get(e, 0) + c
+    return LaurentPolynomial(coeffs)
+
+
+def nonzero(rng, poly):
+    p = poly(rng)
+    while p.is_zero():
+        p = poly(rng)
+    return p
 
 
 # -- q-combinatorial primitives ------------------------------------------------
@@ -226,3 +244,148 @@ def test_spectral_arithmetic():
 def test_exact_backend_requires_q_power(ctx):
     with pytest.raises(ValueError):
         ctx.x_power(Spectral.of(1.5), 1)
+
+
+# -- the integer-coefficient polynomial core ---------------------------------
+
+
+def assert_canonical(p):
+    """content * prim with int prim of gcd 1 and positive leading coefficient."""
+    if p.is_zero():
+        assert p.prim == {} and p.content == 1
+        return
+    assert all(type(c) is int for c in p.prim.values())
+    assert math.gcd(*p.prim.values()) == 1
+    assert p.prim[p.max_exp()] > 0
+    assert p.content != 0
+    assert dict(p.coeffs) == {e: p.content * c for e, c in p.prim.items()}
+
+
+def test_integer_core_canonical_form():
+    rng = seeded(17)
+    v = LaurentPolynomial.v_power(1)
+    for _ in range(30):
+        p = nonzero(rng, big_poly if rng.random() < 0.5 else rand_poly)
+        q = big_poly(rng)
+        routes = [
+            p.scale(rational(-3, 7)).scale(rational(-7, 3)),
+            p.shift(3).shift(-3),
+            (p * v ** 2) * LaurentPolynomial.v_power(-2),
+            (p * q + p) - p * q,
+            (p + q) - q,
+            RationalExpression.parse(str(RationalExpression(p))).num,
+            LaurentPolynomial(dict(p.coeffs)),
+        ]
+        for r in [p, q, p * q, p + q, p - p, -p, p ** 3, *routes]:
+            assert_canonical(r)
+        for r in routes:
+            assert r == p and hash(r) == hash(p)
+            assert (r.content, r.prim) == (p.content, p.prim)
+        assert (p - p).is_zero() and (p * q - q * p).is_zero()
+    with pytest.raises(TypeError):
+        p.coeffs[0] = rational(1)
+
+
+def test_poly_divexact_integer_long_division():
+    v = LaurentPolynomial.v_power(1)
+    one, two = LaurentPolynomial.constant(1), LaurentPolynomial.constant(2)
+    assert poly_divexact(v ** 2 - one, two * v - two) == (v + one).scale(rational(1, 2))
+    assert poly_divexact(two * v ** 2 + v.scale(3) + one, two * v + one) == v + one
+    assert poly_divexact(v ** 3 + v, two * v) == (v ** 2 + one).scale(rational(1, 2))
+    # negative leading coefficient of the divisor, and negative exponents
+    assert poly_divexact(one - v ** 2, one - v) == one + v
+    assert poly_divexact(one.shift(-2) - one, one.shift(-1) - one) == one.shift(-1) + one
+    for a, b in [
+        (v ** 2 + one, v + one),            # remainder 2
+        (v ** 2 + one, one - v),            # the same, divisor leading -1
+        (v ** 2 + one, two * v + one),      # first quotient digit 1/2
+        (v.shift(-3) + one, v - one),
+    ]:
+        with pytest.raises(ArithmeticError):
+            poly_divexact(a, b)
+    with pytest.raises(ZeroDivisionError):
+        poly_divexact(v, LaurentPolynomial())
+    assert poly_divexact(LaurentPolynomial(), v).is_zero()
+
+
+# -- differential tests against sympy over QQ(v) -----------------------------
+# sympy's rational function field QQ(v) keeps every element cancelled
+# (numerator and denominator coprime, as `sympy.cancel` leaves them), so
+# equality there is equality of rational functions.
+
+
+def sympy_qq():
+    """(QQ, the field QQ(v), the ring QQ[v]) of sympy, or skip."""
+    sp = pytest.importorskip("sympy")
+    return sp.QQ, sp.field("v", sp.QQ)[0], sp.ring("v", sp.QQ)[0]
+
+
+def to_sympy(qq, dom, x):
+    """x as an element of dom (QQ(v), or QQ[v] for nonnegative exponents)."""
+    if isinstance(x, RationalExpression):
+        return to_sympy(qq, dom, x.num) / to_sympy(qq, dom, x.den)
+    v = dom.gens[0]
+    return sum((qq(int(c.numerator), int(c.denominator)) * v ** e
+                for e, c in x.coeffs.items()), dom.zero)
+
+
+def lowest_zero(qq, ring, p):
+    """p times v^-min_exp, in QQ[v]."""
+    return to_sympy(qq, ring, p.shift(-p.min_exp()))
+
+
+def test_polynomials_against_sympy():
+    qq, field, ring = sympy_qq()
+    rng = seeded(2024)
+    for _ in range(30):
+        a, b, g = big_poly(rng), nonzero(rng, big_poly), nonzero(rng, big_poly)
+        A, B = to_sympy(qq, field, a), to_sympy(qq, field, b)
+        for ours, theirs in [(a + b, A + B), (a - b, A - B), (a * b, A * B),
+                             (b ** 3, B ** 3), (a + b - a - b, field.zero)]:
+            assert to_sympy(qq, field, ours) == theirs
+        # exact division agrees with sympy's, inexact division raises
+        assert to_sympy(qq, field, poly_divexact(a * b, b)) == A
+        if a.is_zero() or lowest_zero(qq, ring, a).rem(lowest_zero(qq, ring, b)) == 0:
+            assert poly_divexact(a, b) * b == a
+        else:
+            with pytest.raises(ArithmeticError):
+                poly_divexact(a, b)
+        # gcd: both sides monic with lowest exponent 0, which fixes the unit
+        if a.is_zero():
+            continue
+        x, y = a * g, b * g
+        ours = poly_gcd(x, y)
+        theirs = lowest_zero(qq, ring, x).gcd(lowest_zero(qq, ring, y))
+        assert to_sympy(qq, ring, ours) == theirs.monic()
+        assert ours.min_exp() == 0 and ours.coeffs[ours.max_exp()] == 1
+        assert poly_gcd(x.shift(3).scale(-5), y) == ours
+        assert_canonical(ours)
+
+
+def test_rational_expressions_against_sympy():
+    qq, field, _ = sympy_qq()
+    rng = seeded(2025)
+
+    def poly(r):
+        return big_poly(r, terms=3)
+
+    for _ in range(20):
+        a, b = rand_expr(rng, poly), rand_expr(rng, poly)
+        while b.is_zero():
+            b = rand_expr(rng, poly)
+        A, B = to_sympy(qq, field, a), to_sympy(qq, field, b)
+        cases = [(a + b, A + B), (a - b, A - B), (a * b, A * B), (a / b, A / B),
+                 (b ** 2, B ** 2), (b ** -2, B ** -2), (a + b - a - b, field.zero)]
+        for ours, theirs in cases:
+            assert to_sympy(qq, field, ours) == theirs
+            # reduced: num and den share no nonconstant factor
+            assert ours.num.is_zero() or to_sympy(qq, field, ours.den).numer.gcd(
+                to_sympy(qq, field, ours.num).numer).is_ground
+        junk = nonzero(rng, poly)
+        same = RationalExpression(a.num * junk, a.den * junk)
+        for x, y in [(a, b), (a, same), (a + b - b, a), (a * b / b, a),
+                     (a, a + RationalExpression.constant(rational(1, 2 ** 70)))]:
+            equal_in_sympy = to_sympy(qq, field, x) == to_sympy(qq, field, y)
+            assert (x == y) == equal_in_sympy
+            if equal_in_sympy:
+                assert hash(x) == hash(y)
