@@ -118,13 +118,9 @@ def q_exp_nilpotent(ctx: ScalarContext, mat: Matrix, inverse: bool = False) -> M
     base = 2 if inverse else -2
     sign = -1 if inverse else 1
     acc = Matrix.identity(ctx, mat.size)
-    power = Matrix.identity(ctx, mat.size)
-    k = 0
-    while True:
-        k += 1
-        power = power * mat
-        if power.is_zero():
-            break
+    power = mat
+    k = 1
+    while not power.is_zero():
         if ctx.is_exact and k > mat.size:
             raise NonNilpotentError(
                 f"matrix is not nilpotent: M^{k} != 0 past the size bound")
@@ -137,6 +133,8 @@ def q_exp_nilpotent(ctx: ScalarContext, mat: Matrix, inverse: bool = False) -> M
                 break
             if k > ctx.max_terms:
                 raise NonNilpotentError("numeric q-exponential did not converge")
+        k += 1
+        power = power * mat
     return acc
 
 

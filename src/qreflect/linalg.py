@@ -336,6 +336,7 @@ def residual(lhs: Matrix, rhs: Matrix):
         ok = diff.is_zero()
         return ok, None, (None if ok else diff.worst_entry()), diff
     scale = max(lhs.max_abs(), rhs.max_abs())
-    raw = diff.max_abs()
+    worst = diff.worst_entry()  # the first entry of largest magnitude
+    raw = 0.0 if worst is None else abs(diff.entries[worst]) / abs(diff.den)
     res = raw / scale if scale > 0 else raw
-    return None, res, diff.worst_entry(), diff
+    return None, res, worst, diff

@@ -10,7 +10,7 @@ with [m]_q = (q^m - q^-m)/(q - q^-1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .linalg import Matrix
@@ -68,13 +68,19 @@ def make_params(ctx: ScalarContext, eps_plus, eps_minus, k_plus=0, k_minus=0,
 
 @dataclass(frozen=True)
 class Irrep:
-    """An n-dimensional irreducible representation in the weight basis."""
+    """An n-dimensional irreducible representation in the weight basis.
+
+    `_memo` keeps the x-independent images (Cartan powers, finite words)
+    built on first use; handing out shared matrices is safe because a
+    `Matrix` is never mutated after construction.
+    """
 
     dim: int
     weights: tuple
     e_mat: Matrix
     f_mat: Matrix
     ctx: ScalarContext
+    _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def q_bracket(ctx: ScalarContext, m: int):
@@ -102,8 +108,16 @@ def make_irrep(ctx: ScalarContext, n: int) -> Irrep:
 
 def cartan_power(rep: Irrep, xi) -> Matrix:
     """q^(xi*H) as a diagonal matrix; requires 2*xi integral on the exact backend."""
-    ctx = rep.ctx
     xi = Fraction(xi) if not isinstance(xi, Fraction) else xi
+    key = ("H", xi)
+    mat = rep._memo.get(key)
+    if mat is None:
+        mat = rep._memo[key] = _build_cartan_power(rep, xi)
+    return mat
+
+
+def _build_cartan_power(rep: Irrep, xi: Fraction) -> Matrix:
+    ctx = rep.ctx
     two_xi = xi * 2
     if two_xi.denominator != 1:
         if ctx.is_exact:
@@ -171,19 +185,26 @@ def h_atom(xi) -> tuple:
 
 def eval_word(rep: Irrep, word, coeff=None) -> Matrix:
     """Evaluate a finite generator word to a matrix, optionally scaled."""
-    out = Matrix.identity(rep.ctx, rep.dim)
+    key = ("word", word)
+    out = rep._memo.get(key)
+    if out is None:
+        out = rep._memo[key] = _word_product(rep, word)
+    return out if coeff is None else out.scaled(coeff)
+
+
+def _word_product(rep: Irrep, word) -> Matrix:
+    out = None
     for atom in word:
         if atom[0] == "E":
-            out = out * rep.e_mat
+            m = rep.e_mat
         elif atom[0] == "F":
-            out = out * rep.f_mat
+            m = rep.f_mat
         elif atom[0] == "H":
-            out = out * cartan_power(rep, atom[1])
+            m = cartan_power(rep, atom[1])
         else:
             raise ValueError(f"unknown atom {atom!r}")
-    if coeff is not None:
-        out = out.scaled(coeff)
-    return out
+        out = m if out is None else out * m
+    return Matrix.identity(rep.ctx, rep.dim) if out is None else out
 
 
 def sigma_word(ctx: ScalarContext, word):
@@ -256,25 +277,22 @@ def eval_affine_word(rep: Irrep, params: ParamSet, x: Spectral, word) -> Matrix:
     """Evaluation map: e0 -> x^s0 F, f0 -> x^-s0 E, q^(xi h0) -> q^(-xi H),
     e1 -> x^s1 E, f1 -> x^-s1 F, q^(xi h1) -> q^(xi H)."""
     ctx = rep.ctx
-    out = Matrix.identity(ctx, rep.dim)
+    out = None
     for atom in word:
         kind = atom[0]
+        exp = None
         if kind == "e":
-            if atom[1] == 0:
-                out = (out * rep.f_mat).scaled(ctx.x_power(x, params.s0))
-            else:
-                out = (out * rep.e_mat).scaled(ctx.x_power(x, params.s1))
+            m, exp = (rep.f_mat, params.s0) if atom[1] == 0 else (rep.e_mat, params.s1)
         elif kind == "f":
-            if atom[1] == 0:
-                out = (out * rep.e_mat).scaled(ctx.x_power(x, -params.s0))
-            else:
-                out = (out * rep.f_mat).scaled(ctx.x_power(x, -params.s1))
+            m, exp = (rep.e_mat, -params.s0) if atom[1] == 0 else (rep.f_mat, -params.s1)
         elif kind == "h":
-            xi = atom[2] if atom[1] == 1 else -atom[2]
-            out = out * cartan_power(rep, xi)
+            m = cartan_power(rep, atom[2] if atom[1] == 1 else -atom[2])
         else:
             raise ValueError(f"unknown affine atom {atom!r}")
-    return out
+        out = m if out is None else out * m
+        if exp is not None:  # scale at each step: the float order is fixed
+            out = out.scaled(ctx.x_power(x, exp))
+    return Matrix.identity(ctx, rep.dim) if out is None else out
 
 
 def eval_affine_expr(rep: Irrep, params: ParamSet, x: Spectral, expr) -> Matrix:

@@ -22,7 +22,8 @@ All scalar values are immutable; operations are pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import cmath
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
@@ -598,23 +599,25 @@ class ScalarContext:
     v_value: object | None = None
     truncation_tol: float = 1e-14
     max_terms: int = 10000
+    # derived from backend once: read on every scalar and matrix operation
+    is_exact: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.backend not in ("exact", "numeric"):
             raise ValueError(f"unknown backend {self.backend!r}")
+        object.__setattr__(self, "is_exact", self.backend == "exact")
         if self.backend == "numeric":
             if self.q_value is None:
                 raise ValueError("numeric backend needs q_value")
+            if not has_finite_modulus(self.q_value):
+                raise ValueError(
+                    f"numeric backend needs a finite q (got {self.q_value!r})")
             if abs(self.q_value) <= 1:
                 raise ValueError("numeric backend requires |q| > 1")
             if not self.truncation_tol > 0:
                 raise ValueError("numeric backend requires truncation_tol > 0")
         elif self.q_value is not None:
             raise ValueError("exact backend carries no floating q")
-
-    @property
-    def is_exact(self) -> bool:
-        return self.backend == "exact"
 
     # -- constants ---------------------------------------------------------
 
@@ -676,6 +679,17 @@ class ScalarContext:
         if self.is_exact:
             return s.is_zero()
         return s == 0
+
+
+def has_finite_modulus(z) -> bool:
+    """True when z and |z| are finite; |1.5e308+1.5e308j| overflows a float."""
+    if not cmath.isfinite(z):
+        return False
+    try:
+        abs(z)
+    except OverflowError:
+        return False
+    return True
 
 
 def _principal_sqrt(z: complex) -> complex:

@@ -29,7 +29,7 @@ from .checks import (  # the check_* names are called through _run
 )
 from .koperators import VARIANTS
 from .representations import make_irrep, make_params
-from .scalars import PoleError, ScalarContext, Spectral, rational
+from .scalars import PoleError, ScalarContext, Spectral, has_finite_modulus, rational
 
 SUITES = ("all", "ybe", "reflection", "intertwining", "coideal", "appendix",
           "symmetries", "onsager")
@@ -99,6 +99,8 @@ class SuiteConfig:
             if self.q == "symbolic":
                 raise ConfigError("numeric backend needs a complex q (e.g. 1.4+0.3i)")
             q = _parse_complex(self.q)
+            if not has_finite_modulus(q):
+                raise ConfigError(f"numeric backend needs a finite q (got {self.q!r})")
             if abs(q) <= 1:
                 raise ConfigError("numeric backend requires |q| > 1")
             return ScalarContext(backend="numeric", q_value=q)

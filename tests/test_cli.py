@@ -9,9 +9,11 @@ import pytest
 
 from qreflect.checks import CheckReport
 from qreflect.cli import config_from_args, build_arg_parser, main, parse_config_file
+from qreflect.scalars import ScalarContext
 from qreflect.suite import (
     ConfigError,
     SuiteConfig,
+    _parse_complex,
     emit_report,
     parse_report,
     run_suite,
@@ -119,6 +121,22 @@ def test_cli_rejects_tolerance_that_is_not_finite_positive(tol, capsys):
     assert "tol" in capsys.readouterr().err
     with pytest.raises(ConfigError, match="tol"):
         small_config(tol=float(tol)).validate()
+
+
+@pytest.mark.parametrize("q", ["nan", "nan+1i", "1+nani", "1e309",
+                               "1.5e308+1.5e308i"])
+def test_cli_rejects_numeric_q_that_is_not_finite(q, capsys):
+    # before this check nan ran and reported residual nan on every check
+    # (exit 1); 1e309 and an |q| past the float range ended in an
+    # OverflowError traceback
+    code = main(["--suite", "ybe", "--dims", "2", "--draws", "1",
+                 "--backend", "numeric", "--q", q])
+    assert code == 2
+    assert "finite q" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="finite q"):
+        small_config(backend="numeric", q=q).context()
+    with pytest.raises(ValueError, match="finite q"):
+        ScalarContext(backend="numeric", q_value=_parse_complex(q))
 
 
 @pytest.mark.parametrize("key,text", [

@@ -1,9 +1,12 @@
 """Common-denominator matrix layer against a direct field-arithmetic oracle."""
 
+from fractions import Fraction
+
 from conftest import seeded
 from qreflect.linalg import Matrix, lift, residual
+from qreflect.representations import E_ATOM, F_ATOM, eval_word, h_atom, make_irrep
 from qreflect.scalars import RationalExpression, ScalarContext
-from test_scalars import rand_expr, rand_poly
+from test_scalars import nonzero, rand_expr, rand_poly, sympy_qq, to_sympy
 
 
 def rand_matrix(ctx, rng, n, density=0.7):
@@ -166,3 +169,91 @@ def test_entry_is_reduced(ctx):
     e = m.entry(1, 1)
     assert e == s * s
     assert e.den.min_exp() == 0
+
+
+# -- differential tests against sympy over QQ(v) -----------------------------
+# The oracle is sympy's DomainMatrix over the cancelled field QQ(v): its own
+# product, sum and (Bareiss) determinant, on seeded sparse matrices whose
+# entries are Laurent rational functions with non-trivial denominators.
+
+
+def sympy_matrix_oracle():
+    """(QQ, QQ(v), DomainMatrix) of sympy, or skip."""
+    qq, field, _ = sympy_qq()
+    from sympy.polys.matrices import DomainMatrix
+
+    return qq, field, DomainMatrix
+
+
+def sparse_matrix(ctx, rng, n):
+    """A seeded matrix with about a third of its entries rational functions."""
+    m, _ = rand_matrix(ctx, rng, n, density=0.35)
+    return m
+
+
+def to_domain_matrix(qq, field, dm, m):
+    rows = [[to_sympy(qq, field, m.entry(i, j)) for j in range(m.size)]
+            for i in range(m.size)]
+    return dm(rows, (m.size, m.size), field.to_domain())
+
+
+def assert_same(qq, field, ours, theirs):
+    assert theirs.shape == (ours.size, ours.size)
+    assert to_domain_matrix(qq, field, type(theirs), ours).to_list() == theirs.to_list()
+
+
+def test_matrix_ops_against_sympy(ctx):
+    qq, field, dm = sympy_matrix_oracle()
+    rng = seeded(4242)
+    nonsingular = 0
+    for _ in range(12):
+        n = rng.randint(1, 4)
+        a, b = sparse_matrix(ctx, rng, n), sparse_matrix(ctx, rng, n)
+        sa, sb = to_domain_matrix(qq, field, dm, a), to_domain_matrix(qq, field, dm, b)
+        assert_same(qq, field, a * b, sa * sb)
+        assert_same(qq, field, a + b, sa + sb)
+        assert_same(qq, field, a - b, sa - sb)
+        s = rand_expr(rng)
+        assert_same(qq, field, a.scaled(s), sa * to_sympy(qq, field, s))
+        # det also on a denser matrix (Laurent entries over one common
+        # denominator), and with its rows 0 and 1 swapped so that the
+        # elimination meets a zero pivot and swaps rows
+        c = Matrix.from_scalar_entries(ctx, n, {
+            (i, j): RationalExpression(rand_poly(rng)) for i in range(n)
+            for j in range(n) if rng.random() < 0.7}).divided(nonzero(rng, rand_expr))
+        order = [1, 0, *range(2, n)] if n > 1 else [0]
+        swap = Matrix.from_scalar_entries(
+            ctx, n, {(i, order[i]): ctx.one() for i in range(n)})
+        for m in (a, c, swap * c):
+            theirs = to_domain_matrix(qq, field, dm, m).det()
+            assert to_sympy(qq, field, m.det()) == theirs
+            nonsingular += theirs != field.zero
+        k = a.kron(b)
+        theirs = [[sa.to_list()[i // n][j // n] * sb.to_list()[i % n][j % n]
+                   for j in range(n * n)] for i in range(n * n)]
+        assert_same(qq, field, k, dm(theirs, (n * n, n * n), field.to_domain()))
+    assert nonsingular >= 12
+
+
+def test_product_chains_against_sympy(ctx):
+    """Chains of products: random factors and generator words of an irrep."""
+    qq, field, dm = sympy_matrix_oracle()
+    rng = seeded(77)
+    for _ in range(4):
+        n = rng.randint(2, 3)
+        factors = [sparse_matrix(ctx, rng, n) for _ in range(rng.randint(2, 4))]
+        ours, theirs = factors[0], to_domain_matrix(qq, field, dm, factors[0])
+        for f in factors[1:]:
+            ours, theirs = ours * f, theirs * to_domain_matrix(qq, field, dm, f)
+            assert_same(qq, field, ours, theirs)
+    atoms = (E_ATOM, F_ATOM, h_atom(1), h_atom(Fraction(1, 2)), h_atom(-2))
+    for n in (2, 3, 4):
+        rep = make_irrep(ctx, n)
+        images = {a: to_domain_matrix(qq, field, dm, eval_word(rep, (a,)))
+                  for a in atoms}
+        for _ in range(6):
+            word = tuple(rng.choice(atoms) for _ in range(rng.randint(2, 6)))
+            theirs = images[word[0]]
+            for a in word[1:]:
+                theirs = theirs * images[a]
+            assert_same(qq, field, eval_word(rep, word), theirs)

@@ -9,6 +9,7 @@ from qreflect.linalg import Matrix
 from qreflect.representations import (
     E_ATOM,
     F_ATOM,
+    Irrep,
     cartan_power,
     casimir,
     casimir_other_form,
@@ -170,3 +171,107 @@ def test_params_are_backend_scalars(nctx):
     p = make_params(nctx, "3/2", "-5/7", k_plus="1/3")
     assert isinstance(p.eps_plus, complex)
     assert abs(p.eps_plus - 1.5) < 1e-15
+
+
+# -- the per-Irrep memo of x-independent matrices -------------------------------
+
+
+def same_matrix(a, b):
+    return a.size == b.size and a.entries == b.entries and a.den == b.den
+
+
+def identity_seeded(rep, word):
+    """The word's product as it was built before the memo: I * a1 * a2 ..."""
+    out = Matrix.identity(rep.ctx, rep.dim)
+    for atom in word:
+        if atom[0] == "H":
+            two_xi = int(2 * atom[1])
+            factor = weight_diagonal(rep, lambda h: rep.ctx.q_half_power(two_xi * h))
+        else:
+            factor = rep.e_mat if atom[0] == "E" else rep.f_mat
+        out = out * factor
+    return out
+
+
+@pytest.mark.parametrize("backend", ["exact", "numeric"])
+def test_cartan_power_memo_matches_fresh_diagonal(backend, ctx, nctx):
+    c = ctx if backend == "exact" else nctx
+    for n in (1, 2, 5):
+        rep = make_irrep(c, n)
+        for xi in (0, 1, -2, Fraction(3, 1), Fraction(1, 2), Fraction(-3, 2)):
+            fresh = Matrix.diagonal(
+                c, [c.q_half_power(int(2 * Fraction(xi)) * h) for h in rep.weights])
+            first = cartan_power(rep, xi)
+            assert same_matrix(first, fresh)
+            # an int and the equal Fraction share one memo entry
+            assert cartan_power(rep, Fraction(xi)) is first
+
+
+@pytest.mark.parametrize("backend", ["exact", "numeric"])
+def test_eval_word_memo_matches_identity_seeded_product(backend, ctx, nctx):
+    c = ctx if backend == "exact" else nctx
+    rng = seeded(53)
+    atoms = (E_ATOM, F_ATOM, h_atom(1), h_atom(Fraction(1, 2)), h_atom(-1))
+    for n in (2, 3, 4):
+        rep = make_irrep(c, n)
+        assert same_matrix(eval_word(rep, ()), Matrix.identity(c, n))
+        for _ in range(8):
+            word = tuple(rng.choice(atoms) for _ in range(rng.randint(1, 5)))
+            ref = identity_seeded(rep, word)
+            assert same_matrix(eval_word(rep, word), ref)
+            coeff = c.rational(rng.randint(-9, 9) or 1, rng.randint(1, 9)) * c.q(1)
+            assert same_matrix(eval_word(rep, word, coeff), ref.scaled(coeff))
+            # the scaled call leaves the memoized product unscaled
+            assert same_matrix(eval_word(rep, word), ref)
+
+
+def test_reps_do_not_share_a_memo(ctx):
+    a, b = make_irrep(ctx, 3), make_irrep(ctx, 3)
+    eval_word(a, (E_ATOM, h_atom(1)))
+    assert a._memo and not b._memo
+    assert cartan_power(a, 1) is not cartan_power(b, 1)
+    # the memo stays out of ==, hash and repr
+    twin = Irrep(dim=a.dim, weights=a.weights, e_mat=a.e_mat, f_mat=a.f_mat,
+                 ctx=a.ctx)
+    assert twin == a and hash(twin) == hash(a) and not twin._memo
+    assert "_memo" not in repr(a)
+
+
+class SnapshotMemo(dict):
+    """A memo that records each matrix's contents when it is stored."""
+
+    def __init__(self):
+        super().__init__()
+        self.snapshots = {}
+
+    def __setitem__(self, key, mat):
+        self.snapshots[key] = snapshot(mat)
+        super().__setitem__(key, mat)
+
+
+def snapshot(mat):
+    return {k: str(v) for k, v in mat.entries.items()}, str(mat.den)
+
+
+@pytest.mark.parametrize("config", [
+    dict(suite="all", dims=(2, 3), draws=1, seed=5),
+    dict(suite="all", dims=(2, 4), draws=1, seed=5, backend="numeric", q="1.4+0.3i"),
+])
+def test_run_suite_leaves_memoized_matrices_unchanged(config, monkeypatch):
+    from qreflect import suite
+
+    reps = []
+
+    def recording_make_irrep(c, n):
+        rep = make_irrep(c, n)
+        object.__setattr__(rep, "_memo", SnapshotMemo())
+        reps.append(rep)
+        return rep
+
+    monkeypatch.setattr(suite, "make_irrep", recording_make_irrep)
+    suite.run_suite(suite.SuiteConfig(**config))
+    memos = [rep._memo for rep in reps]
+    assert sum(len(m) for m in memos) > 20
+    for memo in memos:
+        for key, mat in memo.items():
+            assert snapshot(mat) == memo.snapshots[key], key
