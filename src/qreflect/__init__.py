@@ -34,7 +34,6 @@ from .representations import (
 )
 from .loperators import build_K_scalar, build_L, build_R, r_from_l
 from .koperators import (
-    KOperator,
     KOperatorSpec,
     NonNilpotentError,
     RepeatedEigenvalueError,

@@ -16,7 +16,6 @@ from .loperators import (
     build_L,
     build_L_mapped,
     build_R,
-    matrix_iota_tensor,
     matrix_sigma_tensor,
 )
 from .koperators import (
@@ -27,7 +26,6 @@ from .koperators import (
     build_K_unfactored,
     candidate_intertwining_sides,
     q_exp_nilpotent,
-    variant_scalar_k,
 )
 from .representations import (
     Irrep,
@@ -52,7 +50,7 @@ from .representations import (
     triangular_onsager_generators,
     weight_diagonal,
 )
-from .scalars import ScalarContext, Spectral, poch_finite, q_factorial_base
+from .scalars import ScalarContext, Spectral, poch_finite, q_factorial
 
 
 @dataclass
@@ -135,13 +133,6 @@ def check_ybe(ctx: ScalarContext, kind: str, rep: Irrep | None,
 # Reflection equation
 # ---------------------------------------------------------------------------
 
-def _scalar_k_for_variant(ctx, params, y, variant):
-    keep_plus, keep_minus = variant_scalar_k(variant)
-    return build_K_scalar(ctx, params, y,
-                          k_plus=None if keep_plus else 0,
-                          k_minus=None if keep_minus else 0)
-
-
 def reflection_sides_matrix(ctx: ScalarContext, params: ParamSet,
                             x: Spectral, y: Spectral,
                             k1: Matrix | None = None,
@@ -189,8 +180,11 @@ def check_reflection(ctx: ScalarContext, level: str, variant: str | None,
         raise ValueError("level must be 'matrix' or 'operator'")
     spec = KOperatorSpec(variant, params, x)
     kop = build_K(spec, rep) if form == "factored" else build_K_unfactored(spec, rep)
-    k2 = _scalar_k_for_variant(ctx, params, y, variant)
-    lhs, rhs = reflection_sides_operator(rep, params, x, y, kop.matrix, k2)
+    fam = VARIANTS[variant]
+    k2 = build_K_scalar(ctx, params, y,
+                        k_plus=0 if fam.k_plus_zero else None,
+                        k_minus=0 if fam.k_minus_zero else None)
+    lhs, rhs = reflection_sides_operator(rep, params, x, y, kop, k2)
     return _report(f"reflection/operator/{variant}",
                    _params_dict(params, rep, x=x, y=y, form=form), lhs, rhs)
 
@@ -227,8 +221,7 @@ def check_intertwining(ctx: ScalarContext, variant: str, rep: Irrep,
                        form: str = "factored") -> list:
     """ev_{1/x}(a) K(x) = K(x) ev_x(a) for the variant's generator set."""
     spec = KOperatorSpec(variant, params, x)
-    kop = build_K(spec, rep) if form == "factored" else build_K_unfactored(spec, rep)
-    kmat = kop.matrix
+    kmat = build_K(spec, rep) if form == "factored" else build_K_unfactored(spec, rep)
     xinv = x.inverse()
     reports = []
     gens = variant_generator_exprs(ctx, variant, params)
@@ -305,7 +298,7 @@ def check_aux_lemmas(ctx: ScalarContext, rep: Irrep, params: ParamSet,
                        rep.e_mat * k0, k0 * ratio * rep.e_mat))
 
     # (c) the two residual relations of the reflection expansion
-    kop = build_K(KOperatorSpec("upper", p, x), rep).matrix
+    kop = build_K(KOperatorSpec("upper", p, x), rep)
     t1_plus_t2, t3 = _int_re1(ctx, rep, p, x, kop)
     floor = 0.0 if ctx.is_exact else max(t1_plus_t2.max_abs(), t3.max_abs(),
                                          kop.max_abs())
@@ -601,7 +594,7 @@ def _hadamard_series(ctx, rep, arg, middle):
         bk = arg * bk - (bk * arg).scaled(ctx.q(-2 * (k - 1)))
         if bk.is_zero() or k > 2 * rep.dim + 4:
             break
-        acc = acc + bk.divided(q_factorial_base(ctx, k, -2))
+        acc = acc + bk.divided(q_factorial(ctx, k, -2))
     return acc
 
 
@@ -622,7 +615,7 @@ def _appendix_series(ctx, rep, ident, a, b, c, lam):
 
     def qpow(e):
         # q^e for a (half-)integral exponent e
-        return ctx.q_half_power(int(2 * Fraction(e)))
+        return ctx.v(int(2 * Fraction(e)))
 
     simple = {1: (2 * c, None), 2: (2 * (c - b), "E"), 4: (2 * c, None),
               5: (2 * (c - b), "E"), 7: (-2 * c, None), 8: (2 * (b - c), "F"),
@@ -745,7 +738,7 @@ def check_symmetries(ctx: ScalarContext, rep: Irrep, params: ParamSet,
                        matrix_sigma_tensor(build_R(ctx, params, x)),
                        build_R(ctx, swapped, x)))
     out.append(_report("symmetry/iota_R", pd,
-                       matrix_iota_tensor(build_R(ctx, params, x)),
+                       build_R(ctx, params, x).transpose(),
                        build_R(ctx, params, xinv, bar=True)))
 
     # evaluation-map consistency: sigma . ev_x = ev_x . sigma (s0 <-> s1) and

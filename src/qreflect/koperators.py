@@ -41,7 +41,7 @@ from .scalars import (
     poch_infinite_truncated,
     poch_ratio_numeric,
     poch_ratio_telescoped,
-    q_factorial_base,
+    q_factorial,
 )
 
 
@@ -101,13 +101,6 @@ class KOperatorSpec:
                 f"(k_plus={p.raw['k_plus']}, k_minus={p.raw['k_minus']})")
 
 
-@dataclass(frozen=True)
-class KOperator:
-    matrix: Matrix
-    spec: KOperatorSpec
-    form: str
-
-
 def q_exp_nilpotent(ctx: ScalarContext, mat: Matrix, inverse: bool = False) -> Matrix:
     """q-exponential exp_{q^-2}(M) of a nilpotent matrix (finite sum).
 
@@ -124,7 +117,7 @@ def q_exp_nilpotent(ctx: ScalarContext, mat: Matrix, inverse: bool = False) -> M
         if ctx.is_exact and k > mat.size:
             raise NonNilpotentError(
                 f"matrix is not nilpotent: M^{k} != 0 past the size bound")
-        term = power.divided(q_factorial_base(ctx, k, base))
+        term = power.divided(q_factorial(ctx, k, base))
         if sign < 0 and k % 2:
             term = -term
         acc = acc + term
@@ -220,7 +213,7 @@ def _exp_argument(rep: Irrep, spec: KOperatorSpec):
     return coeff, gen * cartan_power(rep, h)
 
 
-def build_K(spec: KOperatorSpec, rep: Irrep) -> KOperator:
+def build_K(spec: KOperatorSpec, rep: Irrep) -> Matrix:
     """Factored K-operator: Cartan prefactor, conjugating q-exponentials,
     diagonal Pochhammer core."""
     ctx = rep.ctx
@@ -235,48 +228,49 @@ def build_K(spec: KOperatorSpec, rep: Irrep) -> KOperator:
     core = build_K0_diagonal(rep, p, x, "plusH" if fam.alt else "minusH")
     prefix = spectral_cartan(rep, x, prefix_exp)
     if fam.k_plus_zero and fam.k_minus_zero:
-        return KOperator(prefix * core, spec, "factored")
+        return prefix * core
 
     coeff, word_mat = _exp_argument(rep, spec)
     arg = word_mat.scaled(coeff)
     exp_plus = q_exp_nilpotent(ctx, arg, inverse=False)
     exp_minus = q_exp_nilpotent(ctx, arg, inverse=True)
     if fam.lower:
-        mat = prefix * exp_plus * core * exp_minus
-    else:
-        mat = prefix * exp_minus * core * exp_plus
-    return KOperator(mat, spec, "factored")
+        return prefix * exp_plus * core * exp_minus
+    return prefix * exp_minus * core * exp_plus
 
 
 # -- unfactored (spectral-function) form --------------------------------------
 
 def _spectral_argument(rep: Irrep, spec: KOperatorSpec) -> Matrix:
-    """The one-generator argument whose spectral function gives the K-operator."""
+    """The evaluated T1 (W1 for the candidate) whose spectral function gives
+    the K-operator, read off VARIANTS: the base eps q^{hH}, plus the upper
+    term k x^-s G and the lower term k q x^s G q^{hH}, each kept unless its
+    k is set to zero.
+
+    Base e- q^-H, upper term with k+ E and lower term with k- F q^-H; sigma
+    maps these to e+ q^H, k- F and k+ E q^H for the alternate families.
+    """
     ctx = rep.ctx
     p = spec.params
     x = spec.x
-    v = spec.variant
-    q1 = ctx.q(1)
-    em_qmh = weight_diagonal(rep, lambda h: p.eps_minus * ctx.q(-h))
-    ep_qh = weight_diagonal(rep, lambda h: p.eps_plus * ctx.q(h))
-    if v in ("upper", "diagonal"):
-        m = em_qmh
-        if v == "upper":
-            m = m + rep.e_mat.scaled(p.k_plus * ctx.x_power(x, -p.s0))
-        return m
-    if v == "lower":
-        fqmh = rep.f_mat * cartan_power(rep, -1)
-        return em_qmh + fqmh.scaled(p.k_minus * q1 * ctx.x_power(x, p.s0))
-    if v == "upper_alt":
-        return ep_qh + rep.f_mat.scaled(p.k_minus * ctx.x_power(x, -p.s1))
-    if v == "lower_alt":
-        eqh = rep.e_mat * cartan_power(rep, 1)
-        return ep_qh + eqh.scaled(p.k_plus * q1 * ctx.x_power(x, p.s1))
-    # onsager candidate: ev_x(W1) = k+ x^-s0 E + k- q x^s0 F q^-H + e- q^-H
-    fqmh = rep.f_mat * cartan_power(rep, -1)
-    return (em_qmh
-            + rep.e_mat.scaled(p.k_plus * ctx.x_power(x, -p.s0))
-            + fqmh.scaled(p.k_minus * q1 * ctx.x_power(x, p.s0)))
+    fam = VARIANTS[spec.variant]
+    if fam.alt:
+        eps, s, h = p.eps_plus, p.s1, 1
+        upper = (fam.k_minus_zero, p.k_minus, rep.f_mat)
+        lower = (fam.k_plus_zero, p.k_plus, rep.e_mat)
+    else:
+        eps, s, h = p.eps_minus, p.s0, -1
+        upper = (fam.k_plus_zero, p.k_plus, rep.e_mat)
+        lower = (fam.k_minus_zero, p.k_minus, rep.f_mat)
+    arg = weight_diagonal(rep, lambda w: eps * ctx.q(h * w))
+    zero, k, gen = upper
+    if not zero:
+        arg = arg + gen.scaled(k * ctx.x_power(x, -s))
+    zero, k, gen = lower
+    if not zero:
+        gen_qh = gen * cartan_power(rep, h)
+        arg = arg + gen_qh.scaled(k * ctx.q(1) * ctx.x_power(x, s))
+    return arg
 
 
 def _variant_eps_prefix(spec: KOperatorSpec):
@@ -376,7 +370,7 @@ def _spectral_function(ctx: ScalarContext, spec: KOperatorSpec, eps, z):
     return poch_ratio_numeric(ctx, b, xs, 1 / xs)
 
 
-def build_K_unfactored(spec: KOperatorSpec, rep: Irrep) -> KOperator:
+def build_K_unfactored(spec: KOperatorSpec, rep: Irrep) -> Matrix:
     """K-operator as the spectral function of its one-generator argument.
 
     Triangular arguments are diagonalized exactly (their eigenvalues sit on
@@ -408,8 +402,7 @@ def build_K_unfactored(spec: KOperatorSpec, rep: Irrep) -> KOperator:
         core = _polynomial_spectral_core(ctx, spec, eps, arg)
     else:
         core = _numeric_spectral_core(ctx, spec, eps, arg)
-    mat = spectral_cartan(rep, spec.x, prefix_exp) * core
-    return KOperator(mat, spec, "unfactored")
+    return spectral_cartan(rep, spec.x, prefix_exp) * core
 
 
 def _telescoped_t(spec: KOperatorSpec) -> int:
@@ -459,7 +452,7 @@ def _numeric_spectral_core(ctx, spec, eps, arg: Matrix) -> Matrix:
     return Matrix(ctx, n, entries)
 
 
-def build_K_onsager_candidate(rep: Irrep, params: ParamSet, x: Spectral) -> KOperator:
+def build_K_onsager_candidate(rep: Irrep, params: ParamSet, x: Spectral) -> Matrix:
     """The k+ k- != 0 candidate: x^{s0 H} times the spectral function of the
     evaluated W1 generator.  Reduces to the upper family at k- = 0 and to the
     lower family at k+ = 0.
@@ -497,7 +490,7 @@ def candidate_intertwining_sides(rep: Irrep, params: ParamSet, x: Spectral,
         arg = _spectral_argument(rep, spec)
         cleared = _triangular_shape(arg) is None
     if not cleared:
-        k = build_K_unfactored(spec, rep).matrix
+        k = build_K_unfactored(spec, rep)
         return [(left * k, k * right) for left, right in pairs], False
     eps, prefix_exp = _variant_eps_prefix(spec)
     p = _polynomial_spectral_core(ctx, spec, eps, arg)
@@ -506,7 +499,7 @@ def candidate_intertwining_sides(rep: Irrep, params: ParamSet, x: Spectral,
     return [(p * (c_inv * left * c), right * p) for left, right in pairs], True
 
 
-def build_K_upper_split(rep: Irrep, params: ParamSet, x: Spectral) -> KOperator:
+def build_K_upper_split(rep: Irrep, params: ParamSet, x: Spectral) -> Matrix:
     """Upper K-operator assembled from one-sided prefactors at x and 1/x:
 
         exp^-1(d x^{s0} E q^H) . x^{s0 H} . K0(x) . exp(d x^{-s0} E q^H)
@@ -517,20 +510,12 @@ def build_K_upper_split(rep: Irrep, params: ParamSet, x: Spectral) -> KOperator:
     K0 Pochhammer ratio, which keeps the exact backend finite.
     """
     ctx = rep.ctx
-    spec = KOperatorSpec("upper", params, x)
-    spec.validate(ctx)
+    KOperatorSpec("upper", params, x).validate(ctx)
     p = params
     lam = ctx.q(1) - ctx.q(-1)
     d = -(ctx.q(1) * p.k_plus) / (lam * p.eps_minus)
     eqh = rep.e_mat * cartan_power(rep, 1)
     left = q_exp_nilpotent(ctx, eqh.scaled(d * ctx.x_power(x, p.s0)), inverse=True)
     right = q_exp_nilpotent(ctx, eqh.scaled(d * ctx.x_power(x, -p.s0)), inverse=False)
-    mat = (left * spectral_cartan(rep, x, p.s0)
-           * build_K0_diagonal(rep, p, x, "minusH") * right)
-    return KOperator(mat, spec, "split")
-
-
-def variant_scalar_k(variant: str):
-    """Which (k+, k-) pair survives in the 2x2 fundamental image of a variant."""
-    fam = VARIANTS[variant]
-    return not fam.k_plus_zero, not fam.k_minus_zero
+    return (left * spectral_cartan(rep, x, p.s0)
+            * build_K0_diagonal(rep, p, x, "minusH") * right)

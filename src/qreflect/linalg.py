@@ -8,6 +8,8 @@ is requested.  Numeric matrices use the same layout with complex entries.
 
 from __future__ import annotations
 
+import itertools
+import math
 from collections import defaultdict
 
 from .scalars import (
@@ -202,13 +204,6 @@ class Matrix:
             return next(iter(sorted(self.entries)))
         return max(self.entries, key=lambda k: abs(self.entries[k]))
 
-    def equals(self, other: "Matrix") -> bool:
-        if self.ctx.is_exact:
-            return (self - other).is_zero()
-        diff = self - other
-        scale = max(self.max_abs(), other.max_abs(), 1e-300)
-        return diff.max_abs() / scale < 1e-9
-
     def transpose(self) -> "Matrix":
         return Matrix(self.ctx, self.size,
                       {(j, i): v for (i, j), v in self.entries.items()}, self.den)
@@ -275,52 +270,25 @@ def lift(mat: Matrix, dims: tuple, legs: tuple) -> Matrix:
     `mat` acts on the product of dims[l] for l in legs (in that order);
     the result acts on the row-major product of all dims.
     """
-    ctx = mat.ctx
-    full = 1
-    for d in dims:
-        full *= d
-    strides = []
-    acc = 1
-    for d in reversed(dims):
-        strides.append(acc)
-        acc *= d
-    strides = list(reversed(strides))
-
-    leg_dims = [dims[l] for l in legs]
+    strides = [math.prod(dims[l + 1:]) for l in range(len(dims))]
     spect = [l for l in range(len(dims)) if l not in legs]
+    offsets = [sum(i * strides[l] for l, i in zip(spect, sp))
+               for sp in itertools.product(*(range(dims[l]) for l in spect))]
 
-    def split_leg_index(idx):
-        out = []
-        for d in reversed(leg_dims):
-            out.append(idx % d)
-            idx //= d
-        return list(reversed(out))
-
-    spectator_ranges = [range(dims[l]) for l in spect]
-
-    def spectator_tuples():
-        if not spect:
-            yield ()
-            return
-        import itertools
-
-        yield from itertools.product(*spectator_ranges)
+    def place(idx):
+        """Offset in the full product of a row-major index over the legs."""
+        out = 0
+        for l in reversed(legs):
+            idx, digit = divmod(idx, dims[l])
+            out += digit * strides[l]
+        return out
 
     entries = {}
-    spec_list = list(spectator_tuples())
     for (r, c), v in mat.entries.items():
-        r_parts = split_leg_index(r)
-        c_parts = split_leg_index(c)
-        for sp in spec_list:
-            row = col = 0
-            for l, val in zip(spect, sp):
-                row += val * strides[l]
-                col += val * strides[l]
-            for l, rv, cv in zip(legs, r_parts, c_parts):
-                row += rv * strides[l]
-                col += cv * strides[l]
-            entries[(row, col)] = v
-    return Matrix(ctx, full, entries, mat.den)
+        row, col = place(r), place(c)
+        for off in offsets:
+            entries[(row + off, col + off)] = v
+    return Matrix(mat.ctx, math.prod(dims), entries, mat.den)
 
 
 def residual(lhs: Matrix, rhs: Matrix):

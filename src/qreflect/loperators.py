@@ -139,12 +139,6 @@ def matrix_sigma_tensor(mat: Matrix) -> Matrix:
     return Matrix(mat.ctx, n, entries, mat.den)
 
 
-def matrix_iota_tensor(mat: Matrix) -> Matrix:
-    """iota (x) iota on a scalar matrix: entrywise transpose."""
-    entries = {(j, i): v for (i, j), v in mat.entries.items()}
-    return Matrix(mat.ctx, mat.size, entries, mat.den)
-
-
 def build_K_scalar(ctx: ScalarContext, params: ParamSet, x: Spectral,
                    k_plus=None, k_minus=None) -> Matrix:
     """The general 2x2 K-matrix solving the matrix reflection equation.

@@ -125,7 +125,7 @@ def _build_cartan_power(rep: Irrep, xi: Fraction) -> Matrix:
         q = ctx.q_value
         return Matrix.diagonal(ctx, [q ** (float(xi) * h) for h in rep.weights])
     two_xi = int(two_xi)
-    return Matrix.diagonal(ctx, [ctx.q_half_power(two_xi * h) for h in rep.weights])
+    return Matrix.diagonal(ctx, [ctx.v(two_xi * h) for h in rep.weights])
 
 
 def weight_diagonal(rep: Irrep, fn) -> Matrix:

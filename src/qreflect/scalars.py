@@ -662,10 +662,6 @@ class ScalarContext:
         """q^k for integer k."""
         return self.v(2 * k) if self.is_exact else self.q_value ** k
 
-    def q_half_power(self, two_k: int):
-        """q^(two_k/2); keeps exact exponents integral in v."""
-        return self.v(two_k) if self.is_exact else _principal_sqrt(self.q_value) ** two_k
-
     def x_power(self, x: Spectral, k: int):
         """x^k for integer k."""
         if self.is_exact:
@@ -700,38 +696,23 @@ def _principal_sqrt(z: complex) -> complex:
 # q-combinatorics
 # ---------------------------------------------------------------------------
 
-def q_integer(ctx: ScalarContext, k: int):
-    """(k)_q = (1 - q^k)/(1 - q) = 1 + q + ... + q^(k-1)."""
+def q_integer(ctx: ScalarContext, k: int, b: int = 1):
+    """(k) in base q^b: (1 - q^(bk))/(1 - q^b) = 1 + q^b + ... + q^(b(k-1))."""
     if k < 0:
         raise ValueError("q_integer needs k >= 0")
     acc = ctx.zero()
     for j in range(k):
-        acc = acc + ctx.q(j)
+        acc = acc + ctx.q(b * j)
     return acc
 
 
-def q_factorial(ctx: ScalarContext, k: int):
-    """(k)_q! = (1)_q (2)_q ... (k)_q, with (0)_q! = 1."""
+def q_factorial(ctx: ScalarContext, k: int, b: int = 1):
+    """(k)! in base q^b: (1) (2) ... (k), with (0)! = 1."""
     if k < 0:
         raise ValueError("q_factorial needs k >= 0")
     acc = ctx.one()
     for j in range(1, k + 1):
-        acc = acc * q_integer(ctx, j)
-    return acc
-
-
-def q_number_base(ctx: ScalarContext, k: int, base_q_exp: int):
-    """(k) in base q^base_q_exp: 1 + q^b + q^(2b) + ...  (b = base_q_exp)."""
-    acc = ctx.zero()
-    for j in range(k):
-        acc = acc + ctx.q(base_q_exp * j)
-    return acc
-
-
-def q_factorial_base(ctx: ScalarContext, k: int, base_q_exp: int):
-    acc = ctx.one()
-    for j in range(1, k + 1):
-        acc = acc * q_number_base(ctx, j, base_q_exp)
+        acc = acc * q_integer(ctx, j, b)
     return acc
 
 

@@ -12,7 +12,7 @@ import cmath
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .checks import (  # the check_* names are called through _run
@@ -29,7 +29,14 @@ from .checks import (  # the check_* names are called through _run
 )
 from .koperators import VARIANTS
 from .representations import make_irrep, make_params
-from .scalars import PoleError, ScalarContext, Spectral, has_finite_modulus, rational
+from .scalars import (
+    NonConvergenceError,
+    PoleError,
+    ScalarContext,
+    Spectral,
+    has_finite_modulus,
+    rational,
+)
 
 SUITES = ("all", "ybe", "reflection", "intertwining", "coideal", "appendix",
           "symmetries", "onsager")
@@ -111,19 +118,9 @@ class SuiteConfig:
             raise ConfigError(
                 f"exact backend with a pinned q needs a perfect-square rational "
                 f"(got {self.q!r}); q = v^2 must keep v = q^(1/2) rational")
+        if v == 1:
+            raise ConfigError("a pinned q must not be 1, where q - q^-1 vanishes")
         return ScalarContext(v_value=v)
-
-    def as_dict(self) -> dict:
-        return {
-            "suite": self.suite, "dims": list(self.dims),
-            "backend": self.backend, "q": self.q,
-            "x_exp": self.x_exp, "y_exp": self.y_exp,
-            "s0": self.s0, "s1": self.s1,
-            "eps_plus": self.eps_plus, "eps_minus": self.eps_minus,
-            "k_plus": self.k_plus, "k_minus": self.k_minus,
-            "p_tilde": self.p_tilde,
-            "seed": self.seed, "tol": self.tol, "draws": self.draws,
-        }
 
 
 def _parse_complex(text: str) -> complex:
@@ -241,7 +238,9 @@ def _run(ctx, drawer, check, args) -> list:
 
     The check is looked up in this module's namespace at call time, so a
     wrapped `check_*` attribute is the one called.  A `_Draw` slot is drawn
-    before the call and redrawn when the check hits a telescoping pole.
+    before the call and redrawn when the check hits a telescoping pole.  On
+    the numeric backend a float overflow or a product that does not converge
+    is a configuration error: q is too large, or too close to 1, for floats.
     """
     redraw = any(isinstance(a, _Draw) for a in args)
     for _ in range(20):
@@ -254,6 +253,12 @@ def _run(ctx, drawer, check, args) -> list:
             if redraw:
                 continue
             raise
+        except (OverflowError, NonConvergenceError) as exc:
+            if ctx.is_exact:
+                raise
+            raise ConfigError(
+                f"{check} breaks down in floating point at q = {ctx.q_value}: "
+                f"{type(exc).__name__}: {exc}") from exc
         elapsed = int(round((time.perf_counter() - start) * 1000))
         out = [out] if isinstance(out, CheckReport) else list(out)
         for r in out:
@@ -404,15 +409,15 @@ def report_to_dict(r: CheckReport) -> dict:
     return out
 
 
-def emit_report(reports, fmt: str = "json", config: SuiteConfig | None = None,
-                tol: float | None = None) -> str:
-    if tol is None:
-        tol = config.tol if config is not None else 1e-9
+def emit_report(reports, fmt: str = "json",
+                config: SuiteConfig | None = None) -> str:
+    tol = config.tol if config is not None else 1e-9
     summary = summarize(reports, tol)
     if fmt == "json":
         doc = {
             "suite": config.suite if config else None,
-            "config": config.as_dict() if config else None,
+            "config": ({**asdict(config), "dims": list(config.dims)}
+                       if config else None),
             "checks": [report_to_dict(r) for r in reports],
             "summary": summary,
         }
@@ -439,8 +444,3 @@ def emit_report(reports, fmt: str = "json", config: SuiteConfig | None = None,
     lines.append(f"passed {summary['passed']}  failed {summary['failed']}  "
                  f"findings {summary['findings']}")
     return "\n".join(lines) + "\n"
-
-
-def parse_report(text: str) -> dict:
-    """Round-trip helper: parse an emitted JSON report."""
-    return json.loads(text)

@@ -45,3 +45,13 @@ def rand_params(ctx, rng, k_plus_zero=False, k_minus_zero=False,
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def mat_equals(a, b) -> bool:
+    """Exact backend: a - b is exactly zero.  Numeric: the largest entry of
+    a - b is below 1e-9 relative to the larger of the two sides."""
+    diff = a - b
+    if a.ctx.is_exact:
+        return diff.is_zero()
+    scale = max(a.max_abs(), b.max_abs(), 1e-300)
+    return diff.max_abs() / scale < 1e-9

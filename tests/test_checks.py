@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rand_params, seeded
+from conftest import mat_equals, rand_params, seeded
 from qreflect.checks import (
     check_appendix,
     check_aux_lemmas,
@@ -77,7 +77,7 @@ def test_ybe_bar_is_iota_image_of_unbarred(ctx):
     right = (lift(build_R(ctx, params, v.inverse(), bar=True), dims, (1, 2))
              * lift(build_L(rep, params, w.inverse(), bar=True), dims, (0, 2))
              * lift(build_L(rep, params, u.inverse(), bar=True), dims, (0, 1)))
-    assert mapped.equals(right)
+    assert mat_equals(mapped, right)
 
 
 def test_reflection_matrix_general_k(ctx):
@@ -140,13 +140,13 @@ def test_matrix_reflection_is_fundamental_image(ctx):
     params = rand_params(ctx, rng, k_minus_zero=True, need_k=True)
     x, y = Spectral.q_power(1), Spectral.q_power(2)
     rep2 = make_irrep(ctx, 2)
-    kpi = build_K(KOperatorSpec("upper", params, x), rep2).matrix
+    kpi = build_K(KOperatorSpec("upper", params, x), rep2)
     k2 = build_K_scalar(ctx, params, y, k_minus=0)
     # perturb so both residuals are nonzero
     kpi_bad = kpi + Matrix.from_scalar_entries(ctx, 2, {(1, 0): ctx.one()})
     lhs_m, rhs_m = reflection_sides_matrix(ctx, params, x, y, k1=kpi_bad, k2=k2)
     lhs_o, rhs_o = reflection_sides_operator(rep2, params, x, y, kpi_bad, k2)
-    assert (lhs_m - rhs_m).equals(((lhs_o - rhs_o)).scaled(ctx.q(1)))
+    assert mat_equals(lhs_m - rhs_m, ((lhs_o - rhs_o)).scaled(ctx.q(1)))
     # and the unperturbed residuals are both exactly zero
     lhs_m, rhs_m = reflection_sides_matrix(ctx, params, x, y, k1=kpi, k2=k2)
     lhs_o, rhs_o = reflection_sides_operator(rep2, params, x, y, kpi, k2)
@@ -195,7 +195,7 @@ def test_p_tilde_drops_out(ctx):
     m1 = eval_affine_expr(rep, shifted, x, g1["P1t"])
     diff = m1 - m0
     expected = Matrix.identity(ctx, 2).scaled(shifted.p_tilde - base.p_tilde)
-    assert diff.equals(expected)
+    assert mat_equals(diff, expected)
     for r in check_intertwining(ctx, "upper", rep, shifted, x):
         assert r.exact_zero
 

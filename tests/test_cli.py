@@ -15,7 +15,6 @@ from qreflect.suite import (
     SuiteConfig,
     _parse_complex,
     emit_report,
-    parse_report,
     run_suite,
     summarize,
 )
@@ -49,7 +48,7 @@ def test_run_suite_deterministic_content():
 def test_json_report_round_trip():
     config = small_config(suite="onsager", backend="numeric", q="1.4")
     reports = run_suite(config)
-    doc = parse_report(emit_report(reports, "json", config))
+    doc = json.loads(emit_report(reports, "json", config))
     assert doc["suite"] == "onsager"
     assert doc["summary"]["failed"] == 0
     assert doc["summary"]["findings"] >= 1
@@ -79,7 +78,7 @@ def test_emit_text_and_failure_counting():
 
 def test_empty_checks_summary():
     assert summarize([], 1e-9) == {"passed": 0, "failed": 0, "findings": 0}
-    doc = parse_report(emit_report([], "json", small_config()))
+    doc = json.loads(emit_report([], "json", small_config()))
     assert doc["summary"] == {"passed": 0, "failed": 0, "findings": 0}
 
 
@@ -137,6 +136,34 @@ def test_cli_rejects_numeric_q_that_is_not_finite(q, capsys):
         small_config(backend="numeric", q=q).context()
     with pytest.raises(ValueError, match="finite q"):
         ScalarContext(backend="numeric", q_value=_parse_complex(q))
+
+
+@pytest.mark.parametrize("q", ["1", "4/4"])
+def test_cli_rejects_pinned_q_equal_to_one(q, capsys):
+    # before this check q = 1 divided by q - q^-1 = 0 (a ZeroDivisionError
+    # traceback) in reflection, intertwining and appendix
+    code = main(["--suite", "reflection", "--dims", "2", "--draws", "1",
+                 "--q", q])
+    assert code == 2
+    assert "q must not be 1" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="q must not be 1"):
+        small_config(q=q).context()
+    small_config(q="9/4").context()
+
+
+@pytest.mark.parametrize("q,suite,check,error", [
+    ("1e308+1e308i", "appendix", "check_appendix", "OverflowError"),
+    ("1.0001", "reflection", "check_reflection", "NonConvergenceError"),
+])
+def test_cli_numeric_float_breakdown_is_a_config_error(q, suite, check, error,
+                                                       capsys):
+    # before this both ended in a traceback: q^2 overflows at 1e308, and
+    # the infinite q-Pochhammer products need too many factors near q = 1
+    code = main(["--suite", suite, "--dims", "2", "--backend", "numeric",
+                 f"--q={q}"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert check in err and error in err and "at q = " in err
 
 
 @pytest.mark.parametrize("key,text", [

@@ -3,13 +3,18 @@ families, form equivalences, fundamental reductions, and the candidate."""
 
 import pytest
 
-from conftest import rand_params, seeded
-from qreflect.checks import finite_iota_matrix, finite_sigma_matrix
+from conftest import mat_equals, rand_params, seeded
+from qreflect.checks import (
+    finite_iota_matrix,
+    finite_sigma_matrix,
+    variant_generator_exprs,
+)
 from qreflect.koperators import (
     VARIANTS,
     KOperatorSpec,
     NonNilpotentError,
     RepeatedEigenvalueError,
+    _spectral_argument,
     build_K,
     build_K0_diagonal,
     build_K_onsager_candidate,
@@ -17,7 +22,6 @@ from qreflect.koperators import (
     build_K_upper_split,
     kappa,
     q_exp_nilpotent,
-    variant_scalar_k,
 )
 from qreflect.linalg import Matrix
 from qreflect.loperators import build_K_scalar
@@ -51,11 +55,11 @@ def lower_params(ctx, rng, **kw):
 
 def test_q_exp_zero_and_order_two(ctx):
     rep = make_irrep(ctx, 2)
-    assert q_exp_nilpotent(ctx, Matrix.zero(ctx, 3)).equals(Matrix.identity(ctx, 3))
+    assert mat_equals(q_exp_nilpotent(ctx, Matrix.zero(ctx, 3)), Matrix.identity(ctx, 3))
     alpha = ctx.rational(5, 3)
     arg = (rep.e_mat * cartan_power(rep, 1)).scaled(alpha)
     # nilpotency order 2: the series is I + arg
-    assert q_exp_nilpotent(ctx, arg).equals(Matrix.identity(ctx, 2) + arg)
+    assert mat_equals(q_exp_nilpotent(ctx, arg), Matrix.identity(ctx, 2) + arg)
 
 
 def test_q_exp_two_sided_inverse(ctx):
@@ -64,8 +68,8 @@ def test_q_exp_two_sided_inverse(ctx):
     plus = q_exp_nilpotent(ctx, arg)
     minus = q_exp_nilpotent(ctx, arg, inverse=True)
     eye = Matrix.identity(ctx, 4)
-    assert (plus * minus).equals(eye)
-    assert (minus * plus).equals(eye)
+    assert mat_equals(plus * minus, eye)
+    assert mat_equals(minus * plus, eye)
 
 
 def test_q_exp_rejects_non_nilpotent(ctx):
@@ -82,7 +86,7 @@ def test_k0_at_x_one_is_identity(ctx):
     params = rand_params(ctx, rng)
     for sign in ("minusH", "plusH"):
         k0 = build_K0_diagonal(rep, params, Spectral.q_power(0), sign)
-        assert k0.equals(Matrix.identity(ctx, 3))
+        assert mat_equals(k0, Matrix.identity(ctx, 3))
 
 
 def test_k0_entry_against_truncated_products():
@@ -153,12 +157,12 @@ def test_upper_with_zero_k_is_diagonal(ctx):
     diag = spectral_cartan(rep, x, params.s0) * build_K0_diagonal(rep, params, x)
     for variant in ("upper", "lower", "diagonal"):
         k = build_K(KOperatorSpec(variant, params, x), rep)
-        assert k.matrix.equals(diag), variant
+        assert mat_equals(k, diag), variant
     alt_diag = (spectral_cartan(rep, x, -params.s1)
                 * build_K0_diagonal(rep, params, x, "plusH"))
     for variant in ("upper_alt", "lower_alt"):
         k = build_K(KOperatorSpec(variant, params, x), rep)
-        assert k.matrix.equals(alt_diag), variant
+        assert mat_equals(k, alt_diag), variant
 
 
 # which k survives in each variant, stated apart from koperators.VARIANTS
@@ -185,7 +189,8 @@ def test_variant_constraints_enforced(ctx, nctx):
 
     assert set(VARIANTS) == set(SURVIVING_K)
     for variant, keep in SURVIVING_K.items():
-        assert variant_scalar_k(variant) == keep, variant
+        fam = VARIANTS[variant]
+        assert (not fam.k_plus_zero, not fam.k_minus_zero) == keep, variant
     # one-sided parameters: a variant accepts them iff it keeps that k only
     for c in (ctx, nctx):
         only_plus = rand_params(c, rng, k_minus_zero=True, need_k=True)
@@ -202,6 +207,26 @@ def test_variant_constraints_enforced(ctx, nctx):
                         spec.validate(c)
 
 
+@pytest.mark.parametrize("backend", ["exact", "numeric"])
+def test_spectral_argument_is_the_evaluated_generator(backend):
+    """The table-driven argument equals ev_x(T1) of the variant's generator
+    set (ev_x(W1) for the candidate), built through the affine expressions."""
+    c = (ScalarContext() if backend == "exact"
+         else ScalarContext(backend="numeric", q_value=1.4 + 0.3j))
+    rng = seeded(71)
+    x = Spectral.q_power(1) if c.is_exact else Spectral.of(0.8 - 0.5j)
+    for variant, fam in VARIANTS.items():
+        for n in (2, 3, 4):
+            rep = make_irrep(c, n)
+            params = rand_params(c, rng, k_plus_zero=fam.k_plus_zero,
+                                 k_minus_zero=fam.k_minus_zero, need_k=True)
+            gen = (variant_generator_exprs(c, variant, params)["T1"]
+                   if fam.triangular else onsager_generators(c, params)["W1"])
+            arg = _spectral_argument(rep, KOperatorSpec(variant, params, x))
+            assert mat_equals(arg, eval_affine_expr(rep, params, x, gen)), \
+                (variant, n)
+
+
 def test_fundamental_reduction_upper_lower(ctx):
     """pi(K) = kappa(x) times the triangular 2x2 K-matrix (with the x^-s
     x^-s corner convention)."""
@@ -212,12 +237,12 @@ def test_fundamental_reduction_upper_lower(ctx):
         x = Spectral.q_power(m)
         pu = upper_params(ctx, rng)
         ku = build_K(KOperatorSpec("upper", pu, x), rep2)
-        assert ku.matrix.equals(
-            build_K_scalar(ctx, pu, x).scaled(kappa(ctx, pu, x)))
+        assert mat_equals(
+            ku, build_K_scalar(ctx, pu, x).scaled(kappa(ctx, pu, x)))
         pl = lower_params(ctx, rng)
         kl = build_K(KOperatorSpec("lower", pl, x), rep2)
-        assert kl.matrix.equals(
-            build_K_scalar(ctx, pl, x).scaled(kappa(ctx, pl, x)))
+        assert mat_equals(
+            kl, build_K_scalar(ctx, pl, x).scaled(kappa(ctx, pl, x)))
 
 
 def test_factored_unfactored_split_agree(ctx):
@@ -230,16 +255,16 @@ def test_factored_unfactored_split_agree(ctx):
             a = build_K(KOperatorSpec("upper", pu, x), rep)
             b = build_K_unfactored(KOperatorSpec("upper", pu, x), rep)
             c = build_K_upper_split(rep, pu, x)
-            assert a.matrix.equals(b.matrix)
-            assert a.matrix.equals(c.matrix)
+            assert mat_equals(a, b)
+            assert mat_equals(a, c)
             pl = lower_params(ctx, rng)
             for variant in ("lower", "upper_alt"):
                 f = build_K(KOperatorSpec(variant, pl, x), rep)
                 u = build_K_unfactored(KOperatorSpec(variant, pl, x), rep)
-                assert f.matrix.equals(u.matrix), variant
+                assert mat_equals(f, u), variant
             la = build_K(KOperatorSpec("lower_alt", pu, x), rep)
             lu = build_K_unfactored(KOperatorSpec("lower_alt", pu, x), rep)
-            assert la.matrix.equals(lu.matrix)
+            assert mat_equals(la, lu)
 
 
 def test_variants_swap_under_sigma_iota(ctx):
@@ -256,20 +281,20 @@ def test_variants_swap_under_sigma_iota(ctx):
         s0, s1 = rng.choice((-1, 0, 1, 2)), rng.choice((-1, 0, 1, 2))
         pu = make_params(ctx, ep, em, k_plus=kval, k_minus=0, s0=s0, s1=s1)
         pl = make_params(ctx, ep, em, k_plus=0, k_minus=kval, s0=s0, s1=s1)
-        ku = build_K(KOperatorSpec("upper", pu, x), rep).matrix
-        kl = build_K(KOperatorSpec("lower", pl, x), rep).matrix
-        assert finite_iota_matrix(rep, ku).equals(kl)
+        ku = build_K(KOperatorSpec("upper", pu, x), rep)
+        kl = build_K(KOperatorSpec("lower", pl, x), rep)
+        assert mat_equals(finite_iota_matrix(rep, ku), kl)
         # upper_alt(P) = sigma(upper(P')) with P' = (eps, k, s) swapped
         pu_sw = make_params(ctx, em, ep, k_plus=kval, k_minus=0, s0=s1, s1=s0)
         palt = make_params(ctx, ep, em, k_plus=0, k_minus=kval, s0=s0, s1=s1)
-        kupd = build_K(KOperatorSpec("upper_alt", palt, x), rep).matrix
-        assert finite_sigma_matrix(
-            rep, build_K(KOperatorSpec("upper", pu_sw, x), rep).matrix).equals(kupd)
+        kupd = build_K(KOperatorSpec("upper_alt", palt, x), rep)
+        assert mat_equals(finite_sigma_matrix(
+            rep, build_K(KOperatorSpec("upper", pu_sw, x), rep)), kupd)
         pl_sw = make_params(ctx, em, ep, k_plus=0, k_minus=kval, s0=s1, s1=s0)
         plou = make_params(ctx, ep, em, k_plus=kval, k_minus=0, s0=s0, s1=s1)
-        klou = build_K(KOperatorSpec("lower_alt", plou, x), rep).matrix
-        assert finite_sigma_matrix(
-            rep, build_K(KOperatorSpec("lower", pl_sw, x), rep).matrix).equals(klou)
+        klou = build_K(KOperatorSpec("lower_alt", plou, x), rep)
+        assert mat_equals(finite_sigma_matrix(
+            rep, build_K(KOperatorSpec("lower", pl_sw, x), rep)), klou)
 
 
 def rand_rational_nonzero(rng):
@@ -285,8 +310,8 @@ def test_k_operators_commute_with_casimir(ctx):
         for variant, maker in (("upper", upper_params), ("lower", lower_params),
                                ("upper_alt", lower_params),
                                ("lower_alt", upper_params)):
-            k = build_K(KOperatorSpec(variant, maker(ctx, rng), x), rep).matrix
-            assert (k * cas).equals(cas * k), variant
+            k = build_K(KOperatorSpec(variant, maker(ctx, rng), x), rep)
+            assert mat_equals(k * cas, cas * k), variant
 
 
 # -- the q-Onsager candidate ----------------------------------------------------
@@ -298,10 +323,10 @@ def test_candidate_degenerations_exact(ctx):
     x = Spectral.q_power(1)
     pu = upper_params(ctx, rng)
     cand = build_K_onsager_candidate(rep, pu, x)
-    assert cand.matrix.equals(build_K(KOperatorSpec("upper", pu, x), rep).matrix)
+    assert mat_equals(cand, build_K(KOperatorSpec("upper", pu, x), rep))
     pl = lower_params(ctx, rng)
     cand = build_K_onsager_candidate(rep, pl, x)
-    assert cand.matrix.equals(build_K(KOperatorSpec("lower", pl, x), rep).matrix)
+    assert mat_equals(cand, build_K(KOperatorSpec("lower", pl, x), rep))
 
 
 def test_candidate_exact_polynomial_route(ctx):
@@ -327,8 +352,8 @@ def test_candidate_exact_polynomial_route(ctx):
         t = m * params.s
         negative_t.append(t < 0)
         if t >= 0:
-            k_exact = build_K_onsager_candidate(rep, params, x).matrix
-            target, k_num_mat = k_exact, k_num.matrix
+            k_exact = build_K_onsager_candidate(rep, params, x)
+            target, k_num_mat = k_exact, k_num
         else:
             w1 = eval_affine_expr(rep, params, x,
                                   onsager_generators(ctx, params)["W1"])
@@ -341,7 +366,7 @@ def test_candidate_exact_polynomial_route(ctx):
             p_num = Matrix(nctx, 3, {
                 (i, j): poly.entry(i, j).evaluate(v0)
                 for i in range(3) for j in range(3)})
-            k_num_mat = k_num.matrix * p_num
+            k_num_mat = k_num * p_num
         for i in range(3):
             for j in range(3):
                 ev = target.entry(i, j).evaluate(v0)
@@ -356,8 +381,7 @@ def test_candidate_numeric_general():
                          s0=1, s1=1)
     rep = make_irrep(nctx, 2)
     k = build_K_onsager_candidate(rep, params, Spectral.q_power(1))
-    assert k.form == "unfactored"
-    assert k.matrix.max_abs() > 0
+    assert k.max_abs() > 0
 
 
 def test_repeated_eigenvalues_detected():
