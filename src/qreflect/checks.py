@@ -21,9 +21,9 @@ from .loperators import (
 from .koperators import (
     VARIANTS,
     KOperatorSpec,
+    _frame,
     build_K,
     build_K0_diagonal,
-    build_K_unfactored,
     candidate_intertwining_sides,
     q_exp_nilpotent,
 )
@@ -168,8 +168,7 @@ def reflection_sides_operator(rep: Irrep, params: ParamSet,
 
 def check_reflection(ctx: ScalarContext, level: str, variant: str | None,
                      rep: Irrep | None, params: ParamSet,
-                     x: Spectral, y: Spectral,
-                     form: str = "factored") -> CheckReport:
+                     x: Spectral, y: Spectral) -> CheckReport:
     """Reflection equation at matrix level (general 2x2 K) or operator level
     (a K-operator variant against the matching triangular scalar K)."""
     if level == "matrix":
@@ -178,15 +177,15 @@ def check_reflection(ctx: ScalarContext, level: str, variant: str | None,
                        _params_dict(params, None, x=x, y=y), lhs, rhs)
     if level != "operator":
         raise ValueError("level must be 'matrix' or 'operator'")
-    spec = KOperatorSpec(variant, params, x)
-    kop = build_K(spec, rep) if form == "factored" else build_K_unfactored(spec, rep)
+    kop = build_K(KOperatorSpec(variant, params, x), rep)
     fam = VARIANTS[variant]
     k2 = build_K_scalar(ctx, params, y,
                         k_plus=0 if fam.k_plus_zero else None,
                         k_minus=0 if fam.k_minus_zero else None)
     lhs, rhs = reflection_sides_operator(rep, params, x, y, kop, k2)
     return _report(f"reflection/operator/{variant}",
-                   _params_dict(params, rep, x=x, y=y, form=form), lhs, rhs)
+                   _params_dict(params, rep, x=x, y=y, form="factored"),
+                   lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +201,12 @@ def variant_generator_exprs(ctx: ScalarContext, variant: str, params: ParamSet) 
     dictate); the gradation swap is absorbed by the index swap of the affine
     atoms.
     """
-    p = params
     fam = VARIANTS[variant]
     if not fam.triangular:
         raise ValueError(f"no intertwining generator set for variant {variant!r}")
-    k = p.k_minus if fam.k_plus_zero else p.k_plus  # zero for diagonal
-    eps = (p.eps_minus, p.eps_plus) if fam.alt else (p.eps_plus, p.eps_minus)
-    gens = triangular_onsager_generators(ctx, k, *eps, p.p_tilde)
+    eps, eps_f, _, _, upper, lower, _ = _frame(variant, params)
+    _, k, _ = lower if upper[0] else upper  # the surviving k; zero for diagonal
+    gens = triangular_onsager_generators(ctx, k, eps_f, eps, params.p_tilde)
     if fam.lower:
         gens = {name: expr_iota(ctx, g) for name, g in gens.items()}
     if fam.alt:
@@ -217,11 +215,9 @@ def variant_generator_exprs(ctx: ScalarContext, variant: str, params: ParamSet) 
 
 
 def check_intertwining(ctx: ScalarContext, variant: str, rep: Irrep,
-                       params: ParamSet, x: Spectral,
-                       form: str = "factored") -> list:
+                       params: ParamSet, x: Spectral) -> list:
     """ev_{1/x}(a) K(x) = K(x) ev_x(a) for the variant's generator set."""
-    spec = KOperatorSpec(variant, params, x)
-    kmat = build_K(spec, rep) if form == "factored" else build_K_unfactored(spec, rep)
+    kmat = build_K(KOperatorSpec(variant, params, x), rep)
     xinv = x.inverse()
     reports = []
     gens = variant_generator_exprs(ctx, variant, params)
@@ -230,7 +226,7 @@ def check_intertwining(ctx: ScalarContext, variant: str, rep: Irrep,
         rhs = kmat * eval_affine_expr(rep, params, x, expr)
         reports.append(_report(
             f"intertwining/{variant}/{name}",
-            _params_dict(params, rep, x=x, form=form), lhs, rhs))
+            _params_dict(params, rep, x=x, form="factored"), lhs, rhs))
     if variant == "diagonal":
         reports.extend(_diagonal_intertwining(ctx, rep, params, x))
     return reports
@@ -542,6 +538,17 @@ def check_onsager_candidate(ctx: ScalarContext, rep: Irrep, params: ParamSet,
 # Appendix conjugation identities
 # ---------------------------------------------------------------------------
 
+# (G, M, inverse_first) of each identity: G in {E, F} the conjugating
+# generator, M in {1, E, F} the middle element
+_APPENDIX = {
+    1: ("E", "1", False), 2: ("E", "E", False), 3: ("E", "F", False),
+    4: ("E", "1", True), 5: ("E", "E", True), 6: ("E", "F", True),
+    7: ("F", "1", False), 8: ("F", "F", False), 9: ("F", "E", False),
+    10: ("F", "1", True), 11: ("F", "F", True), 12: ("F", "E", True),
+    13: ("E", "F", False),
+}
+
+
 def check_appendix(ctx: ScalarContext, ident: int, rep: Irrep, a, b, c) -> CheckReport:
     """Conjugation identities derived from the q-deformed Hadamard formula.
 
@@ -552,35 +559,29 @@ def check_appendix(ctx: ScalarContext, ident: int, rep: Irrep, a, b, c) -> Check
     for G in {E, F} and M in {1, E, F} (in that order per family); ident 13 is
     the Hadamard recursion itself with A = a E q^{bH}, B = F q^{cH}.
     """
-    if not 1 <= ident <= 13:
+    if ident not in _APPENDIX:
         raise ValueError("appendix identity index must be 1..13")
+    g, m, inverse_first = _APPENDIX[ident]
     b = Fraction(b)
     c = Fraction(c)
     a = ctx.scalar(a)
     pd = {"id": ident, "n": rep.dim, "a": str(a) if ctx.is_exact else repr(a),
           "b": str(b), "c": str(c)}
-    lam = ctx.q(1) - ctx.q(-1)
     qcH = cartan_power(rep, c)
-    qbH = cartan_power(rep, b)
-    e_mat, f_mat = rep.e_mat, rep.f_mat
-    gen = e_mat if ident in (1, 2, 3, 4, 5, 6, 13) else f_mat
-    arg = (gen * qbH).scaled(a)
-    inverse_first = ident in (4, 5, 6, 10, 11, 12)
+    gens = {"E": rep.e_mat, "F": rep.f_mat}
+    word = gens[g] * cartan_power(rep, b)
+    arg = word.scaled(a)
     exp_a = q_exp_nilpotent(ctx, arg, inverse=inverse_first)
     exp_b = q_exp_nilpotent(ctx, arg, inverse=not inverse_first)
-
-    middle = {1: qcH, 2: e_mat * qcH, 3: f_mat * qcH,
-              4: qcH, 5: e_mat * qcH, 6: f_mat * qcH,
-              7: qcH, 8: f_mat * qcH, 9: e_mat * qcH,
-              10: qcH, 11: f_mat * qcH, 12: e_mat * qcH,
-              13: f_mat * qcH}[ident]
+    middle = qcH if m == "1" else gens[m] * qcH
     lhs = exp_a * middle * exp_b
 
     if ident == 13:
         rhs = _hadamard_series(ctx, rep, arg, middle)
         floor = 0.0
     else:
-        rhs, floor = _appendix_series(ctx, rep, ident, a, b, c, lam)
+        rhs, floor = _appendix_series(ctx, rep, g, m, inverse_first, word,
+                                      middle, a, b, c)
     return _report(f"appendix/A{ident}", pd, lhs, rhs, scale_floor=floor)
 
 
@@ -598,40 +599,33 @@ def _hadamard_series(ctx, rep, arg, middle):
     return acc
 
 
-def _appendix_series(ctx, rep, ident, a, b, c, lam):
+def _appendix_series(ctx, rep, g, m, inverse_first, word, middle, a, b, c):
+    """The closed-form side of identity (g, m, inverse_first); `word` is
+    G q^{bH} and `middle` is M q^{cH}."""
     one = ctx.one()
+    lam = ctx.q(1) - ctx.q(-1)
     lam2 = lam * lam
-    e_mat, f_mat = rep.e_mat, rep.f_mat
-    qcH = cartan_power(rep, c)
-    qbH = cartan_power(rep, b)
-    direct = ident in (1, 2, 3, 7, 8, 9)
-    efam = ident in (1, 2, 3, 4, 5, 6)
-    gen = e_mat if efam else f_mat
+    sgn = 1 if g == "E" else -1
     # series variable: Z = a (1 - q^-2) G q^{bH}  (direct conjugation)  or
     #                  Z = -a (1 - q^2) G q^{bH} (inverse-first conjugation)
-    zc = a * (one - ctx.q(-2)) if direct else -(a * (one - ctx.q(2)))
-    z = (gen * qbH).scaled(zc)
-    step = ctx.q(-2) if direct else ctx.q(2)
+    zc = -(a * (one - ctx.q(2))) if inverse_first else a * (one - ctx.q(-2))
+    z = word.scaled(zc)
+    step = ctx.q(2) if inverse_first else ctx.q(-2)
 
     def qpow(e):
         # q^e for a (half-)integral exponent e
         return ctx.v(int(2 * Fraction(e)))
 
-    simple = {1: (2 * c, None), 2: (2 * (c - b), "E"), 4: (2 * c, None),
-              5: (2 * (c - b), "E"), 7: (-2 * c, None), 8: (2 * (b - c), "F"),
-              10: (-2 * c, None), 11: (2 * (b - c), "F")}
-    if ident in simple:
-        exp2, tailgen = simple[ident]
-        base = qpow(exp2)
+    if m in ("1", g):
+        # base exponent +-2(c - b [M = G]), + for G = E
+        base = qpow(sgn * 2 * (c - b if m == g else c))
         acc = Matrix.zero(ctx, rep.dim)
         zj = Matrix.identity(ctx, rep.dim)
-        tail = qcH if tailgen is None else (
-            (e_mat if tailgen == "E" else f_mat) * qcH)
         j = 0
         while True:
             coeff = poch_finite(ctx, base, step, j)
             denom = poch_finite(ctx, step, step, j)
-            acc = acc + (zj * tail).scaled(coeff / denom)
+            acc = acc + (zj * middle).scaled(coeff / denom)
             zj = zj * z
             if zj.is_zero():
                 break
@@ -642,26 +636,20 @@ def _appendix_series(ctx, rep, ident, a, b, c, lam):
     # Casimir; the curly brace cancels internally, so its ingredient
     # magnitudes feed the numeric normalization floor
     cas = casimir(rep)
-    front = zc * (qpow(-2 * b) if efam else qpow(2 * b))
-    first = (f_mat if efam else e_mat) * qcH
-    acc = first
-    floor = 0.0 if ctx.is_exact else first.max_abs()
+    front = zc * qpow(-sgn * 2 * b)
+    acc = middle
+    floor = 0.0 if ctx.is_exact else middle.max_abs()
     zjm1 = Matrix.identity(ctx, rep.dim)
     j = 1
     bc = b + c
-    sgn = 1 if efam else -1
     while True:
         denom = poch_finite(ctx, step, step, j)
         p0 = poch_finite(ctx, qpow(sgn * 2 * bc), step, j)
         p_plus = poch_finite(ctx, qpow(sgn * 2 * (bc + 1)), step, j)
         p_minus = poch_finite(ctx, qpow(sgn * 2 * (bc - 1)), step, j)
         cterm = (cas * cartan_power(rep, bc)).scaled(p0)
-        if efam:
-            shift_plus = cartan_power(rep, bc + 1).scaled(p_plus * ctx.q(-1))
-            shift_minus = cartan_power(rep, bc - 1).scaled(p_minus * ctx.q(1))
-        else:
-            shift_plus = cartan_power(rep, bc + 1).scaled(p_plus * ctx.q(1))
-            shift_minus = cartan_power(rep, bc - 1).scaled(p_minus * ctx.q(-1))
+        shift_plus = cartan_power(rep, bc + 1).scaled(p_plus * ctx.q(-sgn))
+        shift_minus = cartan_power(rep, bc - 1).scaled(p_minus * ctx.q(sgn))
         shifts = (shift_plus + shift_minus).divided(lam2)
         brace = cterm - shifts
         acc = acc + (zjm1 * brace).scaled(front / denom)

@@ -10,16 +10,44 @@ check failed, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
+import typing
 
 from .suite import (
-    SUITES,
     ConfigError,
     SuiteConfig,
     emit_report,
     run_suite,
     summarize,
 )
+
+
+# help strings of the flags that have one; each flag is named after its
+# SuiteConfig key (--x-exp sets x_exp)
+_HELP = {
+    "dims": "comma-separated representation dimensions, e.g. 2,3,4",
+    "q": "'symbolic', an exact rational 'p/r' (perfect square), or a "
+         "complex like 1.4+0.3i",
+    "x_exp": "pin the spectral exponent m of x = q^m",
+}
+
+
+def _settable_keys() -> dict:
+    """key -> int, float, tuple or str, as SuiteConfig declares it."""
+    hints = typing.get_type_hints(SuiteConfig)
+    out = {}
+    for f in dataclasses.fields(SuiteConfig):
+        types = typing.get_args(hints[f.name]) or (hints[f.name],)
+        out[f.name] = next((t for t in (int, float, tuple) if t in types), str)
+    return out
+
+
+_KEYS = _settable_keys()
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -29,31 +57,22 @@ def build_arg_parser() -> argparse.ArgumentParser:
                     "(Yang-Baxter, reflection, intertwining, coideal, "
                     "appendix conjugations) exactly or numerically.")
     ap.add_argument("--config", help="flat key=value config file; flags override")
-    ap.add_argument("--suite", choices=SUITES)
-    ap.add_argument("--dims", help="comma-separated representation dimensions, e.g. 2,3,4")
-    ap.add_argument("--backend", choices=("exact", "numeric"))
-    ap.add_argument("--q", help="'symbolic', an exact rational 'p/r' (perfect "
-                                "square), or a complex like 1.4+0.3i")
-    ap.add_argument("--x-exp", type=int, dest="x_exp",
-                    help="pin the spectral exponent m of x = q^m")
-    ap.add_argument("--y-exp", type=int, dest="y_exp")
-    ap.add_argument("--s0", type=int)
-    ap.add_argument("--s1", type=int)
-    ap.add_argument("--eps-plus", dest="eps_plus")
-    ap.add_argument("--eps-minus", dest="eps_minus")
-    ap.add_argument("--k-plus", dest="k_plus")
-    ap.add_argument("--k-minus", dest="k_minus")
-    ap.add_argument("--p-tilde", dest="p_tilde")
-    ap.add_argument("--seed", type=int)
-    ap.add_argument("--tol", type=float)
-    ap.add_argument("--draws", type=int)
+    for key in _KEYS:
+        ap.add_argument(_flag(key), dest=key, help=_HELP.get(key))
     ap.add_argument("--report", choices=("json", "text"), default="text")
     ap.add_argument("--out", help="write the report here instead of stdout")
     return ap
 
 
-_INT_KEYS = {"x_exp", "y_exp", "s0", "s1", "seed", "draws"}
-_FLOAT_KEYS = {"tol"}
+def _parse_value(key: str, text: str, where: str):
+    kind = _KEYS.get(key, str)
+    if kind is tuple:
+        return _parse_dims(text, where)
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{where}: {key} must be {noun}")
 
 
 def parse_config_file(path: str) -> dict:
@@ -67,25 +86,11 @@ def parse_config_file(path: str) -> dict:
                 raise ConfigError(f"{path}:{lineno}: expected key = value")
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
-            value = value.strip()
-            if key == "dims":
-                out[key] = _parse_dims(value, f"{path}:{lineno}")
-            elif key in _INT_KEYS:
-                try:
-                    out[key] = int(value)
-                except ValueError:
-                    raise ConfigError(f"{path}:{lineno}: {key} must be an integer")
-            elif key in _FLOAT_KEYS:
-                try:
-                    out[key] = float(value)
-                except ValueError:
-                    raise ConfigError(f"{path}:{lineno}: {key} must be a number")
-            else:
-                out[key] = value
+            out[key] = _parse_value(key, value.strip(), f"{path}:{lineno}")
     return out
 
 
-def _parse_dims(text: str, where: str = "--dims") -> tuple:
+def _parse_dims(text: str, where: str) -> tuple:
     parts = [p for p in str(text).replace(" ", "").split(",") if p]
     if not parts:
         raise ConfigError(f"{where}: empty dims list")
@@ -99,16 +104,11 @@ def config_from_args(args) -> SuiteConfig:
     values = {}
     if args.config:
         values.update(parse_config_file(args.config))
-    for key in ("suite", "backend", "q", "x_exp", "y_exp", "s0", "s1",
-                "eps_plus", "eps_minus", "k_plus", "k_minus", "p_tilde",
-                "seed", "tol", "draws"):
-        v = getattr(args, key)
-        if v is not None:
-            values[key] = v
-    if args.dims is not None:
-        values["dims"] = _parse_dims(args.dims)
-    known = set(SuiteConfig.__dataclass_fields__)
-    unknown = set(values) - known
+    for key in _KEYS:
+        text = getattr(args, key)
+        if text is not None:
+            values[key] = _parse_value(key, text, _flag(key))
+    unknown = set(values) - set(_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     config = SuiteConfig(**values)

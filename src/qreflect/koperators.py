@@ -35,6 +35,8 @@ from .representations import (
     weight_diagonal,
 )
 from .scalars import (
+    MAX_TERMS,
+    TRUNCATION_TOL,
     PoleError,
     ScalarContext,
     Spectral,
@@ -122,9 +124,9 @@ def q_exp_nilpotent(ctx: ScalarContext, mat: Matrix, inverse: bool = False) -> M
             term = -term
         acc = acc + term
         if not ctx.is_exact:
-            if term.max_abs() < ctx.truncation_tol * max(acc.max_abs(), 1.0):
+            if term.max_abs() < TRUNCATION_TOL * max(acc.max_abs(), 1.0):
                 break
-            if k > ctx.max_terms:
+            if k > MAX_TERMS:
                 raise NonNilpotentError("numeric q-exponential did not converge")
         k += 1
         power = power * mat
@@ -196,21 +198,24 @@ def kappa(ctx: ScalarContext, params: ParamSet, x: Spectral):
     return num / (p.eps_plus * den)
 
 
-def _exp_argument(rep: Irrep, spec: KOperatorSpec):
-    """Coefficient and nilpotent word of the conjugating q-exponential."""
-    ctx = rep.ctx
-    p = spec.params
-    x = spec.x
-    fam = VARIANTS[spec.variant]
-    lam = ctx.q(1) - ctx.q(-1)
-    # the surviving k multiplies E (k+) or F (k-); sigma swaps eps and s
-    k, gen, h = ((p.k_minus, rep.f_mat, -1) if fam.k_plus_zero
-                 else (p.k_plus, rep.e_mat, 1))
-    eps, s = (p.eps_plus, p.s1) if fam.alt else (p.eps_minus, p.s0)
-    if fam.lower:
-        return -(k * ctx.x_power(x, s)) / (lam * eps), gen
-    coeff = -(ctx.q(1) * k * ctx.x_power(x, -s)) / (lam * eps)
-    return coeff, gen * cartan_power(rep, h)
+def _frame(variant: str, params: ParamSet):
+    """The sigma frame of a K-family, read off VARIANTS:
+
+        (eps of the argument, eps of the spectral function, s, Cartan sign h,
+         upper term, lower term, Cartan prefactor exponent)
+
+    Each term is (zeroed, k, name of its generator on an Irrep); k+ always
+    multiplies E and k- always multiplies F.  The base frame is
+    (e-, e+, s0, -1, k+ E, k- F, s0); sigma maps it to
+    (e+, e-, s1, +1, k- F, k+ E, -s1) for the alternate families.
+    """
+    p = params
+    fam = VARIANTS[variant]
+    plus = (fam.k_plus_zero, p.k_plus, "e_mat")
+    minus = (fam.k_minus_zero, p.k_minus, "f_mat")
+    if fam.alt:
+        return p.eps_plus, p.eps_minus, p.s1, 1, minus, plus, -p.s1
+    return p.eps_minus, p.eps_plus, p.s0, -1, plus, minus, p.s0
 
 
 def build_K(spec: KOperatorSpec, rep: Irrep) -> Matrix:
@@ -224,14 +229,20 @@ def build_K(spec: KOperatorSpec, rep: Irrep) -> Matrix:
     if not fam.triangular:
         raise ValueError("the q-Onsager candidate has no factored form; "
                          "use build_K_onsager_candidate")
-    _, prefix_exp = _variant_eps_prefix(spec)
-    core = build_K0_diagonal(rep, p, x, "plusH" if fam.alt else "minusH")
+    eps, _, s, h, upper, lower, prefix_exp = _frame(spec.variant, p)
+    core = build_K0_diagonal(rep, p, x, "plusH" if h > 0 else "minusH")
     prefix = spectral_cartan(rep, x, prefix_exp)
     if fam.k_plus_zero and fam.k_minus_zero:
         return prefix * core
 
-    coeff, word_mat = _exp_argument(rep, spec)
-    arg = word_mat.scaled(coeff)
+    lam = ctx.q(1) - ctx.q(-1)
+    if fam.lower:
+        _, k, gen = lower
+        arg = getattr(rep, gen).scaled(-(k * ctx.x_power(x, s)) / (lam * eps))
+    else:
+        _, k, gen = upper
+        coeff = -(ctx.q(1) * k * ctx.x_power(x, -s)) / (lam * eps)
+        arg = (getattr(rep, gen) * cartan_power(rep, -h)).scaled(coeff)
     exp_plus = q_exp_nilpotent(ctx, arg, inverse=False)
     exp_minus = q_exp_nilpotent(ctx, arg, inverse=True)
     if fam.lower:
@@ -243,42 +254,22 @@ def build_K(spec: KOperatorSpec, rep: Irrep) -> Matrix:
 
 def _spectral_argument(rep: Irrep, spec: KOperatorSpec) -> Matrix:
     """The evaluated T1 (W1 for the candidate) whose spectral function gives
-    the K-operator, read off VARIANTS: the base eps q^{hH}, plus the upper
+    the K-operator, read off the frame: the base eps q^{hH}, plus the upper
     term k x^-s G and the lower term k q x^s G q^{hH}, each kept unless its
     k is set to zero.
-
-    Base e- q^-H, upper term with k+ E and lower term with k- F q^-H; sigma
-    maps these to e+ q^H, k- F and k+ E q^H for the alternate families.
     """
     ctx = rep.ctx
-    p = spec.params
     x = spec.x
-    fam = VARIANTS[spec.variant]
-    if fam.alt:
-        eps, s, h = p.eps_plus, p.s1, 1
-        upper = (fam.k_minus_zero, p.k_minus, rep.f_mat)
-        lower = (fam.k_plus_zero, p.k_plus, rep.e_mat)
-    else:
-        eps, s, h = p.eps_minus, p.s0, -1
-        upper = (fam.k_plus_zero, p.k_plus, rep.e_mat)
-        lower = (fam.k_minus_zero, p.k_minus, rep.f_mat)
+    eps, _, s, h, upper, lower, _ = _frame(spec.variant, spec.params)
     arg = weight_diagonal(rep, lambda w: eps * ctx.q(h * w))
     zero, k, gen = upper
     if not zero:
-        arg = arg + gen.scaled(k * ctx.x_power(x, -s))
+        arg = arg + getattr(rep, gen).scaled(k * ctx.x_power(x, -s))
     zero, k, gen = lower
     if not zero:
-        gen_qh = gen * cartan_power(rep, h)
+        gen_qh = getattr(rep, gen) * cartan_power(rep, h)
         arg = arg + gen_qh.scaled(k * ctx.q(1) * ctx.x_power(x, s))
     return arg
-
-
-def _variant_eps_prefix(spec: KOperatorSpec):
-    """(eps in the spectral function's denominator, Cartan prefactor exponent)."""
-    p = spec.params
-    if VARIANTS[spec.variant].alt:
-        return p.eps_minus, -p.s1
-    return p.eps_plus, p.s0
 
 
 def _triangular_shape(mat: Matrix):
@@ -388,7 +379,7 @@ def build_K_unfactored(spec: KOperatorSpec, rep: Irrep) -> Matrix:
     if ctx.is_exact and spec.x.exp is None:
         raise ValueError("exact backend needs x = q^m")
     arg = _spectral_argument(rep, spec)
-    eps, prefix_exp = _variant_eps_prefix(spec)
+    _, eps, *_, prefix_exp = _frame(spec.variant, spec.params)
 
     if _triangular_shape(arg) is not None:
         v, eigs, v_inv = _triangular_eig(arg)
@@ -492,7 +483,7 @@ def candidate_intertwining_sides(rep: Irrep, params: ParamSet, x: Spectral,
     if not cleared:
         k = build_K_unfactored(spec, rep)
         return [(left * k, k * right) for left, right in pairs], False
-    eps, prefix_exp = _variant_eps_prefix(spec)
+    _, eps, *_, prefix_exp = _frame(spec.variant, params)
     p = _polynomial_spectral_core(ctx, spec, eps, arg)
     c = spectral_cartan(rep, x, prefix_exp)
     c_inv = spectral_cartan(rep, x, -prefix_exp)

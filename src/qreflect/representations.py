@@ -236,7 +236,7 @@ def iota_word(ctx: ScalarContext, word):
     return coeff, tuple(out)
 
 
-def map_image(rep: Irrep, which: str, word, coeff=None) -> Matrix:
+def map_image(rep: Irrep, which: str, word) -> Matrix:
     """Matrix image of sigma(word) or iota(word) in the given representation."""
     ctx = rep.ctx
     if which == "sigma":
@@ -245,10 +245,7 @@ def map_image(rep: Irrep, which: str, word, coeff=None) -> Matrix:
         c, w = iota_word(ctx, word)
     else:
         raise ValueError("map must be 'sigma' or 'iota'")
-    m = eval_word(rep, w, c)
-    if coeff is not None:
-        m = m.scaled(coeff)
-    return m
+    return eval_word(rep, w, c)
 
 
 def sigma_conjugator(rep: Irrep) -> Matrix:

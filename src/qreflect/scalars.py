@@ -15,7 +15,7 @@ Two backends share one API:
              stays exact.
 * numeric -- complex double precision at a fixed q with |q| > 1 (the
              convergence regime of the infinite products); infinite products
-             are truncated at a configured tolerance.
+             are truncated at TRUNCATION_TOL.
 
 All scalar values are immutable; operations are pure functions.
 """
@@ -28,10 +28,10 @@ from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
 
-try:
-    from gmpy2 import mpq as _mpq
-except ImportError:  # gmpy2 is optional (the "gmpy" extra); it types only the contents
-    _mpq = Fraction
+# truncation of the numeric infinite products and q-exponential series: stop
+# once a term falls below TRUNCATION_TOL, give up after MAX_TERMS factors
+TRUNCATION_TOL = 1e-14
+MAX_TERMS = 10000
 
 
 class PoleError(ZeroDivisionError):
@@ -39,14 +39,14 @@ class PoleError(ZeroDivisionError):
 
 
 class NonConvergenceError(ArithmeticError):
-    """A truncated infinite product failed to reach tolerance within max_terms."""
+    """A truncated infinite product failed to reach tolerance within MAX_TERMS."""
 
 
 def rational(p, r=1):
     """Build an exact rational number from ints, Fractions or 'p/r' strings."""
     if isinstance(p, str):
-        return _mpq(p.strip())
-    return _mpq(p, r) if r != 1 else _mpq(p)
+        return Fraction(p.strip())
+    return Fraction(p, r) if r != 1 else Fraction(p)
 
 
 _R0 = rational(0)
@@ -62,9 +62,9 @@ class LaurentPolynomial:
 
     Stored as `content` * `prim`: `prim` maps exponent -> Python int, with
     gcd 1 and a positive coefficient at the highest exponent; `content` is a
-    nonzero rational of the active type (`rational()`).  Zero is the empty
-    `prim` with content 1.  The form is canonical, so equal polynomials have
-    equal slots.  Exponents may be negative.
+    nonzero `Fraction`.  Zero is the empty `prim` with content 1.  The form
+    is canonical, so equal polynomials have equal slots.  Exponents may be
+    negative.
 
     A product of primitive integer polynomials is primitive (Gauss's lemma),
     so a product multiplies the contents once and convolves the ints, and a
@@ -501,35 +501,13 @@ class RationalExpression:
     def __repr__(self):
         return f"RationalExpression({self})"
 
-    @staticmethod
-    def parse(text: str) -> "RationalExpression":
-        """Parse the 'num / den' serialization with 'c*v^k' terms."""
-        num_s, _, den_s = text.partition(" / ")
-
-        def parse_poly(s):
-            s = s.strip()
-            if s == "0":
-                return _POLY_ZERO
-            coeffs = {}
-            for term in s.split(" + "):
-                c_s, _, e_s = term.partition("*v^")
-                if not e_s:
-                    raise ValueError(f"malformed term {term!r}")
-                e = int(e_s)
-                coeffs[e] = coeffs.get(e, _R0) + rational(c_s)
-            return LaurentPolynomial(coeffs)
-
-        num = parse_poly(num_s)
-        den = parse_poly(den_s) if den_s else _POLY_ONE
-        return RationalExpression(num, den)
-
 
 def _coerce(x):
     if isinstance(x, RationalExpression):
         return x
     if isinstance(x, LaurentPolynomial):
         return RationalExpression(x)
-    if isinstance(x, int) or isinstance(x, Fraction) or type(x) is type(_R1):
+    if isinstance(x, (int, Fraction)):
         return RationalExpression.constant(x)
     return NotImplemented
 
@@ -597,8 +575,6 @@ class ScalarContext:
     backend: str = "exact"
     q_value: complex | None = None
     v_value: object | None = None
-    truncation_tol: float = 1e-14
-    max_terms: int = 10000
     # derived from backend once: read on every scalar and matrix operation
     is_exact: bool = field(init=False, repr=False, compare=False)
 
@@ -614,8 +590,6 @@ class ScalarContext:
                     f"numeric backend needs a finite q (got {self.q_value!r})")
             if abs(self.q_value) <= 1:
                 raise ValueError("numeric backend requires |q| > 1")
-            if not self.truncation_tol > 0:
-                raise ValueError("numeric backend requires truncation_tol > 0")
         elif self.q_value is not None:
             raise ValueError("exact backend carries no floating q")
 
@@ -767,13 +741,13 @@ def poch_infinite_truncated(ctx: ScalarContext, a, step):
         return 1 + 0j
     acc = 1 + 0j
     term = a
-    for _ in range(ctx.max_terms):
+    for _ in range(MAX_TERMS):
         acc *= 1 - term
-        if abs(term) < ctx.truncation_tol:
+        if abs(term) < TRUNCATION_TOL:
             return acc
         term *= step
     raise NonConvergenceError(
-        f"product did not reach tol={ctx.truncation_tol} within {ctx.max_terms} factors")
+        f"product did not reach tol={TRUNCATION_TOL} within {MAX_TERMS} factors")
 
 
 def poch_ratio_numeric(ctx: ScalarContext, a, up, down):

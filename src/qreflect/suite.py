@@ -239,8 +239,9 @@ def _run(ctx, drawer, check, args) -> list:
     The check is looked up in this module's namespace at call time, so a
     wrapped `check_*` attribute is the one called.  A `_Draw` slot is drawn
     before the call and redrawn when the check hits a telescoping pole.  On
-    the numeric backend a float overflow or a product that does not converge
-    is a configuration error: q is too large, or too close to 1, for floats.
+    the numeric backend a float overflow, a product that does not converge or
+    a residual that is not finite is a configuration error: q is too large,
+    or too close to 1, for floats.
     """
     redraw = any(isinstance(a, _Draw) for a in args)
     for _ in range(20):
@@ -262,6 +263,10 @@ def _run(ctx, drawer, check, args) -> list:
         elapsed = int(round((time.perf_counter() - start) * 1000))
         out = [out] if isinstance(out, CheckReport) else list(out)
         for r in out:
+            if r.residual is not None and not math.isfinite(r.residual):
+                raise ConfigError(
+                    f"{check} breaks down in floating point at q = "
+                    f"{ctx.q_value}: {r.name} has residual {r.residual}")
             r.elapsed_ms = elapsed
         return out
     raise ConfigError("persistent pole collisions; pinned parameters sit on "

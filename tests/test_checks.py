@@ -22,7 +22,7 @@ from qreflect.checks import (
     reflection_sides_matrix,
     reflection_sides_operator,
 )
-from qreflect.koperators import KOperatorSpec, build_K
+from qreflect.koperators import KOperatorSpec, build_K, build_K_unfactored
 from qreflect.linalg import Matrix, lift
 from qreflect.loperators import build_K_scalar, build_L, build_R
 from qreflect.representations import (
@@ -174,7 +174,9 @@ def test_intertwining_unfactored_form(ctx):
     rep = make_irrep(ctx, 3)
     params = rand_params(ctx, rng, k_minus_zero=True, need_k=True)
     x = Spectral.q_power(2)
-    for r in check_intertwining(ctx, "upper", rep, params, x, form="unfactored"):
+    spec = KOperatorSpec("upper", params, x)
+    assert mat_equals(build_K_unfactored(spec, rep), build_K(spec, rep))
+    for r in check_intertwining(ctx, "upper", rep, params, x):
         assert r.exact_zero, r.name
 
 

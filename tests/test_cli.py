@@ -2,6 +2,7 @@
 report round-trips, exit codes."""
 
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -109,6 +110,9 @@ def test_cli_exit_codes(tmp_path):
     assert main(["--suite", "reflection", "--dims", "2", "--eps-plus", "0"]) == 2
     assert main(["--suite", "ybe", "--dims", ""]) == 2
     assert main(["--suite", "ybe", "--dims", "2", "--q", "2/3"]) == 2
+    # flag values are parsed and validated with the config, not by argparse
+    assert main(["--suite", "ybe", "--dims", "2", "--draws", "x"]) == 2
+    assert main(["--suite", "nope", "--dims", "2"]) == 2
 
 
 @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
@@ -152,13 +156,17 @@ def test_cli_rejects_pinned_q_equal_to_one(q, capsys):
 
 
 @pytest.mark.parametrize("q,suite,check,error", [
-    ("1e308+1e308i", "appendix", "check_appendix", "OverflowError"),
+    ("1e308+1e308i", "appendix", "check_appendix", "residual nan"),
+    ("1e308+1e308i", "ybe", "check_ybe", "residual nan"),
+    ("1e308+1e308i", "coideal", "check_coideal_algebras", "residual nan"),
     ("1.0001", "reflection", "check_reflection", "NonConvergenceError"),
 ])
 def test_cli_numeric_float_breakdown_is_a_config_error(q, suite, check, error,
                                                        capsys):
-    # before this both ended in a traceback: q^2 overflows at 1e308, and
-    # the infinite q-Pochhammer products need too many factors near q = 1
+    # q^2 overflows at 1e308: appendix used to end in an OverflowError
+    # traceback, ybe and coideal in a FAIL of every check with residual nan
+    # (exit 1); the infinite q-Pochhammer products need too many factors
+    # near q = 1
     code = main(["--suite", suite, "--dims", "2", "--backend", "numeric",
                  f"--q={q}"])
     assert code == 2
@@ -220,6 +228,27 @@ def test_config_file_with_flag_overrides(tmp_path):
     assert config.dims == (2,)
     assert config.seed == 12
     assert config.tol == 1e-8
+
+
+def test_config_file_and_flags_agree(tmp_path):
+    values = {"suite": "coideal", "dims": "2,4", "backend": "numeric",
+              "q": "1.4+0.3i", "x_exp": "-1", "y_exp": "2", "s0": "0",
+              "s1": "-1", "eps_plus": "3/7", "eps_minus": "-2",
+              "k_plus": "1/5", "k_minus": "0", "p_tilde": "7/2", "seed": "11",
+              "tol": "1e-8", "draws": "2"}
+    assert set(values) == set(SuiteConfig.__dataclass_fields__)
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    ap = build_arg_parser()
+    from_file = config_from_args(ap.parse_args(["--config", str(cfg)]))
+    flags = [f"--{k.replace('_', '-')}={v}" for k, v in values.items()]
+    from_flags = config_from_args(ap.parse_args(flags))
+    assert from_file == from_flags
+    assert from_file.dims == (2, 4) and from_file.x_exp == -1
+    assert from_file.tol == 1e-8 and from_file.k_plus == "1/5"
+    cfg.write_text("suite = ybe\ndraws = x\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{cfg}:2: draws")):
+        config_from_args(ap.parse_args(["--config", str(cfg)]))
 
 
 def test_config_file_errors(tmp_path):

@@ -130,10 +130,9 @@ def test_poch_infinite_truncated():
     for j in range(40):
         fin *= 1 - 0.5 * 0.25 ** j
     assert abs(poch_infinite_truncated(nctx, 0.5, 0.25) - fin) < 1e-13
-    tight = ScalarContext(backend="numeric", q_value=2.0 + 0j,
-                          truncation_tol=1e-14, max_terms=3)
+    # 0.5 * 0.999^k stays above the truncation tolerance past MAX_TERMS
     with pytest.raises(NonConvergenceError):
-        poch_infinite_truncated(tight, 0.5, 0.999)
+        poch_infinite_truncated(nctx, 0.5, 0.999)
 
 
 # -- the exact field -----------------------------------------------------------
@@ -168,14 +167,6 @@ def test_canonical_form_is_reduced():
 def test_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
         RationalExpression(LaurentPolynomial.constant(1), LaurentPolynomial())
-
-
-def test_serialization_round_trip():
-    rng = seeded(3)
-    for _ in range(15):
-        a = rand_expr(rng)
-        back = RationalExpression.parse(str(a))
-        assert back == a
 
 
 def test_rational_string_parsing():
@@ -223,8 +214,6 @@ def test_context_validation():
         ScalarContext(backend="exact", q_value=2.0 + 0j)
     with pytest.raises(ValueError):
         ScalarContext(backend="magic")
-    with pytest.raises(ValueError):
-        ScalarContext(backend="numeric", q_value=2.0 + 0j, truncation_tol=0.0)
 
 
 def test_spectral_arithmetic():
@@ -273,7 +262,6 @@ def test_integer_core_canonical_form():
             (p * v ** 2) * LaurentPolynomial.v_power(-2),
             (p * q + p) - p * q,
             (p + q) - q,
-            RationalExpression.parse(str(RationalExpression(p))).num,
             LaurentPolynomial(dict(p.coeffs)),
         ]
         for r in [p, q, p * q, p + q, p - p, -p, p ** 3, *routes]:
