@@ -5,9 +5,9 @@ Two backends share one API:
 * exact   -- the univariate rational-function field Q(v), v = q^(1/2).
              Scalars are `RationalExpression` objects (reduced fractions of
              Laurent polynomials in v with rational coefficients).  Each
-             polynomial is a rational content times a primitive map of
-             Python ints, so products, sums, exact divisions and gcds run
-             on ints and touch one rational per polynomial.  The
+             polynomial is a rational content, held as a reduced pair of
+             ints, times a primitive map of Python ints, so products, sums,
+             exact divisions and gcds run on ints only.  The
              spectral parameter is always an integer power of q, so every
              infinite q-Pochhammer ratio telescopes to a finite product.
              Optionally v may be pinned to an exact rational value, in which
@@ -49,8 +49,24 @@ def rational(p, r=1):
     return Fraction(p, r) if r != 1 else Fraction(p)
 
 
-_R0 = rational(0)
-_R1 = rational(1)
+def _pair(p, r=1):
+    """(n, d) in lowest terms with d > 0 for p/r: ints stay ints, other
+    values (Fractions, 'p/r' strings) go through `rational`."""
+    if type(p) is int and type(r) is int and r:
+        g = gcd(p, r)
+        if r < 0:
+            g = -g
+        return p // g, r // g
+    c = rational(p, r)
+    return c.numerator, c.denominator
+
+
+def _times(an, ad, bn, bd):
+    """(an/ad) * (bn/bd) in lowest terms with a positive denominator, for
+    pairs already in lowest terms; ad and bd may be negative (a quotient)."""
+    g1, g2 = gcd(an, bd), gcd(bn, ad)
+    n, d = (an // g1) * (bn // g2), (ad // g2) * (bd // g1)
+    return (n, d) if d > 0 else (-n, -d)
 
 
 # ---------------------------------------------------------------------------
@@ -60,49 +76,52 @@ _R1 = rational(1)
 class LaurentPolynomial:
     """Laurent polynomial in v = q^(1/2) with rational coefficients.
 
-    Stored as `content` * `prim`: `prim` maps exponent -> Python int, with
-    gcd 1 and a positive coefficient at the highest exponent; `content` is a
-    nonzero `Fraction`.  Zero is the empty `prim` with content 1.  The form
-    is canonical, so equal polynomials have equal slots.  Exponents may be
-    negative.
+    Stored as the content `cn`/`cd` times `prim`: `prim` maps exponent ->
+    Python int, with gcd 1 and a positive coefficient at the highest
+    exponent; the content is a reduced pair of ints, gcd(cn, cd) = 1,
+    cd > 0 and cn != 0.  Zero is the empty `prim` with content 1/1.  The
+    form is canonical, so equal polynomials have equal slots.  Exponents may
+    be negative.
 
     A product of primitive integer polynomials is primitive (Gauss's lemma),
     so a product multiplies the contents once and convolves the ints, and a
     sum brings both contents to one common factor, adds ints and takes one
-    integer gcd: no rational arithmetic runs per coefficient.
+    integer gcd: only ints are touched, and a `Fraction` appears only where
+    a coefficient leaves (`coeffs`, `evaluate` at a rational v, `str`) or
+    enters (the constructor).
     """
 
-    __slots__ = ("content", "prim")
+    __slots__ = ("cn", "cd", "prim")
 
     def __init__(self, coeffs=None):
         """Build from a map exponent -> rational; zero coefficients are dropped."""
         rats = {e: rational(c) for e, c in (coeffs or {}).items() if c != 0}
-        den = lcm(*(int(c.denominator) for c in rats.values()))
-        ints = {e: int(c.numerator) * (den // int(c.denominator)) for e, c in rats.items()}
+        den = lcm(*(c.denominator for c in rats.values()))
+        ints = {e: c.numerator * (den // c.denominator) for e, c in rats.items()}
         h, self.prim = _split_content(ints) if ints else (1, ints)
-        self.content = rational(h, den)
+        g = gcd(h, den)
+        self.cn, self.cd = h // g, den // g
 
     @staticmethod
     def constant(c) -> "LaurentPolynomial":
-        c = rational(c)
-        return _poly(c, {0: 1}) if c else _POLY_ZERO
+        return _constant(*_pair(c))
 
     @staticmethod
     def v_power(k: int, coeff=1) -> "LaurentPolynomial":
-        c = rational(coeff)
-        return _poly(c, {int(k): 1}) if c else _POLY_ZERO
+        n, d = _pair(coeff)
+        return _poly(n, d, {int(k): 1}) if n else _POLY_ZERO
 
     @property
     def coeffs(self):
         """Read-only view exponent -> rational coefficient (content * prim)."""
-        c = self.content
-        return MappingProxyType({e: c * a for e, a in self.prim.items()})
+        n, d = self.cn, self.cd
+        return MappingProxyType({e: Fraction(n * a, d) for e, a in self.prim.items()})
 
     def is_zero(self) -> bool:
         return not self.prim
 
     def is_one(self) -> bool:
-        return self.prim == _ONE_PRIM and self.content == 1
+        return self.cn == 1 and self.cd == 1 and self.prim == _ONE_PRIM
 
     def min_exp(self) -> int:
         return min(self.prim)
@@ -118,16 +137,14 @@ class LaurentPolynomial:
             return self
         if not a:
             return other
-        ca, cb = self.content, other.content
+        na, da, nb, db = self.cn, self.cd, other.cn, other.cd
         if len(a) < len(b):
-            a, b, ca, cb = b, a, cb, ca
-        na, da = int(ca.numerator), int(ca.denominator)
-        nb, db = int(cb.numerator), int(cb.denominator)
+            a, b, na, da, nb, db = b, a, nb, db, na, da
         same = na == nb and da == db
         if same:
             fa = fb = 1
         else:
-            # ca = fa * gn/den and cb = fb * gn/den with integer fa, fb
+            # na/da = fa * gn/den and nb/db = fb * gn/den with integer fa, fb
             gn, gd = gcd(na, nb), gcd(da, db)
             fa, fb = na // gn * (db // gd), nb // gn * (da // gd)
             na, da = gn, da // gd * db
@@ -147,10 +164,14 @@ class LaurentPolynomial:
         if not out:
             return _POLY_ZERO
         h, prim = _split_content(out)
-        return _poly(ca if same and h == 1 else rational(na * h, da), prim)
+        if not same or h != 1:
+            na *= h
+            g = gcd(na, da)
+            na, da = na // g, da // g
+        return _poly(na, da, prim)
 
     def __neg__(self):
-        return _poly(-self.content, self.prim) if self.prim else self
+        return _poly(-self.cn, self.cd, self.prim) if self.prim else self
 
     def __sub__(self, other):
         if not isinstance(other, LaurentPolynomial):
@@ -163,14 +184,25 @@ class LaurentPolynomial:
         a, b = self.prim, other.prim
         if not a or not b:
             return _POLY_ZERO
-        ka, kb = self.content, other.content
-        content = ka if kb == 1 else kb if ka == 1 else ka * kb
+        an, ad, bn, bd = self.cn, self.cd, other.cn, other.cd
+        # a factor 1 returns the other factor itself: about 60 % of the
+        # products at dims 2, 3 have one
+        if bn == 1 and bd == 1:
+            if b == _ONE_PRIM:
+                return self
+            n, d = an, ad
+        elif an == 1 and ad == 1:
+            if a == _ONE_PRIM:
+                return other
+            n, d = bn, bd
+        else:
+            n, d = _times(an, ad, bn, bd)
         if len(a) > len(b):
             a, b = b, a
         if len(a) == 1:
             # a primitive monomial has coefficient 1: the product is a shift
             (e0, _), = a.items()
-            return _poly(content, {e0 + e: c for e, c in b.items()} if e0 else b)
+            return _poly(n, d, {e0 + e: c for e, c in b.items()} if e0 else b)
         rows = iter(a.items())
         ea, ca = next(rows)
         out = {ea + eb: ca * cb for eb, cb in b.items()}
@@ -179,7 +211,7 @@ class LaurentPolynomial:
             for eb, cb in b.items():
                 e = ea + eb
                 out[e] = get(e, 0) + ca * cb
-        return _poly(content, {e: c for e, c in out.items() if c})
+        return _poly(n, d, {e: c for e, c in out.items() if c})
 
     def __pow__(self, k: int):
         if k < 0:
@@ -194,41 +226,41 @@ class LaurentPolynomial:
         return out
 
     def scale(self, c):
-        c = rational(c)
-        if not c or not self.prim:
+        n, d = _pair(c)
+        if not n or not self.prim:
             return _POLY_ZERO
-        return _poly(self.content * c, self.prim)
+        return _poly(*_times(self.cn, self.cd, n, d), self.prim)
 
     def shift(self, k: int):
         """Multiply by v^k."""
         if not k:
             return self
-        return _poly(self.content, {e + k: c for e, c in self.prim.items()})
+        return _poly(self.cn, self.cd, {e + k: c for e, c in self.prim.items()})
 
     def __eq__(self, other):
         return (isinstance(other, LaurentPolynomial) and self.prim == other.prim
-                and self.content == other.content)
+                and self.cn == other.cn and self.cd == other.cd)
 
     def __hash__(self):
-        return hash((self.content, frozenset(self.prim.items())))
+        return hash((self.cn, self.cd, frozenset(self.prim.items())))
 
     def evaluate(self, v):
         """Value at a concrete v (rational or complex)."""
+        n, d = self.cn, self.cd
         if isinstance(v, complex) or isinstance(v, float):
             v = complex(v)
-            # n*c/d is the correctly rounded float of the coefficient content*c
-            n, d = int(self.content.numerator), int(self.content.denominator)
+            # n*c/d is the correctly rounded float of the coefficient n/d*c
             return sum((n * c / d * v ** e for e, c in self.prim.items()), 0j)
         v = rational(v)
-        acc = _R0
+        acc = 0
         for e, c in self.prim.items():
             acc += c * v ** e
-        return self.content * acc
+        return Fraction(n, d) * acc
 
     def __str__(self):
         if not self.prim:
             return "0"
-        k = self.content
+        k = Fraction(self.cn, self.cd)
         return " + ".join(f"{k * c}*v^{e}" for e, c in sorted(self.prim.items()))
 
     def __repr__(self):
@@ -238,12 +270,18 @@ class LaurentPolynomial:
 _new_poly = object.__new__
 
 
-def _poly(content, prim) -> LaurentPolynomial:
+def _poly(cn, cd, prim) -> LaurentPolynomial:
     """Wrap slots already in canonical form."""
     p = _new_poly(LaurentPolynomial)
-    p.content = content
+    p.cn = cn
+    p.cd = cd
     p.prim = prim
     return p
+
+
+def _constant(n, d) -> LaurentPolynomial:
+    """The constant n/d, from a pair in lowest terms with d > 0."""
+    return _poly(n, d, _ONE_PRIM) if n else _POLY_ZERO
 
 
 def _split_content(ints: dict):
@@ -256,8 +294,8 @@ def _split_content(ints: dict):
 
 
 _ONE_PRIM = {0: 1}
-_POLY_ZERO = _poly(_R1, {})
-_POLY_ONE = _poly(_R1, _ONE_PRIM)
+_POLY_ZERO = _poly(1, 1, {})
+_POLY_ONE = _poly(1, 1, _ONE_PRIM)
 
 
 def poly_one() -> LaurentPolynomial:
@@ -298,7 +336,9 @@ def poly_divexact(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomi
                 rem[k] = s
             else:
                 del rem[k]
-    return _poly(a.content if b.content == 1 else a.content / b.content, quo)
+    if b.cn == 1 and b.cd == 1:
+        return _poly(a.cn, a.cd, quo)
+    return _poly(*_times(a.cn, a.cd, b.cd, b.cn), quo)
 
 
 def _pseudo_rem(x: dict, y: dict) -> dict:
@@ -352,19 +392,21 @@ def poly_gcd(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
     x, y = _primitive_ints(a.prim), _primitive_ints(b.prim)
     while y:
         x, y = y, _primitive_ints(_pseudo_rem(x, y))
-    return _poly(rational(1, x[max(x)]), x)
+    return _poly(1, x[max(x)], x)
 
 
 def _normalize_den(d: LaurentPolynomial):
-    """Return (monic lowest-exponent-0 version of d, exponent s, rational c)
-    with d == c * v^s * normalized; the keys shift, no coefficient divides."""
+    """Return (monic lowest-exponent-0 version of d, exponent s, c) with
+    d == c * v^s * normalized, c a reduced int pair (n, m) for n/m; the keys
+    shift, no coefficient divides."""
     prim = d.prim
     s = min(prim)
     lead = prim[max(prim)]
-    c = d.content * lead
-    if not s and c == 1:
+    g = gcd(lead, d.cd)
+    c = d.cn * (lead // g), d.cd // g
+    if not s and c == (1, 1):
         return d, s, c
-    return _poly(rational(1, lead), {e - s: a for e, a in prim.items()}), s, c
+    return _poly(1, lead, {e - s: a for e, a in prim.items()}), s, c
 
 
 # ---------------------------------------------------------------------------
@@ -399,15 +441,15 @@ class RationalExpression:
                 num = poly_divexact(num, g)
                 den = poly_divexact(den, g)
             den, s, c = _normalize_den(den)
-            if s or c != 1:
-                num = _poly(num.content / c,
+            if s or c != (1, 1):
+                num = _poly(*_times(num.cn, num.cd, c[1], c[0]),
                             {e - s: a for e, a in num.prim.items()} if s else num.prim)
         self.num = num
         self.den = den
 
     @staticmethod
     def constant(c) -> "RationalExpression":
-        return RationalExpression(LaurentPolynomial.constant(c), _POLY_ONE, _reduced=True)
+        return _re_constant(*_pair(c))
 
     @staticmethod
     def v_power(k: int, coeff=1) -> "RationalExpression":
@@ -502,6 +544,16 @@ class RationalExpression:
         return f"RationalExpression({self})"
 
 
+def _re_constant(n, d) -> RationalExpression:
+    """The constant n/d, from a pair in lowest terms with d > 0."""
+    return RationalExpression(_constant(n, d), _POLY_ONE, _reduced=True)
+
+
+# shared by every exact context: scalars are immutable
+_RE_ZERO = _re_constant(0, 1)
+_RE_ONE = _re_constant(1, 1)
+
+
 def _coerce(x):
     if isinstance(x, RationalExpression):
         return x
@@ -577,11 +629,15 @@ class ScalarContext:
     v_value: object | None = None
     # derived from backend once: read on every scalar and matrix operation
     is_exact: bool = field(init=False, repr=False, compare=False)
+    # the pinned v as a reduced int pair (numerator, denominator), or None
+    v_pair: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.backend not in ("exact", "numeric"):
             raise ValueError(f"unknown backend {self.backend!r}")
         object.__setattr__(self, "is_exact", self.backend == "exact")
+        object.__setattr__(self, "v_pair",
+                           None if self.v_value is None else _pair(self.v_value))
         if self.backend == "numeric":
             if self.q_value is None:
                 raise ValueError("numeric backend needs q_value")
@@ -596,16 +652,16 @@ class ScalarContext:
     # -- constants ---------------------------------------------------------
 
     def zero(self):
-        return RationalExpression.constant(0) if self.is_exact else 0j
+        return _RE_ZERO if self.is_exact else 0j
 
     def one(self):
-        return RationalExpression.constant(1) if self.is_exact else 1 + 0j
+        return _RE_ONE if self.is_exact else 1 + 0j
 
     def rational(self, p, r=1):
         """Embed a rational number (numeric backend: as complex)."""
-        c = rational(p, r)
         if self.is_exact:
-            return RationalExpression.constant(c)
+            return _re_constant(*_pair(p, r))
+        c = rational(p, r)
         return complex(float(c.numerator) / float(c.denominator))
 
     def scalar(self, value):
@@ -627,8 +683,11 @@ class ScalarContext:
     def v(self, k: int = 1):
         """v^k = q^(k/2)."""
         if self.is_exact:
-            if self.v_value is not None:
-                return RationalExpression.constant(rational(self.v_value) ** k)
+            if self.v_pair is not None:
+                n, d = self.v_pair
+                if k < 0:
+                    n, d, k = d, n, -k
+                return _re_constant(*_pair(n ** k, d ** k))
             return RationalExpression.v_power(k)
         return _principal_sqrt(self.q_value) ** k
 

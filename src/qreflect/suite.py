@@ -135,13 +135,14 @@ def _parse_complex(text: str) -> complex:
 
 
 def _rational_sqrt(text: str):
-    """sqrt of 'p/r' when both parts are perfect squares, else None."""
+    """sqrt of 'p/r' when both parts are perfect squares, else None; a q
+    that is not positive is a ConfigError."""
     try:
         q = rational(str(text))
     except (ValueError, ZeroDivisionError):
         raise ConfigError(f"cannot parse q value {text!r}")
     if q <= 0:
-        return None
+        raise ConfigError(f"a pinned q must be a positive rational (got {text!r})")
     p, r = int(q.numerator), int(q.denominator)
     sp, sr = math.isqrt(p), math.isqrt(r)
     if sp * sp != p or sr * sr != r:

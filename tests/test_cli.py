@@ -155,6 +155,18 @@ def test_cli_rejects_pinned_q_equal_to_one(q, capsys):
     small_config(q="9/4").context()
 
 
+@pytest.mark.parametrize("q", ["0", "-4"])
+def test_cli_rejects_pinned_q_that_is_not_positive(q, capsys):
+    # 0 = 0^2 and -4 used to be told they need a perfect-square rational
+    code = main(["--suite", "ybe", "--dims", "2", "--q", q])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "a pinned q must be a positive rational" in err
+    assert "perfect-square" not in err
+    with pytest.raises(ConfigError, match="positive rational"):
+        small_config(q=q).context()
+
+
 @pytest.mark.parametrize("q,suite,check,error", [
     ("1e308+1e308i", "appendix", "check_appendix", "residual nan"),
     ("1e308+1e308i", "ybe", "check_ybe", "residual nan"),

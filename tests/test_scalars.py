@@ -1,6 +1,7 @@
 """The scalar layer: q-combinatorics, the Q(v) field, backend agreement."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -239,15 +240,17 @@ def test_exact_backend_requires_q_power(ctx):
 
 
 def assert_canonical(p):
-    """content * prim with int prim of gcd 1 and positive leading coefficient."""
+    """cn/cd * prim: a reduced int pair with cd > 0 and cn != 0, and an int
+    prim of gcd 1 with positive leading coefficient; zero is {} with 1/1."""
+    assert type(p.cn) is int and type(p.cd) is int
     if p.is_zero():
-        assert p.prim == {} and p.content == 1
+        assert p.prim == {} and (p.cn, p.cd) == (1, 1)
         return
     assert all(type(c) is int for c in p.prim.values())
     assert math.gcd(*p.prim.values()) == 1
     assert p.prim[p.max_exp()] > 0
-    assert p.content != 0
-    assert dict(p.coeffs) == {e: p.content * c for e, c in p.prim.items()}
+    assert p.cn != 0 and p.cd > 0 and math.gcd(p.cn, p.cd) == 1
+    assert dict(p.coeffs) == {e: Fraction(p.cn * c, p.cd) for e, c in p.prim.items()}
 
 
 def test_integer_core_canonical_form():
@@ -268,10 +271,84 @@ def test_integer_core_canonical_form():
             assert_canonical(r)
         for r in routes:
             assert r == p and hash(r) == hash(p)
-            assert (r.content, r.prim) == (p.content, p.prim)
+            assert (r.cn, r.cd, r.prim) == (p.cn, p.cd, p.prim)
         assert (p - p).is_zero() and (p * q - q * p).is_zero()
     with pytest.raises(TypeError):
         p.coeffs[0] = rational(1)
+
+
+def test_int_pair_content_routes():
+    v = LaurentPolynomial.v_power(1)
+    one = LaurentPolynomial.constant(1)
+    # the cross gcds reduce a product: (6/35) * (7/10) = 3/25
+    a, b = (v + one).scale(rational(6, 35)), (v - one).scale(rational(7, 10))
+    target = a * b
+    assert (target.cn, target.cd, target.prim) == (3, 25, {2: 1, 0: -1})
+    big = rational(2 ** 70 + 1, 3 ** 45)            # both parts above 2^64
+    w = v + LaurentPolynomial.constant(3)           # monic, coprime to target
+    # RationalExpression rescales the numerator by the denominator's content
+    # and lowest exponent (_normalize_den)
+    rescaled = RationalExpression(target.scale(-big).shift(-4), w.scale(-big).shift(-4))
+    assert rescaled.den == w
+    routes = [
+        b * a,
+        (v ** 2 - one).scale("3/25"),
+        LaurentPolynomial({2: rational(3, 25), 0: rational(-3, 25)}),
+        # a negative content: 1 - v^2 has leading coefficient -1
+        (one - v ** 2).scale(rational(-3, 25)),
+        target.scale(big).scale(1 / big),
+        # exact quotients whose contents divide: (9/125) / (3/5) = 3/25,
+        # and a divisor with a negative content above 2^64
+        poly_divexact((v ** 3 - v).scale(rational(9, 125)), v.scale(rational(3, 5))),
+        poly_divexact(target * w.scale(-big), w.scale(-big)),
+        rescaled.num,
+        RationalExpression(target.shift(2).scale(-7), w.shift(2).scale(-7)).num,
+        (RationalExpression(target.scale(big)) / RationalExpression.constant(big)).num,
+    ]
+    for r in routes:
+        assert_canonical(r)
+        assert (r.cn, r.cd, r.prim) == (target.cn, target.cd, target.prim)
+        assert r == target and hash(r) == hash(target)
+    for p in [a.scale(-big), -(a * b).scale(big), LaurentPolynomial.constant(-big),
+              LaurentPolynomial.v_power(-3, -big), poly_gcd(a.scale(big), b * a)]:
+        assert_canonical(p)
+    neg = (-a).scale(big)
+    assert neg.cn < 0 and neg.cd > 0 and neg.cd.bit_length() > 64
+    assert Fraction(neg.cn, neg.cd) == rational(-6, 35) * big
+
+
+def test_exact_hot_path_builds_no_fraction(monkeypatch):
+    """The exact operations work on int pairs only: once the inputs exist,
+    no Fraction is built by polynomial, field or matrix arithmetic."""
+    from qreflect.linalg import Matrix
+
+    ctx = ScalarContext()
+    rng = seeded(31)
+    p, q, g = (nonzero(rng, big_poly) for _ in range(3))
+    x, y = rand_expr(rng, big_poly), rand_expr(rng, big_poly)
+    while y.is_zero():
+        y = rand_expr(rng, big_poly)
+    m, n = (Matrix.from_scalar_entries(
+        ctx, 2, {(i, j): rand_expr(rng, big_poly) for i in range(2) for j in range(2)})
+        for _ in range(2))
+    pq = p * q
+    built = []
+    # CPython 3.12 and later build arithmetic results through
+    # _from_coprime_ints, which bypasses __new__: count both
+    for name in ("__new__", "_from_coprime_ints"):
+        raw = vars(Fraction).get(name)
+        if raw is not None:
+            monkeypatch.setattr(Fraction, name, type(raw)(
+                lambda *a, _fn=raw.__func__, **k: built.append(1) or _fn(*a, **k)))
+    for op in [lambda: p * q, lambda: p + q, lambda: p - q,
+               lambda: poly_divexact(pq, q), lambda: poly_gcd(p * g, q * g),
+               lambda: x + y, lambda: x * y, lambda: x / y,
+               lambda: m * n, lambda: m + n, lambda: m.scaled(x),
+               ctx.one, ctx.zero, lambda: ctx.v(3)]:
+        op()
+    assert not built
+    Fraction(1, 3)                                  # the counter does count
+    assert built
 
 
 def test_poly_divexact_integer_long_division():
