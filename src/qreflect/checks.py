@@ -1,12 +1,19 @@
 """Residual checkers for every verified identity.
 
-Each check builds both sides of an identity as matrices and reports either an
-exact-zero flag (exact backend) or a scale-free residual (numeric backend:
-max-entry difference over the larger max-entry of the two sides).
+Each check is a generator of the identities it verifies, one
+(name, params, lhs, rhs[, finding, scale_floor, note]) tuple per identity,
+wrapped by `_check` into a function that returns the list of reports.  The
+wrapper alone computes residuals and details: an exact-zero flag (exact
+backend) or a scale-free residual (numeric backend: max-entry difference
+over the larger max-entry of the two sides), and it times each identity on
+its own.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -30,6 +37,8 @@ from .koperators import (
 from .representations import (
     Irrep,
     ParamSet,
+    affine_iota,
+    affine_sigma,
     cartan_power,
     casimir,
     delta_expr,
@@ -74,19 +83,48 @@ class CheckReport:
 
 
 def _report(name: str, params: dict, lhs: Matrix, rhs: Matrix,
-            finding: bool = False, scale_floor: float = 0.0) -> CheckReport:
+            finding: str = "", scale_floor: float = 0.0,
+            note: str = "") -> CheckReport:
+    """The report of lhs = rhs.  A nonempty `finding` marks a residual that
+    is expected to be nonzero and says what a zero one would mean; a
+    positive `scale_floor` caps the numeric residual at max|diff| / floor;
+    `note` prefixes the worst-entry detail."""
     exact_zero, res, worst, diff = residual(lhs, rhs)
     if res is not None and scale_floor > 0:
         res = min(res, diff.max_abs() / scale_floor)
+    if res is not None and not math.isfinite(res):
+        raise OverflowError(f"{name} has residual {res}")
     detail = None
-    if worst is not None:
-        value = diff.entry(*worst)
-        text = str(value)
+    if finding and (exact_zero is True or (res is not None and res < 1e-12)):
+        detail = f"unexpectedly zero: {finding}"
+    elif worst is not None:
+        text = str(diff.entry(*worst))
         if len(text) > 120:
             text = text[:117] + "..."
-        detail = f"worst entry at {worst}: {text}"
+        detail = f"{note}worst entry at {worst}: {text}"
     return CheckReport(name=name, params=params, exact_zero=exact_zero,
-                       residual=res, detail=detail, is_finding=finding)
+                       residual=res, detail=detail, is_finding=bool(finding))
+
+
+def _check(identities):
+    """A check that runs the generator `identities` to the end and returns
+    one report per yielded identity.  Each report's `elapsed_ms` is the time
+    since the previous identity of the same call ended (the first one's
+    since the call began), so shared set-up counts toward the first."""
+
+    @functools.wraps(identities)
+    def check(*args, **kwargs) -> list:
+        reports = []
+        start = time.perf_counter()
+        for sides in identities(*args, **kwargs):
+            report = _report(*sides)
+            end = time.perf_counter()
+            report.elapsed_ms = int(round((end - start) * 1000))
+            reports.append(report)
+            start = end
+        return reports
+
+    return check
 
 
 def _params_dict(params: ParamSet, rep: Irrep | None = None, **extra) -> dict:
@@ -107,8 +145,9 @@ def _qcomm(a: Matrix, b: Matrix, p) -> Matrix:
 # Yang-Baxter
 # ---------------------------------------------------------------------------
 
+@_check
 def check_ybe(ctx: ScalarContext, kind: str, rep: Irrep | None,
-              params: ParamSet, x: Spectral, y: Spectral, z: Spectral) -> CheckReport:
+              params: ParamSet, x: Spectral, y: Spectral, z: Spectral):
     """(YBE) for R-matrices (RRR / RbRbRb) or L-operators (LLR / LbLbRb)."""
     bar = kind in ("RbRbRb", "LbLbRb")
     if kind in ("RRR", "RbRbRb"):
@@ -123,10 +162,8 @@ def check_ybe(ctx: ScalarContext, kind: str, rep: Irrep | None,
         m23 = lift(build_R(ctx, params, y.over(z), bar), dims, (1, 2))
     else:
         raise ValueError(f"unknown Yang-Baxter kind {kind!r}")
-    lhs = m12 * m13 * m23
-    rhs = m23 * m13 * m12
-    return _report(f"ybe/{kind}", _params_dict(params, rep, x=x, y=y, z=z),
-                   lhs, rhs)
+    yield (f"ybe/{kind}", _params_dict(params, rep, x=x, y=y, z=z),
+           m12 * m13 * m23, m23 * m13 * m12)
 
 
 # ---------------------------------------------------------------------------
@@ -166,15 +203,16 @@ def reflection_sides_operator(rep: Irrep, params: ParamSet,
     return lhs, rhs
 
 
+@_check
 def check_reflection(ctx: ScalarContext, level: str, variant: str | None,
                      rep: Irrep | None, params: ParamSet,
-                     x: Spectral, y: Spectral) -> CheckReport:
+                     x: Spectral, y: Spectral):
     """Reflection equation at matrix level (general 2x2 K) or operator level
     (a K-operator variant against the matching triangular scalar K)."""
     if level == "matrix":
-        lhs, rhs = reflection_sides_matrix(ctx, params, x, y)
-        return _report("reflection/matrix",
-                       _params_dict(params, None, x=x, y=y), lhs, rhs)
+        yield ("reflection/matrix", _params_dict(params, None, x=x, y=y),
+               *reflection_sides_matrix(ctx, params, x, y))
+        return
     if level != "operator":
         raise ValueError("level must be 'matrix' or 'operator'")
     kop = build_K(KOperatorSpec(variant, params, x), rep)
@@ -182,10 +220,9 @@ def check_reflection(ctx: ScalarContext, level: str, variant: str | None,
     k2 = build_K_scalar(ctx, params, y,
                         k_plus=0 if fam.k_plus_zero else None,
                         k_minus=0 if fam.k_minus_zero else None)
-    lhs, rhs = reflection_sides_operator(rep, params, x, y, kop, k2)
-    return _report(f"reflection/operator/{variant}",
-                   _params_dict(params, rep, x=x, y=y, form="factored"),
-                   lhs, rhs)
+    yield (f"reflection/operator/{variant}",
+           _params_dict(params, rep, x=x, y=y, form="factored"),
+           *reflection_sides_operator(rep, params, x, y, kop, k2))
 
 
 # ---------------------------------------------------------------------------
@@ -214,22 +251,19 @@ def variant_generator_exprs(ctx: ScalarContext, variant: str, params: ParamSet) 
     return gens
 
 
+@_check
 def check_intertwining(ctx: ScalarContext, variant: str, rep: Irrep,
-                       params: ParamSet, x: Spectral) -> list:
+                       params: ParamSet, x: Spectral):
     """ev_{1/x}(a) K(x) = K(x) ev_x(a) for the variant's generator set."""
     kmat = build_K(KOperatorSpec(variant, params, x), rep)
     xinv = x.inverse()
-    reports = []
-    gens = variant_generator_exprs(ctx, variant, params)
-    for name, expr in gens.items():
-        lhs = eval_affine_expr(rep, params, xinv, expr) * kmat
-        rhs = kmat * eval_affine_expr(rep, params, x, expr)
-        reports.append(_report(
-            f"intertwining/{variant}/{name}",
-            _params_dict(params, rep, x=x, form="factored"), lhs, rhs))
+    pd = _params_dict(params, rep, x=x, form="factored")
+    for name, expr in variant_generator_exprs(ctx, variant, params).items():
+        yield (f"intertwining/{variant}/{name}", pd,
+               eval_affine_expr(rep, params, xinv, expr) * kmat,
+               kmat * eval_affine_expr(rep, params, x, expr))
     if variant == "diagonal":
-        reports.extend(_diagonal_intertwining(ctx, rep, params, x))
-    return reports
+        yield from _diagonal_intertwining(ctx, rep, params, x)
 
 
 def _diagonal_intertwining(ctx, rep, params, x):
@@ -251,24 +285,20 @@ def _diagonal_intertwining(ctx, rep, params, x):
         return weight_diagonal(rep, lambda h: p.eps_plus
                                + p.eps_minus * u * ctx.q(1 - h))
 
-    out = []
-    lhs = rep.e_mat * de(xsi) * k0
-    rhs = k0 * rep.e_mat * de(xs)
-    out.append(_report("intertwining/diagonal/core_E",
-                       _params_dict(params, rep, x=x), lhs, rhs))
-    lhs = rep.f_mat * df(xs) * k0
-    rhs = k0 * rep.f_mat * df(xsi)
-    out.append(_report("intertwining/diagonal/core_F",
-                       _params_dict(params, rep, x=x), lhs, rhs))
-    return out
+    pd = _params_dict(params, rep, x=x)
+    yield ("intertwining/diagonal/core_E", pd,
+           rep.e_mat * de(xsi) * k0, k0 * rep.e_mat * de(xs))
+    yield ("intertwining/diagonal/core_F", pd,
+           rep.f_mat * df(xs) * k0, k0 * rep.f_mat * df(xsi))
 
 
 # ---------------------------------------------------------------------------
 # Auxiliary lemmas of the reflection proof
 # ---------------------------------------------------------------------------
 
+@_check
 def check_aux_lemmas(ctx: ScalarContext, rep: Irrep, params: ParamSet,
-                     x: Spectral) -> list:
+                     x: Spectral):
     """Similarity transform, diagonal-core exchange rule, the two extra
     relations extracted from the reflection equation, and the long bracket
     identity (all for the k- = 0 family)."""
@@ -282,31 +312,25 @@ def check_aux_lemmas(ctx: ScalarContext, rep: Irrep, params: ParamSet,
     em_qmh = weight_diagonal(rep, lambda h: p.eps_minus * ctx.q(-h))
     t1 = em_qmh + rep.e_mat.scaled(p.k_plus * ctx.x_power(x, -p.s0))
     pd = _params_dict(params, rep, x=x)
-    out = []
 
     # (a) the similarity transform turning ev_x(T1) into a Cartan element
-    out.append(_report("aux/similarity_to_cartan", pd, exp_p * t1 * exp_m, em_qmh))
+    yield "aux/similarity_to_cartan", pd, exp_p * t1 * exp_m, em_qmh
 
     # (b) exchange rule of E past the diagonal core
     k0 = build_K0_diagonal(rep, p, x, "minusH")
     ratio = _hk_ratio(ctx, rep, p, x)
-    out.append(_report("aux/core_exchange_E", pd,
-                       rep.e_mat * k0, k0 * ratio * rep.e_mat))
+    yield "aux/core_exchange_E", pd, rep.e_mat * k0, k0 * ratio * rep.e_mat
 
     # (c) the two residual relations of the reflection expansion
     kop = build_K(KOperatorSpec("upper", p, x), rep)
     t1_plus_t2, t3 = _int_re1(ctx, rep, p, x, kop)
     floor = 0.0 if ctx.is_exact else max(t1_plus_t2.max_abs(), t3.max_abs(),
                                          kop.max_abs())
-    out.append(_report("aux/reflection_extra_F", pd, t1_plus_t2, -t3,
-                       scale_floor=floor))
-    out.append(_report("aux/reflection_extra_E", pd,
-                       *_int_re2(ctx, rep, p, x, kop)))
+    yield "aux/reflection_extra_F", pd, t1_plus_t2, -t3, "", floor
+    yield ("aux/reflection_extra_E", pd, *_int_re2(ctx, rep, p, x, kop))
 
     # (d) the long bracket collapses once EF/FE are written with the Casimir
-    lhs_b, rhs_b = _long_bracket(ctx, rep, p, x)
-    out.append(_report("aux/long_bracket", pd, lhs_b, rhs_b))
-    return out
+    yield ("aux/long_bracket", pd, *_long_bracket(ctx, rep, p, x))
 
 
 def _hk_ratio(ctx, rep, p, x):
@@ -404,8 +428,9 @@ def _long_bracket(ctx, rep, p, x):
 # Coideal algebras and coproducts
 # ---------------------------------------------------------------------------
 
+@_check
 def check_coideal_algebras(ctx: ScalarContext, rep: Irrep, params: ParamSet,
-                           x: Spectral) -> list:
+                           x: Spectral):
     """Defining relations of the triangular q-Onsager algebra under the
     evaluated realization, plus both cubic q-Dolan-Grady relations of the
     q-Onsager generators."""
@@ -419,24 +444,17 @@ def check_coideal_algebras(ctx: ScalarContext, rep: Irrep, params: ParamSet,
     q1 = ctx.q(1)
     plus2 = (q1 + ctx.q(-1)) ** 2
     comm01 = t0 * t1 - t1 * t0
-    out = []
     # [T1, [T1, P1]_{q^2}] = k+ q (q + q^-1)^2 [T0, T1]; the outer plain
     # commutator is split across the two sides for a scale-free residual.
     inner1 = _qcomm(t1, p1, ctx.q(2))
-    out.append(_report(
-        "coideal/triangular_T1", pd,
-        t1 * inner1,
-        inner1 * t1 + comm01.scaled(p.k_plus * q1 * plus2)))
+    yield ("coideal/triangular_T1", pd, t1 * inner1,
+           inner1 * t1 + comm01.scaled(p.k_plus * q1 * plus2))
     inner0 = _qcomm(t0, p1, ctx.q(-2))
-    out.append(_report(
-        "coideal/triangular_T0", pd,
-        t0 * inner0,
-        inner0 * t0 + comm01.scaled(p.k_plus * ctx.q(-1) * plus2)))
-    out.append(_report(
-        "coideal/triangular_T1T0", pd,
-        t1 * t0,
-        (t0 * t1).scaled(ctx.q(-2)) + Matrix.identity(ctx, rep.dim).scaled(
-            p.eps_plus * p.eps_minus * (ctx.one() - ctx.q(-2)))))
+    yield ("coideal/triangular_T0", pd, t0 * inner0,
+           inner0 * t0 + comm01.scaled(p.k_plus * ctx.q(-1) * plus2))
+    yield ("coideal/triangular_T1T0", pd, t1 * t0,
+           (t0 * t1).scaled(ctx.q(-2)) + Matrix.identity(ctx, rep.dim).scaled(
+               p.eps_plus * p.eps_minus * (ctx.one() - ctx.q(-2))))
 
     wgens = onsager_generators(ctx, params)
     w0 = eval_affine_expr(rep, params, x, wgens["W0"])
@@ -444,14 +462,13 @@ def check_coideal_algebras(ctx: ScalarContext, rep: Irrep, params: ParamSet,
     dg_coef = plus2 * p.k_plus * p.k_minus
     for name, a, b in (("W0", w0, w1), ("W1", w1, w0)):
         inner2 = _qcomm(a, _qcomm(a, b, ctx.q(-2)), ctx.q(2))
-        lhs = a * inner2
-        rhs = inner2 * a + (a * b - b * a).scaled(dg_coef)
-        out.append(_report(f"coideal/dolan_grady_{name}", pd, lhs, rhs))
-    return out
+        yield (f"coideal/dolan_grady_{name}", pd, a * inner2,
+               inner2 * a + (a * b - b * a).scaled(dg_coef))
 
 
+@_check
 def check_coideal_coproduct(ctx: ScalarContext, rep1: Irrep, rep2: Irrep,
-                            params: ParamSet, x: Spectral, y: Spectral) -> list:
+                            params: ParamSet, x: Spectral, y: Spectral):
     """The closed-form right-coideal coproducts of T0, T1, P1t under
     ev_x (x) ev_y: the left side applies the affine coproduct to the
     realization and expands, the right side assembles the closed forms."""
@@ -470,21 +487,18 @@ def check_coideal_coproduct(ctx: ScalarContext, rep1: Irrep, rep2: Irrep,
         m = eval_affine_word(rep2, params, y, word)
         return m if scale is None else m.scaled(scale)
 
-    out = []
-    lhs = eval_tensor_expr(rep1, rep2, params, x, y,
-                           delta_expr(ctx, gens["T0"]))
-    rhs = (ev1(gens["T0"]).kron(ev2w((hq_atom(1, 1),)))
+    def delta(name):
+        return eval_tensor_expr(rep1, rep2, params, x, y,
+                                delta_expr(ctx, gens[name]))
+
+    yield ("coideal/coproduct_T0", pd, delta("T0"),
+           ev1(gens["T0"]).kron(ev2w((hq_atom(1, 1),)))
            + idn.kron(ev2w((e_atom(1), hq_atom(1, 1)), p.k_plus * q1)))
-    out.append(_report("coideal/coproduct_T0", pd, lhs, rhs))
-
-    lhs = eval_tensor_expr(rep1, rep2, params, x, y,
-                           delta_expr(ctx, gens["T1"]))
-    rhs = (ev1(gens["T1"]).kron(ev2w((hq_atom(0, 1),)))
+    yield ("coideal/coproduct_T1", pd, delta("T1"),
+           ev1(gens["T1"]).kron(ev2w((hq_atom(0, 1),)))
            + idn.kron(ev2w((f_atom(0),), p.k_plus)))
-    out.append(_report("coideal/coproduct_T1", pd, lhs, rhs))
 
-    lhs = eval_tensor_expr(rep1, rep2, params, x, y,
-                           delta_expr(ctx, gens["P1t"]))
+    lhs = delta("P1t")
     one = ctx.one()
     ff = expr_qcomm(((one, (f_atom(1),)),), ((one, (f_atom(0),)),), ctx.q(2))
     ee = expr_qcomm(((one, (e_atom(1),)),), ((one, (e_atom(0),)),), ctx.q(2))
@@ -495,16 +509,16 @@ def check_coideal_coproduct(ctx: ScalarContext, rep1: Irrep, rep2: Irrep,
               + ev1(gens["T0"]).kron(ev2w((e_atom(0),))))
            .scaled(ctx.q(2) - ctx.q(-2))
            + idn.kron(tail))
-    out.append(_report("coideal/coproduct_P1t", pd, lhs, rhs))
-    return out
+    yield "coideal/coproduct_P1t", pd, lhs, rhs
 
 
 # ---------------------------------------------------------------------------
 # The q-Onsager candidate
 # ---------------------------------------------------------------------------
 
+@_check
 def check_onsager_candidate(ctx: ScalarContext, rep: Irrep, params: ParamSet,
-                            x: Spectral) -> list:
+                            x: Spectral):
     """Intertwining of the k+ k- != 0 candidate with W0 and W1.
 
     The W1 relation is expected to hold; the W0 residual is reported as a
@@ -512,26 +526,18 @@ def check_onsager_candidate(ctx: ScalarContext, rep: Irrep, params: ParamSet,
     """
     wgens = onsager_generators(ctx, params)
     xinv = x.inverse()
-    names = (("W1", False), ("W0", True))
-    pairs = [(eval_affine_expr(rep, params, xinv, wgens[name]),
-              eval_affine_expr(rep, params, x, wgens[name]))
-             for name, _ in names]
-    sides, cleared = candidate_intertwining_sides(rep, params, x, pairs)
-    pd = _params_dict(params, rep, x=x)
     degenerate = (ctx.is_scalar_zero(params.k_plus)
                   or ctx.is_scalar_zero(params.k_minus))
-    out = []
-    for (name, finding), (lhs, rhs) in zip(names, sides):
-        rpt = _report(f"onsager/int_{name}", pd, lhs, rhs,
-                      finding=finding and not degenerate)
-        if cleared and rpt.detail is not None:
-            rpt.detail = "cleared by P: " + rpt.detail
-        if rpt.is_finding and (rpt.exact_zero is True
-                               or (rpt.residual is not None
-                                   and rpt.residual < 1e-12)):
-            rpt.detail = "unexpectedly zero: candidate satisfies the W0 relation here"
-        out.append(rpt)
-    return out
+    findings = {"W1": "", "W0": "" if degenerate else
+                "candidate satisfies the W0 relation here"}
+    pairs = [(eval_affine_expr(rep, params, xinv, wgens[name]),
+              eval_affine_expr(rep, params, x, wgens[name]))
+             for name in findings]
+    sides, cleared = candidate_intertwining_sides(rep, params, x, pairs)
+    pd = _params_dict(params, rep, x=x)
+    note = "cleared by P: " if cleared else ""
+    for (name, finding), (lhs, rhs) in zip(findings.items(), sides):
+        yield f"onsager/int_{name}", pd, lhs, rhs, finding, 0.0, note
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +555,8 @@ _APPENDIX = {
 }
 
 
-def check_appendix(ctx: ScalarContext, ident: int, rep: Irrep, a, b, c) -> CheckReport:
+@_check
+def check_appendix(ctx: ScalarContext, ident: int, rep: Irrep, a, b, c):
     """Conjugation identities derived from the q-deformed Hadamard formula.
 
     ident 1..12 are the explicit expansions of
@@ -582,7 +589,7 @@ def check_appendix(ctx: ScalarContext, ident: int, rep: Irrep, a, b, c) -> Check
     else:
         rhs, floor = _appendix_series(ctx, rep, g, m, inverse_first, word,
                                       middle, a, b, c)
-    return _report(f"appendix/A{ident}", pd, lhs, rhs, scale_floor=floor)
+    yield f"appendix/A{ident}", pd, lhs, rhs, "", floor
 
 
 def _hadamard_series(ctx, rep, arg, middle):
@@ -701,61 +708,54 @@ def _swap_gradation(params: ParamSet) -> ParamSet:
     return replace(params, s0=params.s1, s1=params.s0, raw=raw)
 
 
+@_check
 def check_symmetries(ctx: ScalarContext, rep: Irrep, params: ParamSet,
-                     x: Spectral) -> list:
+                     x: Spectral):
     """The sigma/iota covariance of L, Lbar, R, Rbar, the evaluation-map
     consistency of both maps, and the Serre relations under evaluation."""
     pd = _params_dict(params, rep, x=x)
     swapped = _swap_gradation(params)
     xinv = x.inverse()
-    out = []
 
-    out.append(_report("symmetry/sigma_L", pd,
-                       build_L_mapped(rep, params, x, False, "sigma"),
-                       build_L(rep, swapped, x, False)))
-    out.append(_report("symmetry/sigma_Lbar", pd,
-                       build_L_mapped(rep, params, x, True, "sigma"),
-                       build_L(rep, swapped, x, True)))
-    out.append(_report("symmetry/iota_L", pd,
-                       build_L_mapped(rep, params, x, False, "iota"),
-                       build_L(rep, params, xinv, True)))
-    out.append(_report("symmetry/iota_Lbar", pd,
-                       build_L_mapped(rep, params, x, True, "iota"),
-                       build_L(rep, params, xinv, False)))
-    out.append(_report("symmetry/sigma_R", pd,
-                       matrix_sigma_tensor(build_R(ctx, params, x)),
-                       build_R(ctx, swapped, x)))
-    out.append(_report("symmetry/iota_R", pd,
-                       build_R(ctx, params, x).transpose(),
-                       build_R(ctx, params, xinv, bar=True)))
+    yield ("symmetry/sigma_L", pd,
+           build_L_mapped(rep, params, x, False, "sigma"),
+           build_L(rep, swapped, x, False))
+    yield ("symmetry/sigma_Lbar", pd,
+           build_L_mapped(rep, params, x, True, "sigma"),
+           build_L(rep, swapped, x, True))
+    yield ("symmetry/iota_L", pd,
+           build_L_mapped(rep, params, x, False, "iota"),
+           build_L(rep, params, xinv, True))
+    yield ("symmetry/iota_Lbar", pd,
+           build_L_mapped(rep, params, x, True, "iota"),
+           build_L(rep, params, xinv, False))
+    yield ("symmetry/sigma_R", pd, matrix_sigma_tensor(build_R(ctx, params, x)),
+           build_R(ctx, swapped, x))
+    yield ("symmetry/iota_R", pd, build_R(ctx, params, x).transpose(),
+           build_R(ctx, params, xinv, bar=True))
+
 
     # evaluation-map consistency: sigma . ev_x = ev_x . sigma (s0 <-> s1) and
     # iota . ev_x = ev_{1/x} . iota
     gens = [(e_atom(0),), (f_atom(0),), (e_atom(1),), (f_atom(1),),
             (hq_atom(0, 1),), (hq_atom(1, 1),)]
-    from .representations import affine_iota, affine_sigma
-
     for g in gens:
-        lhs = finite_sigma_matrix(rep, eval_affine_word(rep, params, x, g))
-        rhs = eval_affine_word(rep, swapped, x, affine_sigma(g))
-        out.append(_report(f"symmetry/ev_sigma_{g[0][0]}{g[0][1]}", pd, lhs, rhs))
-    for g in gens:
-        lhs = finite_iota_matrix(rep, eval_affine_word(rep, params, x, g))
+        yield (f"symmetry/ev_sigma_{g[0][0]}{g[0][1]}", pd,
+               finite_sigma_matrix(rep, eval_affine_word(rep, params, x, g)),
+               eval_affine_word(rep, swapped, x, affine_sigma(g)))
         coeff, word = affine_iota(ctx, g)
-        rhs = eval_affine_word(rep, params, xinv, word).scaled(coeff)
-        out.append(_report(f"symmetry/ev_iota_{g[0][0]}{g[0][1]}", pd, lhs, rhs))
+        yield (f"symmetry/ev_iota_{g[0][0]}{g[0][1]}", pd,
+               finite_iota_matrix(rep, eval_affine_word(rep, params, x, g)),
+               eval_affine_word(rep, params, xinv, word).scaled(coeff))
 
-    out.extend(check_serre(ctx, rep, params, x))
-    return out
+    yield from _serre(ctx, rep, params, x)
 
 
-def check_serre(ctx: ScalarContext, rep: Irrep, params: ParamSet,
-                x: Spectral) -> list:
+def _serre(ctx: ScalarContext, rep: Irrep, params: ParamSet, x: Spectral):
     """Affine Serre relations under the evaluation map:
     [e_i, [e_i, [e_i, e_j]_{q^2}]]_{q^-2} = 0 and the f-counterpart.
     The outermost q-commutator is split across the two sides."""
     pd = _params_dict(params, rep, x=x)
-    out = []
     for i, j in ((0, 1), (1, 0)):
         ei = eval_affine_word(rep, params, x, (e_atom(i),))
         ej = eval_affine_word(rep, params, x, (e_atom(j),))
@@ -763,8 +763,10 @@ def check_serre(ctx: ScalarContext, rep: Irrep, params: ParamSet,
         fj = eval_affine_word(rep, params, x, (f_atom(j),))
         inner_e = _qcomm(ei, _qcomm(ei, ej, ctx.q(2)), ctx.one())
         inner_f = _qcomm(fi, _qcomm(fi, fj, ctx.q(-2)), ctx.one())
-        out.append(_report(f"symmetry/serre_e{i}{j}", pd,
-                           ei * inner_e, (inner_e * ei).scaled(ctx.q(-2))))
-        out.append(_report(f"symmetry/serre_f{i}{j}", pd,
-                           fi * inner_f, (inner_f * fi).scaled(ctx.q(2))))
-    return out
+        yield (f"symmetry/serre_e{i}{j}", pd,
+               ei * inner_e, (inner_e * ei).scaled(ctx.q(-2)))
+        yield (f"symmetry/serre_f{i}{j}", pd,
+               fi * inner_f, (inner_f * fi).scaled(ctx.q(2)))
+
+
+check_serre = _check(_serre)

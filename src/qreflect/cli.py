@@ -76,17 +76,22 @@ def _parse_value(key: str, text: str, where: str):
 
 
 def parse_config_file(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else "not a text file"
+        raise ConfigError(f"cannot read config file {path}: {reason}")
     out = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            out[key] = _parse_value(key, value.strip(), f"{path}:{lineno}")
+    for lineno, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
+        key, _, value = line.partition("=")
+        key = key.strip().replace("-", "_")
+        out[key] = _parse_value(key, value.strip(), f"{path}:{lineno}")
     return out
 
 
@@ -122,15 +127,19 @@ def main(argv=None) -> int:
     try:
         config = config_from_args(args)
         reports = run_suite(config)
+        text = emit_report(reports, args.report, config)
+        if args.out:
+            try:
+                with open(args.out, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ConfigError(
+                    f"cannot write the report to {args.out}: {exc.strerror}")
+        else:
+            sys.stdout.write(text)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    text = emit_report(reports, args.report, config)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     summary = summarize(reports, config.tol)
     return 0 if summary["failed"] == 0 else 1
 

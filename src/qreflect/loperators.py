@@ -23,7 +23,9 @@ from .representations import (
 )
 from .scalars import ScalarContext, Spectral
 
-_HALF = Fraction(1, 2)
+# q^(H/2) and q^(-H/2), the Cartan atoms of every L-entry word
+_QH = h_atom(Fraction(1, 2))
+_QH_INV = h_atom(Fraction(-1, 2))
 
 
 def l_entry_words(ctx: ScalarContext, params: ParamSet, x: Spectral, bar: bool):
@@ -42,12 +44,12 @@ def l_entry_words(ctx: ScalarContext, params: ParamSet, x: Spectral, bar: bool):
     mqx = -(ctx.q(-1) * xs)
     return [
         [
-            ((one, (h_atom(_HALF),)), (mqx, (h_atom(-_HALF),))),
-            ((lam * x01, (F_ATOM, h_atom(-_HALF))),),
+            ((one, (_QH,)), (mqx, (_QH_INV,))),
+            ((lam * x01, (F_ATOM, _QH_INV)),),
         ],
         [
-            ((lam * x10, (E_ATOM, h_atom(_HALF))),),
-            ((one, (h_atom(-_HALF),)), (mqx, (h_atom(_HALF),))),
+            ((lam * x10, (E_ATOM, _QH)),),
+            ((one, (_QH_INV,)), (mqx, (_QH,))),
         ],
     ]
 

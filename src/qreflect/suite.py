@@ -11,7 +11,6 @@ from __future__ import annotations
 import cmath
 import json
 import math
-import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -235,20 +234,20 @@ class _Draw(dict):
 
 
 def _run(ctx, drawer, check, args) -> list:
-    """Call the named check; returns its reports stamped with the call's time.
+    """Call the named check and return its reports.
 
     The check is looked up in this module's namespace at call time, so a
-    wrapped `check_*` attribute is the one called.  A `_Draw` slot is drawn
-    before the call and redrawn when the check hits a telescoping pole.  On
-    the numeric backend a float overflow, a product that does not converge or
-    a residual that is not finite is a configuration error: q is too large,
-    or too close to 1, for floats.
+    wrapped `check_*` attribute is the one called (a wrapper may return one
+    placeholder report instead of a list).  A `_Draw` slot is drawn before
+    the call and redrawn when the check hits a telescoping pole.  On the
+    numeric backend a float overflow (a non-finite residual included) or a
+    product that does not converge is a configuration error: q is too
+    large, or too close to 1, for floats.
     """
     redraw = any(isinstance(a, _Draw) for a in args)
     for _ in range(20):
         call = [drawer.params(ctx, **a) if isinstance(a, _Draw) else a
                 for a in args]
-        start = time.perf_counter()
         try:
             out = globals()[check](*call)
         except PoleError:
@@ -261,15 +260,7 @@ def _run(ctx, drawer, check, args) -> list:
             raise ConfigError(
                 f"{check} breaks down in floating point at q = {ctx.q_value}: "
                 f"{type(exc).__name__}: {exc}") from exc
-        elapsed = int(round((time.perf_counter() - start) * 1000))
-        out = [out] if isinstance(out, CheckReport) else list(out)
-        for r in out:
-            if r.residual is not None and not math.isfinite(r.residual):
-                raise ConfigError(
-                    f"{check} breaks down in floating point at q = "
-                    f"{ctx.q_value}: {r.name} has residual {r.residual}")
-            r.elapsed_ms = elapsed
-        return out
+        return [out] if isinstance(out, CheckReport) else out
     raise ConfigError("persistent pole collisions; pinned parameters sit on "
                       "a vanishing telescoping factor")
 
@@ -389,16 +380,16 @@ _SUITE_RUNNERS = {
 # Reports
 # ---------------------------------------------------------------------------
 
+def _status(r: CheckReport, tol: float) -> str:
+    if r.is_finding:
+        return "FINDING"
+    return "ok" if r.passed(tol) else "FAIL"
+
+
 def summarize(reports, tol: float) -> dict:
-    passed = failed = findings = 0
-    for r in reports:
-        if r.is_finding:
-            findings += 1
-        elif r.passed(tol):
-            passed += 1
-        else:
-            failed += 1
-    return {"passed": passed, "failed": failed, "findings": findings}
+    statuses = [_status(r, tol) for r in reports]
+    return {"passed": statuses.count("ok"), "failed": statuses.count("FAIL"),
+            "findings": statuses.count("FINDING")}
 
 
 def report_to_dict(r: CheckReport) -> dict:
@@ -433,12 +424,7 @@ def emit_report(reports, fmt: str = "json",
     lines = []
     width = max((len(r.name) for r in reports), default=20) + 2
     for r in reports:
-        if r.is_finding:
-            status = "FINDING"
-        elif r.passed(tol):
-            status = "ok"
-        else:
-            status = "FAIL"
+        status = _status(r, tol)
         if r.exact_zero is not None:
             value = "exact zero" if r.exact_zero else "NONZERO"
         else:

@@ -128,7 +128,7 @@ def test_criterion_03_yang_baxter():
                 params = rand_params(ctx, rng)
                 x, y, z = (spectral_choice(rng) for _ in range(3))
                 for kind in ("RRR", "RbRbRb", "LLR", "LbLbRb"):
-                    r = check_ybe(ctx, kind, rep, params, x, y, z)
+                    r, = check_ybe(ctx, kind, rep, params, x, y, z)
                     assert r.exact_zero, (kind, n)
 
 
@@ -139,7 +139,7 @@ def test_criterion_04_matrix_reflection():
         for _ in range(20):
             params = rand_params(ctx, rng, need_k=True)
             x, y = spectral_choice(rng), spectral_choice(rng)
-            r = check_reflection(ctx, "matrix", None, None, params, x, y)
+            r, = check_reflection(ctx, "matrix", None, None, params, x, y)
             assert r.exact_zero
 
 
@@ -155,8 +155,8 @@ def test_criterion_05_operator_reflection():
                     params = rand_params(ctx, rng,
                                          need_k=(variant != "diagonal"), **kw)
                     x, y = spectral_choice(rng), spectral_choice(rng)
-                    r = check_reflection(ctx, "operator", variant, rep,
-                                         params, x, y)
+                    r, = check_reflection(ctx, "operator", variant, rep,
+                                          params, x, y)
                     assert r.exact_zero, (variant, n)
 
 
@@ -263,7 +263,7 @@ def test_criterion_10_appendix_identities():
                 b = Fraction(rng.choice(halves), 2)
                 c = Fraction(rng.choice(halves), 2)
                 for ident in range(1, 14):
-                    r = check_appendix(ctx, ident, rep, a, b, c)
+                    r, = check_appendix(ctx, ident, rep, a, b, c)
                     assert r.exact_zero, (ident, n, a, b, c)
 
 
@@ -317,10 +317,10 @@ def test_criterion_12_backend_coherence():
                 params = rand_params(nctx, rng, need_k=True)
                 x, y, z = cx(rng), cx(rng), cx(rng)
                 for kind in ("RRR", "RbRbRb", "LLR", "LbLbRb"):
-                    assert check_ybe(nctx, kind, rep, params, x, y, z
-                                     ).residual < tol
-                assert check_reflection(nctx, "matrix", None, None, params,
-                                        x, y).residual < tol
+                    r, = check_ybe(nctx, kind, rep, params, x, y, z)
+                    assert r.residual < tol
+                r, = check_reflection(nctx, "matrix", None, None, params, x, y)
+                assert r.residual < tol
                 for r in check_coideal_algebras(nctx, rep, params, x):
                     assert r.residual < tol, r.name
                 for r in check_symmetries(nctx, rep, params, x):
@@ -328,8 +328,9 @@ def test_criterion_12_backend_coherence():
                 for variant, kw in VARIANT_ZEROING.items():
                     p2 = rand_params(nctx, rng,
                                      need_k=(variant != "diagonal"), **kw)
-                    assert check_reflection(nctx, "operator", variant, rep,
-                                            p2, x, y).residual < tol, variant
+                    r, = check_reflection(nctx, "operator", variant, rep,
+                                          p2, x, y)
+                    assert r.residual < tol, variant
                     for r in check_intertwining(nctx, variant, rep, p2, x):
                         assert r.residual < tol, r.name
                 pu = rand_params(nctx, rng, k_minus_zero=True, need_k=True)
@@ -339,8 +340,8 @@ def test_criterion_12_backend_coherence():
                 b = Fraction(rng.choice((-1, 0, 1, 2)), 2)
                 c = Fraction(rng.choice((-1, 0, 1, 2)), 2)
                 for ident in range(1, 14):
-                    assert check_appendix(nctx, ident, rep, a, b, c
-                                          ).residual < tol, ident
+                    r, = check_appendix(nctx, ident, rep, a, b, c)
+                    assert r.residual < tol, ident
             for m in (2, 3):
                 rep2 = make_irrep(nctx, m)
                 params = rand_params(nctx, rng, need_k=True)

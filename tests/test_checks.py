@@ -47,14 +47,16 @@ def test_ybe_exact_grid(ctx):
             params = rand_params(ctx, rng)
             x, y, z = spectral(rng), spectral(rng), spectral(rng)
             for kind in ("RRR", "RbRbRb", "LLR", "LbLbRb"):
-                assert check_ybe(ctx, kind, rep, params, x, y, z).exact_zero
+                r, = check_ybe(ctx, kind, rep, params, x, y, z)
+                assert r.exact_zero
 
 
 def test_ybe_trivial_equal_arguments(ctx):
     rng = seeded(73)
     params = rand_params(ctx, rng)
     x = Spectral.q_power(1)
-    assert check_ybe(ctx, "RRR", None, params, x, x, x).exact_zero
+    r, = check_ybe(ctx, "RRR", None, params, x, x, x)
+    assert r.exact_zero
 
 
 def test_ybe_bar_is_iota_image_of_unbarred(ctx):
@@ -85,14 +87,16 @@ def test_reflection_matrix_general_k(ctx):
     for _ in range(5):
         params = rand_params(ctx, rng, need_k=True)
         x, y = spectral(rng), spectral(rng)
-        assert check_reflection(ctx, "matrix", None, None, params, x, y).exact_zero
+        r, = check_reflection(ctx, "matrix", None, None, params, x, y)
+        assert r.exact_zero
 
 
 def test_reflection_trivial_x_equals_y_one(ctx):
     rng = seeded(89)
     params = rand_params(ctx, rng, need_k=True)
     one = Spectral.q_power(0)
-    assert check_reflection(ctx, "matrix", None, None, params, one, one).exact_zero
+    r, = check_reflection(ctx, "matrix", None, None, params, one, one)
+    assert r.exact_zero
 
 
 def test_reflection_detects_perturbed_k(ctx):
@@ -129,7 +133,7 @@ def test_operator_reflection_all_variants(ctx):
         for variant, kw in zeroing.items():
             params = rand_params(ctx, rng, need_k=(variant != "diagonal"), **kw)
             x, y = spectral(rng), spectral(rng)
-            r = check_reflection(ctx, "operator", variant, rep, params, x, y)
+            r, = check_reflection(ctx, "operator", variant, rep, params, x, y)
             assert r.exact_zero, (variant, n)
 
 
@@ -365,7 +369,7 @@ def test_onsager_candidate_pole_raises():
 def test_appendix_zero_coefficient_trivial(ctx):
     rep = make_irrep(ctx, 3)
     for ident in (1, 3, 7, 12, 13):
-        r = check_appendix(ctx, ident, rep, 0, 1, 1)
+        r, = check_appendix(ctx, ident, rep, 0, 1, 1)
         assert r.exact_zero
 
 
@@ -379,14 +383,14 @@ def test_appendix_all_identities_random_draws(ctx):
             b = Fraction(rng.choice(halves), 2)
             c = Fraction(rng.choice(halves), 2)
             for ident in range(1, 14):
-                r = check_appendix(ctx, ident, rep, a, b, c)
+                r, = check_appendix(ctx, ident, rep, a, b, c)
                 assert r.exact_zero, (ident, n, a, b, c)
 
 
 def test_appendix_paper_pinned_cases(ctx):
-    r = check_appendix(ctx, 1, make_irrep(ctx, 3), 1, 1, 1)
+    r, = check_appendix(ctx, 1, make_irrep(ctx, 3), 1, 1, 1)
     assert r.exact_zero
-    r = check_appendix(ctx, 3, make_irrep(ctx, 4), "2/3", Fraction(1, 2), 1)
+    r, = check_appendix(ctx, 3, make_irrep(ctx, 4), "2/3", Fraction(1, 2), 1)
     assert r.exact_zero
 
 
@@ -401,7 +405,7 @@ def test_appendix_numeric_trivial_representation(nctx):
     float crumbs they leave behind."""
     rep = make_irrep(nctx, 1)
     for ident in range(1, 14):
-        r = check_appendix(nctx, ident, rep, -1.2142857142857142, 0, 0)
+        r, = check_appendix(nctx, ident, rep, -1.2142857142857142, 0, 0)
         assert r.residual < 1e-12, (ident, r.residual)
 
 

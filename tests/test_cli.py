@@ -1,13 +1,16 @@
 """Suite runner and command-line driver: config handling, determinism,
 report round-trips, exit codes."""
 
+import itertools
 import json
 import re
 import shlex
+import time
 from pathlib import Path
 
 import pytest
 
+from qreflect import checks
 from qreflect.checks import CheckReport
 from qreflect.cli import config_from_args, build_arg_parser, main, parse_config_file
 from qreflect.scalars import ScalarContext
@@ -44,6 +47,28 @@ def test_run_suite_deterministic_content():
     da = emit_report(a, "json", small_config(suite="reflection"))
     db = emit_report(b, "json", small_config(suite="reflection"))
     assert da == db
+
+
+def test_each_report_of_a_call_is_timed_on_its_own(monkeypatch):
+    """A fake clock advances 1 ms per read, and each residual reads it once
+    per matrix row, so a larger identity takes longer.  Every report of one
+    check call used to carry the call's total time."""
+    ticks = itertools.count()
+    monkeypatch.setattr(time, "perf_counter", lambda: next(ticks) / 1000)
+    residual = checks.residual
+
+    def sized_residual(lhs, rhs):
+        for _ in range(lhs.size):
+            time.perf_counter()
+        return residual(lhs, rhs)
+
+    monkeypatch.setattr(checks, "residual", sized_residual)
+    reports = run_suite(small_config(suite="symmetries"))
+    elapsed = {r.name: r.elapsed_ms for r in reports}
+    assert len(reports) == len(elapsed) == 22  # one check_symmetries call
+    assert len(set(elapsed.values())) > 1
+    # L on V_2 (x) C^2 is 4x4, an evaluated generator 2x2
+    assert elapsed["symmetry/sigma_L"] > elapsed["symmetry/ev_sigma_e0"]
 
 
 def test_json_report_round_trip():
@@ -278,6 +303,29 @@ def test_config_file_errors(tmp_path):
     args = ap.parse_args(["--config", str(bad)])
     with pytest.raises(ConfigError):
         config_from_args(args)
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "binary"])
+def test_cli_unreadable_config_file_is_a_config_error(kind, tmp_path, capsys):
+    # these ended in a FileNotFoundError, IsADirectoryError or
+    # UnicodeDecodeError traceback with exit 1, the code of a failed check
+    path = {"missing": tmp_path / "missing.cfg", "directory": tmp_path,
+            "binary": tmp_path / "binary.cfg"}[kind]
+    (tmp_path / "binary.cfg").write_bytes(b"\xff\xfe\x00seed = 1\n")
+    assert main(["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(path) in err
+
+
+def test_cli_report_path_in_missing_directory_is_a_config_error(tmp_path,
+                                                                capsys):
+    # this ended in a FileNotFoundError traceback with exit 1
+    out = tmp_path / "missing" / "r.json"
+    assert main(["--suite", "ybe", "--dims", "2", "--draws", "1",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(out) in err
+    assert not out.parent.exists()
 
 
 def test_numeric_suite_residuals_small():

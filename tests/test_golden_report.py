@@ -5,6 +5,10 @@ verdict, a residual float or a detail string shows up here.
 A change that alters a report on purpose updates the hash and says why.
 The numeric hash also depends on the platform's floating point and LAPACK
 (numpy.linalg.eig); the exact hash depends on nothing but the code.
+
+The exact golden config is also run with q pinned to rational squares, a
+second route to every exact verdict: at a pinned q every scalar is a
+constant, so none of the polynomial multiply, division and gcd code runs.
 """
 
 import hashlib
@@ -29,6 +33,31 @@ def canonical_sha256(config: SuiteConfig) -> str:
     for check in doc["checks"]:
         del check["elapsed_ms"]
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def verdicts(config: SuiteConfig) -> dict:
+    """(name, params) -> the (exact_zero, is_finding) of its reports."""
+    out = {}
+    for r in run_suite(config):
+        key = (r.name, json.dumps(r.params, sort_keys=True, default=str))
+        out.setdefault(key, []).append((r.exact_zero, r.is_finding))
+    return out
+
+
+@pytest.fixture(scope="module")
+def symbolic_verdicts():
+    return verdicts(SuiteConfig(**GOLDEN[0][0]))
+
+
+@pytest.mark.parametrize("q", ["49/25", "9/4", "121/49"])
+def test_pinned_q_agrees_with_symbolic_verdicts(q, symbolic_verdicts):
+    pinned = verdicts(SuiteConfig(**GOLDEN[0][0], q=q))
+    # a key that is missing here had its parameters redrawn after a pole
+    # at this q, so it has nothing to compare against
+    shared = symbolic_verdicts.keys() & pinned.keys()
+    assert shared
+    disagree = [k for k in shared if pinned[k] != symbolic_verdicts[k]]
+    assert not disagree, disagree[:5]
 
 
 @pytest.mark.parametrize("kwargs,digest", GOLDEN,
