@@ -27,7 +27,6 @@ from .representations import (
     cartan_power,
     casimir,
     casimir_value,
-    eval_generator,
     make_irrep,
     make_params,
     map_image,
@@ -39,7 +38,6 @@ from .koperators import (
     RepeatedEigenvalueError,
     build_K,
     build_K0_diagonal,
-    build_K_onsager_candidate,
     build_K_unfactored,
     build_K_upper_split,
     candidate_intertwining_sides,

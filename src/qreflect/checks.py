@@ -564,16 +564,17 @@ def check_appendix(ctx: ScalarContext, ident: int, rep: Irrep, a, b, c):
         exp_{q^-2}^{+-1}(a G q^{bH}) . M q^{cH} . exp_{q^-2}^{-+1}(a G q^{bH})
 
     for G in {E, F} and M in {1, E, F} (in that order per family); ident 13 is
-    the Hadamard recursion itself with A = a E q^{bH}, B = F q^{cH}.
+    the Hadamard recursion itself with A = a E q^{bH}, B = F q^{cH}.  The
+    report names a by the text of the value passed (the suite passes its
+    drawn rational string), the same on both backends.
     """
     if ident not in _APPENDIX:
         raise ValueError("appendix identity index must be 1..13")
     g, m, inverse_first = _APPENDIX[ident]
     b = Fraction(b)
     c = Fraction(c)
+    pd = {"id": ident, "n": rep.dim, "a": str(a), "b": str(b), "c": str(c)}
     a = ctx.scalar(a)
-    pd = {"id": ident, "n": rep.dim, "a": str(a) if ctx.is_exact else repr(a),
-          "b": str(b), "c": str(c)}
     qcH = cartan_power(rep, c)
     gens = {"E": rep.e_mat, "F": rep.f_mat}
     word = gens[g] * cartan_power(rep, b)

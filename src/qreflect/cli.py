@@ -10,6 +10,7 @@ check failed, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import sys
 import typing
@@ -121,22 +122,31 @@ def config_from_args(args) -> SuiteConfig:
     return config
 
 
+def _report_stream(path):
+    """stdout, or the --out file opened before the run, so that an unwritable
+    path is a config error at once; like a shell redirection, it truncates."""
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise ConfigError(f"cannot write the report to {path}: {exc.strerror}")
+
+
 def main(argv=None) -> int:
     ap = build_arg_parser()
     args = ap.parse_args(argv)
     try:
         config = config_from_args(args)
-        reports = run_suite(config)
-        text = emit_report(reports, args.report, config)
-        if args.out:
+        with _report_stream(args.out) as out:
+            reports = run_suite(config)
+            text = emit_report(reports, args.report, config)
             try:
-                with open(args.out, "w") as fh:
-                    fh.write(text)
+                out.write(text)
+                out.flush()
             except OSError as exc:
-                raise ConfigError(
-                    f"cannot write the report to {args.out}: {exc.strerror}")
-        else:
-            sys.stdout.write(text)
+                raise ConfigError(f"cannot write the report to "
+                                  f"{args.out or 'stdout'}: {exc.strerror}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -11,15 +11,15 @@ overall-factor freedom is used):
 
 (which of k+ / k- each one needs to vanish is stated in VARIANTS), plus the
 q-Onsager candidate for k+ k- != 0 (spectral function of the
-evaluated W1 generator), which is diagonalizable in the exact field only in
-its triangular degenerations.
+evaluated W1 generator), which has no factored form.
 
 Every family also has an unfactored form: the spectral function
 
     z -> (-q^-1 x^s  z / eps; q^-2)_inf / (-q^-1 x^-s z / eps; q^-2)_inf
 
-applied to the eigenvalues of a (triangular) one-generator argument.  With
-x = q^m the ratio telescopes, so the exact backend needs no infinite series.
+applied to a one-generator argument M.  With x = q^m the ratio telescopes to
+a matrix polynomial P in M (P^-1 when t = m s < 0), so the exact backend
+needs neither an infinite series nor an eigenvalue.
 """
 
 from __future__ import annotations
@@ -35,12 +35,9 @@ from .representations import (
     weight_diagonal,
 )
 from .scalars import (
-    MAX_TERMS,
-    TRUNCATION_TOL,
     PoleError,
     ScalarContext,
     Spectral,
-    poch_infinite_truncated,
     poch_ratio_numeric,
     poch_ratio_telescoped,
     q_factorial,
@@ -76,7 +73,7 @@ VARIANTS = {
 
 
 class NonNilpotentError(ValueError):
-    """q_exp_nilpotent got a non-nilpotent matrix on the exact backend."""
+    """q_exp_nilpotent got a matrix whose powers do not vanish by its size."""
 
 
 class RepeatedEigenvalueError(ValueError):
@@ -107,8 +104,9 @@ def q_exp_nilpotent(ctx: ScalarContext, mat: Matrix, inverse: bool = False) -> M
     """q-exponential exp_{q^-2}(M) of a nilpotent matrix (finite sum).
 
     inverse=True returns exp_{q^-2}^-1(M) = exp_{q^2}(-M); the two are exact
-    two-sided inverses.  On the numeric backend a non-nilpotent argument is
-    summed until the term norm drops below the truncation tolerance.
+    two-sided inverses.  Every caller passes an E- or F-word, whose powers
+    vanish by the size bound on both backends; a matrix whose powers do not
+    raises NonNilpotentError.
     """
     base = 2 if inverse else -2
     sign = -1 if inverse else 1
@@ -116,18 +114,13 @@ def q_exp_nilpotent(ctx: ScalarContext, mat: Matrix, inverse: bool = False) -> M
     power = mat
     k = 1
     while not power.is_zero():
-        if ctx.is_exact and k > mat.size:
+        if k > mat.size:
             raise NonNilpotentError(
                 f"matrix is not nilpotent: M^{k} != 0 past the size bound")
         term = power.divided(q_factorial(ctx, k, base))
         if sign < 0 and k % 2:
             term = -term
         acc = acc + term
-        if not ctx.is_exact:
-            if term.max_abs() < TRUNCATION_TOL * max(acc.max_abs(), 1.0):
-                break
-            if k > MAX_TERMS:
-                raise NonNilpotentError("numeric q-exponential did not converge")
         k += 1
         power = power * mat
     return acc
@@ -179,23 +172,17 @@ def kappa(ctx: ScalarContext, params: ParamSet, x: Spectral):
 
         kappa(x) = (-(e-/e+) x^s q^-2; q^-2)_inf / (e+ (-(e-/e+) x^-s; q^-2)_inf)
 
-    Exactly the telescoped ratio of B = -(e-/e+) q^-1 at offset m*s - 1,
-    divided by eps+.
+    the Pochhammer ratio of B = -(e-/e+) q^-1 at x^s q^-1 (exactly: telescoped
+    at offset m*s - 1), divided by eps+.
     """
     p = params
-    ratio = p.eps_minus / p.eps_plus
+    b = -(p.eps_minus / p.eps_plus * ctx.q(-1))
     if ctx.is_exact:
         if x.exp is None:
             raise ValueError("exact backend needs x = q^m")
-        b = -(ratio * ctx.q(-1))
         return poch_ratio_telescoped(ctx, b, x.exp * p.s - 1) / p.eps_plus
-    xs = ctx.x_power(x, p.s)
-    step = ctx.q(-2)
-    num = poch_infinite_truncated(ctx, -(ratio * xs * step), step)
-    den = poch_infinite_truncated(ctx, -(ratio / xs), step)
-    if abs(den) < 1e-300:
-        raise PoleError("kappa denominator product vanished")
-    return num / (p.eps_plus * den)
+    up = ctx.x_power(x, p.s) * ctx.q(-1)
+    return poch_ratio_numeric(ctx, b, up, 1 / up) / p.eps_plus
 
 
 def _frame(variant: str, params: ParamSet):
@@ -228,7 +215,7 @@ def build_K(spec: KOperatorSpec, rep: Irrep) -> Matrix:
     fam = VARIANTS[spec.variant]
     if not fam.triangular:
         raise ValueError("the q-Onsager candidate has no factored form; "
-                         "use build_K_onsager_candidate")
+                         "use build_K_unfactored")
     eps, _, s, h, upper, lower, prefix_exp = _frame(spec.variant, p)
     core = build_K0_diagonal(rep, p, x, "plusH" if h > 0 else "minusH")
     prefix = spectral_cartan(rep, x, prefix_exp)
@@ -283,7 +270,8 @@ def _triangular_shape(mat: Matrix):
 
 
 def _triangular_eig(mat: Matrix):
-    """Exact eigendecomposition of a triangular matrix with distinct diagonal.
+    """Numeric eigendecomposition of a triangular matrix with distinct
+    diagonal, by substitution.
 
     Returns (V, eigenvalues, V^-1) with V unit-triangular.
     """
@@ -296,9 +284,7 @@ def _triangular_eig(mat: Matrix):
     eigs = [grid[i][i] for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            diff = eigs[i] - eigs[j]
-            collide = diff.is_zero() if ctx.is_exact else abs(diff) < 1e-12
-            if collide:
+            if abs(eigs[i] - eigs[j]) < 1e-12:
                 raise RepeatedEigenvalueError(
                     f"eigenvalues {i} and {j} collide; the spectral function "
                     "is ambiguous")
@@ -351,48 +337,43 @@ def _unitriangular_inverse(ctx, cols, n, shape):
 
 
 def _spectral_function(ctx: ScalarContext, spec: KOperatorSpec, eps, z):
-    """f(z) = (-q^-1 x^s z/eps; q^-2)_inf / (-q^-1 x^-s z/eps; q^-2)_inf."""
-    p = spec.params
-    x = spec.x
+    """Numeric f(z) = (-q^-1 x^s z/eps; q^-2)_inf / (-q^-1 x^-s z/eps; q^-2)_inf."""
     b = -(ctx.q(-1) * z / eps)
-    if ctx.is_exact:
-        return poch_ratio_telescoped(ctx, b, x.exp * p.s)
-    xs = ctx.x_power(x, p.s)
+    xs = ctx.x_power(spec.x, spec.params.s)
     return poch_ratio_numeric(ctx, b, xs, 1 / xs)
 
 
 def build_K_unfactored(spec: KOperatorSpec, rep: Irrep) -> Matrix:
-    """K-operator as the spectral function of its one-generator argument.
+    """K-operator as the spectral function of its one-generator argument M.
 
-    Triangular arguments are diagonalized exactly (their eigenvalues sit on
-    the diagonal).  The non-triangular k+ k- != 0 candidate needs no
-    eigenvalues at all on the exact backend: with x = q^m the telescoped
-    spectral function is a matrix polynomial P in the argument, so for
-    t = m s >= 0 the operator is the finite product x^{s0 H} P.  For t < 0 it
-    is x^{s0 H} P^-1, which is never formed: `candidate_intertwining_sides`
-    certifies it in a form cleared of P^-1, and this function raises
-    ValueError.  The numeric backend diagonalizes instead, giving an
-    independent route.
+    On the exact backend x = q^m and the telescoped spectral function is a
+    matrix polynomial P in M, for every family: at t = m s >= 0 the operator
+    is the finite product x^{s0 H} P (x^{-s1 H} P for the alternate
+    families).  At t < 0 it is x^{s0 H} P^-1, which is never formed: this
+    function raises ValueError, and the cleared relation K P = x^{s0 H} (or
+    `candidate_intertwining_sides` for the candidate) certifies it.  The
+    numeric backend takes eigenvalues instead, by substitution for a
+    triangular M and by `np.linalg.eig` otherwise, giving an independent
+    route.
     """
     ctx = rep.ctx
     spec.validate(ctx)
-    if ctx.is_exact and spec.x.exp is None:
-        raise ValueError("exact backend needs x = q^m")
-    arg = _spectral_argument(rep, spec)
     _, eps, *_, prefix_exp = _frame(spec.variant, spec.params)
-
-    if _triangular_shape(arg) is not None:
-        v, eigs, v_inv = _triangular_eig(arg)
-        fvals = [_spectral_function(ctx, spec, eps, z) for z in eigs]
-        core = v * Matrix.diagonal(ctx, fvals) * v_inv
-    elif ctx.is_exact:
+    if ctx.is_exact:
+        if spec.x.exp is None:
+            raise ValueError("exact backend needs x = q^m")
         if _telescoped_t(spec) < 0:
-            raise ValueError("at t = m s < 0 the exact candidate is the inverse "
-                             "of a matrix polynomial; use "
-                             "candidate_intertwining_sides")
-        core = _polynomial_spectral_core(ctx, spec, eps, arg)
+            raise ValueError("at t = m s < 0 the exact K-operator C P^-1 is "
+                             "never formed; certify the cleared K P = C")
+        core = _polynomial_spectral_core(spec, rep)
     else:
-        core = _numeric_spectral_core(ctx, spec, eps, arg)
+        arg = _spectral_argument(rep, spec)
+        if _triangular_shape(arg) is not None:
+            v, eigs, v_inv = _triangular_eig(arg)
+            fvals = [_spectral_function(ctx, spec, eps, z) for z in eigs]
+            core = v * Matrix.diagonal(ctx, fvals) * v_inv
+        else:
+            core = _numeric_spectral_core(ctx, spec, eps, arg)
     return spectral_cartan(rep, spec.x, prefix_exp) * core
 
 
@@ -400,15 +381,20 @@ def _telescoped_t(spec: KOperatorSpec) -> int:
     return spec.x.exp * spec.params.s
 
 
-def _polynomial_spectral_core(ctx, spec, eps, arg: Matrix) -> Matrix:
-    """P = prod_{j<|t|} (1 + q^{|t|-2j-1} M / eps).
+def _polynomial_spectral_core(spec: KOperatorSpec, rep: Irrep) -> Matrix:
+    """P = prod_{j<|t|} (1 + q^{|t|-2j-1} M / eps) for the spectral argument M.
 
-    This is the telescoped spectral function applied directly to the matrix
-    argument (no eigenvalues are needed): f(M) = P for t >= 0 and P^-1 for
-    t < 0.  For t < 0 each factor is tested for singularity by a
-    fraction-free determinant; det P is their product, so PoleError is
-    raised exactly when P has no inverse.
+    This is the telescoped spectral function applied directly to M (no
+    eigenvalues are needed): f(M) = P for t >= 0 and P^-1 for t < 0.  For
+    t < 0 each factor is tested for singularity by a fraction-free
+    determinant; det P is their product, so PoleError is raised exactly when
+    P has no inverse.  For a triangular M that is exactly when a factor of
+    the telescoped scalar ratio vanishes at an eigenvalue, as in
+    `build_K0_diagonal`.
     """
+    ctx = rep.ctx
+    arg = _spectral_argument(rep, spec)
+    _, eps, *_ = _frame(spec.variant, spec.params)
     t = _telescoped_t(spec)
     n = arg.size
     core = Matrix.identity(ctx, n)
@@ -443,30 +429,22 @@ def _numeric_spectral_core(ctx, spec, eps, arg: Matrix) -> Matrix:
     return Matrix(ctx, n, entries)
 
 
-def build_K_onsager_candidate(rep: Irrep, params: ParamSet, x: Spectral) -> Matrix:
-    """The k+ k- != 0 candidate: x^{s0 H} times the spectral function of the
-    evaluated W1 generator.  Reduces to the upper family at k- = 0 and to the
-    lower family at k+ = 0.
-
-    The candidate intertwines W1 identically but fails the W0 relation for
-    generic spectral points; at x^s = q^{-1}, 1, q (where the spectral
-    function is constant or a single linear factor) it satisfies both.
-    On the exact backend at t = m s < 0 it is not formed (ValueError); its
-    relations are certified by `candidate_intertwining_sides`.
-    """
-    spec = KOperatorSpec("onsager_candidate", params, x)
-    return build_K_unfactored(spec, rep)
-
-
 def candidate_intertwining_sides(rep: Irrep, params: ParamSet, x: Spectral,
                                  pairs) -> tuple:
     """Both sides of ev_{1/x}(a) K = K ev_x(a) for the q-Onsager candidate K,
     one (lhs, rhs) per (ev_{1/x}(a), ev_x(a)) pair; returns (sides, cleared).
 
+    The candidate is x^{s0 H} times the spectral function of the evaluated
+    W1 generator; it reduces to the upper family at k- = 0 and to the lower
+    family at k+ = 0.  It intertwines W1 identically but fails the W0
+    relation for generic spectral points; at x^s = q^{-1}, 1, q (where the
+    spectral function is constant or a single linear factor) it satisfies
+    both.
+
     Wherever K can be formed the sides are (left K, K right).  On the exact
-    backend with a non-triangular argument and t = m s < 0, K = C P^-1 with
-    C = x^{s0 H} and P the telescoped matrix polynomial; C and P are
-    invertible, so the relation holds exactly when
+    backend at t = m s < 0, K = C P^-1 with C = x^{s0 H} and P the
+    telescoped matrix polynomial; C and P are invertible, so the relation
+    holds exactly when
 
         P (C^-1 left C) = right P,
 
@@ -476,15 +454,11 @@ def candidate_intertwining_sides(rep: Irrep, params: ParamSet, x: Spectral,
     """
     ctx = rep.ctx
     spec = KOperatorSpec("onsager_candidate", params, x)
-    cleared = False
-    if ctx.is_exact and x.exp is not None and _telescoped_t(spec) < 0:
-        arg = _spectral_argument(rep, spec)
-        cleared = _triangular_shape(arg) is None
-    if not cleared:
+    if not (ctx.is_exact and x.exp is not None and _telescoped_t(spec) < 0):
         k = build_K_unfactored(spec, rep)
         return [(left * k, k * right) for left, right in pairs], False
-    _, eps, *_, prefix_exp = _frame(spec.variant, params)
-    p = _polynomial_spectral_core(ctx, spec, eps, arg)
+    *_, prefix_exp = _frame(spec.variant, params)
+    p = _polynomial_spectral_core(spec, rep)
     c = spectral_cartan(rep, x, prefix_exp)
     c_inv = spectral_cartan(rep, x, -prefix_exp)
     return [(p * (c_inv * left * c), right * p) for left, right in pairs], True

@@ -299,23 +299,6 @@ def eval_affine_expr(rep: Irrep, params: ParamSet, x: Spectral, expr) -> Matrix:
     return out
 
 
-def eval_generator(rep: Irrep, params: ParamSet, gen: str, x: Spectral,
-                   xi=1) -> Matrix:
-    """Evaluation-map image of a single affine generator.
-
-    gen is one of e0, f0, e1, f1, h0-power, h1-power; xi applies to the
-    Cartan powers q^(xi h_i).
-    """
-    table = {
-        "e0": (e_atom(0),), "f0": (f_atom(0),),
-        "e1": (e_atom(1),), "f1": (f_atom(1),),
-        "h0-power": (hq_atom(0, xi),), "h1-power": (hq_atom(1, xi),),
-    }
-    if gen not in table:
-        raise ValueError(f"unknown generator {gen!r}")
-    return eval_affine_word(rep, params, x, table[gen])
-
-
 def affine_sigma(word):
     """Index swap 0 <-> 1 on affine atoms."""
     out = []

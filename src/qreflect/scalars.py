@@ -225,18 +225,6 @@ class LaurentPolynomial:
             k >>= 1
         return out
 
-    def scale(self, c):
-        n, d = _pair(c)
-        if not n or not self.prim:
-            return _POLY_ZERO
-        return _poly(*_times(self.cn, self.cd, n, d), self.prim)
-
-    def shift(self, k: int):
-        """Multiply by v^k."""
-        if not k:
-            return self
-        return _poly(self.cn, self.cd, {e + k: c for e, c in self.prim.items()})
-
     def __eq__(self, other):
         return (isinstance(other, LaurentPolynomial) and self.prim == other.prim
                 and self.cn == other.cn and self.cd == other.cd)

@@ -4,7 +4,8 @@ with its runtime and asserting the stated budget and tolerance."""
 import time
 from fractions import Fraction
 
-from conftest import mat_equals, rand_params, seeded
+from conftest import agrees_with_unfactored, mat_equals, rand_params, seeded
+from qreflect import koperators
 from qreflect.checks import (
     check_appendix,
     check_aux_lemmas,
@@ -21,7 +22,6 @@ from qreflect.koperators import (
     KOperatorSpec,
     build_K,
     build_K0_diagonal,
-    build_K_unfactored,
     build_K_upper_split,
     kappa,
 )
@@ -38,6 +38,7 @@ from qreflect.representations import (
     weight_diagonal,
 )
 from qreflect.scalars import ScalarContext, Spectral
+from qreflect.suite import SuiteConfig, run_suite
 
 EXACT = ScalarContext()
 
@@ -193,29 +194,34 @@ def test_criterion_07_fundamental_k_reduction():
                 kl, build_K_scalar(ctx, pl, x).scaled(kappa(ctx, pl, x)))
 
 
+def form_equivalence_draws(ctx, rng) -> int:
+    """factored = unfactored = split prefactor forms on n <= 4; at t < 0 the
+    unfactored form is checked cleared of P^-1.  Returns the draw count."""
+    draws = 0
+    for n in (2, 3, 4):
+        rep = make_irrep(ctx, n)
+        for _ in range(7):
+            x = spectral_choice(rng)
+            pu = rand_params(ctx, rng, k_minus_zero=True, need_k=True)
+            spec = KOperatorSpec("upper", pu, x)
+            a = build_K(spec, rep)
+            assert agrees_with_unfactored(a, spec, rep)
+            assert mat_equals(a, build_K_upper_split(rep, pu, x))
+            pl = rand_params(ctx, rng, k_plus_zero=True, need_k=True)
+            for variant, par in (("lower", pl), ("upper_alt", pl),
+                                 ("lower_alt", pu)):
+                s2 = KOperatorSpec(variant, par, x)
+                assert agrees_with_unfactored(build_K(s2, rep), s2, rep), variant
+            draws += 1
+    return draws
+
+
 def test_criterion_08_form_equivalence():
     ctx = EXACT
     rng = seeded(1008)
     with Criterion(8, 30, "factored = unfactored = split prefactor forms, "
                           "n <= 4, 20 parameter sets"):
-        draws = 0
-        for n in (2, 3, 4):
-            rep = make_irrep(ctx, n)
-            for _ in range(7):
-                x = spectral_choice(rng)
-                pu = rand_params(ctx, rng, k_minus_zero=True, need_k=True)
-                spec = KOperatorSpec("upper", pu, x)
-                a = build_K(spec, rep)
-                assert mat_equals(a, build_K_unfactored(spec, rep))
-                assert mat_equals(a, build_K_upper_split(rep, pu, x))
-                pl = rand_params(ctx, rng, k_plus_zero=True, need_k=True)
-                for variant, par in (("lower", pl), ("upper_alt", pl),
-                                     ("lower_alt", pu)):
-                    s2 = KOperatorSpec(variant, par, x)
-                    assert mat_equals(build_K(s2, rep),
-                                      build_K_unfactored(s2, rep)), variant
-                draws += 1
-        assert draws >= 20
+        assert form_equivalence_draws(ctx, rng) >= 20
         # k+ = k- = 0 degeneration reproduces the diagonal solution
         for n in (2, 3, 4):
             rep = make_irrep(ctx, n)
@@ -225,6 +231,21 @@ def test_criterion_08_form_equivalence():
                     * build_K0_diagonal(rep, p0, x))
             for variant in ("upper", "lower", "diagonal"):
                 assert mat_equals(build_K(KOperatorSpec(variant, p0, x), rep), diag)
+
+
+def test_exact_k_operators_take_no_eigenvalue(monkeypatch):
+    """The exact backend reaches every unfactored K through the telescoped
+    matrix polynomial: with the eigenvalue helpers made to raise, the exact
+    onsager suite and the form-equivalence draws still run to the end."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an exact K-operator took an eigenvalue")
+
+    for name in ("_triangular_eig", "_unitriangular_inverse",
+                 "_spectral_function"):
+        monkeypatch.setattr(koperators, name, forbidden)
+    reports = run_suite(SuiteConfig(suite="onsager", dims=(2, 3), seed=7))
+    assert reports and all(r.exact_zero is not None for r in reports)
+    assert form_equivalence_draws(EXACT, seeded(1008)) >= 20
 
 
 def test_criterion_09_coideal_algebras():

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from qreflect import checks
+from qreflect import checks, cli
 from qreflect.checks import CheckReport
 from qreflect.cli import config_from_args, build_arg_parser, main, parse_config_file
 from qreflect.scalars import ScalarContext
@@ -326,6 +326,31 @@ def test_cli_report_path_in_missing_directory_is_a_config_error(tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("config error:") and str(out) in err
     assert not out.parent.exists()
+
+
+def test_cli_checks_the_report_path_before_the_run(tmp_path, monkeypatch,
+                                                   capsys):
+    # an unwritable --out path used to be reported only after the whole run
+    def reached(config):
+        raise AssertionError("the suite ran before --out was opened")
+
+    monkeypatch.setattr(cli, "run_suite", reached)
+    out = tmp_path / "missing" / "r.json"
+    assert main(["--suite", "ybe", "--dims", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(out) in err
+
+
+def test_appendix_reports_share_keys_across_backends():
+    """The appendix reports name a by the drawn rational, so the exact and
+    the numeric run of one seed can be paired by (name, params)."""
+    def keys(**kw):
+        config = SuiteConfig(suite="appendix", dims=(2, 3), seed=7, **kw)
+        return [(r.name, json.dumps(r.params, sort_keys=True))
+                for r in run_suite(config)]
+
+    exact = keys()
+    assert exact and exact == keys(backend="numeric", q="1.4+0.3i")
 
 
 def test_numeric_suite_residuals_small():

@@ -20,11 +20,14 @@ from qreflect.suite import SuiteConfig, emit_report, run_suite
 
 GOLDEN = [
     # the two t < 0 onsager/int_W0 details show an entry of the residual
-    # cleared by P (P C^-1 D P); every verdict is as before
+    # cleared by P (P C^-1 D P); every verdict is as before.  Both hashes
+    # moved once when the appendix reports began to name a by the drawn
+    # rational string ("-11/1", not a scalar's text), which also reorders
+    # the appendix reports among themselves; nothing else changed
     (dict(seed=7, dims=(2, 3)),
-     "138b0aac1eea1dcb9e94c757ff654c5ea040e34cda9cb1a51792f8152b969774"),
+     "a519ff07be876020059c55dc50caf302dbf2b754e710e5177d55b9de69883741"),
     (dict(seed=7, dims=(2, 3), backend="numeric", q="1.4+0.3i"),
-     "23281b402a7abef3b370eecf6df7d2d3feb7eeecdfd2a91a14ac6d352e6029c3"),
+     "445b58f6b9a1960cf0ba283f4d386007161ea38e7bf9eec023b484dfa72aea43"),
 ]
 
 

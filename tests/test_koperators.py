@@ -3,7 +3,7 @@ families, form equivalences, fundamental reductions, and the candidate."""
 
 import pytest
 
-from conftest import mat_equals, rand_params, seeded
+from conftest import agrees_with_unfactored, mat_equals, rand_params, seeded
 from qreflect.checks import (
     finite_iota_matrix,
     finite_sigma_matrix,
@@ -14,12 +14,15 @@ from qreflect.koperators import (
     KOperatorSpec,
     NonNilpotentError,
     RepeatedEigenvalueError,
+    _polynomial_spectral_core,
     _spectral_argument,
+    _telescoped_t,
+    _triangular_eig,
     build_K,
     build_K0_diagonal,
-    build_K_onsager_candidate,
     build_K_unfactored,
     build_K_upper_split,
+    candidate_intertwining_sides,
     kappa,
     q_exp_nilpotent,
 )
@@ -35,6 +38,7 @@ from qreflect.representations import (
     spectral_cartan,
 )
 from qreflect.scalars import (
+    PoleError,
     ScalarContext,
     Spectral,
     poch_infinite_truncated,
@@ -246,25 +250,30 @@ def test_fundamental_reduction_upper_lower(ctx):
 
 
 def test_factored_unfactored_split_agree(ctx):
+    """At t = m s < 0 (here s < 0) the unfactored form is checked cleared
+    of P^-1, as k P = C."""
     rng = seeded(47)
     x = Spectral.q_power(1)
+    signs = set()
     for n in (2, 3, 4):
         rep = make_irrep(ctx, n)
         for _ in range(5):
             pu = upper_params(ctx, rng)
             a = build_K(KOperatorSpec("upper", pu, x), rep)
-            b = build_K_unfactored(KOperatorSpec("upper", pu, x), rep)
             c = build_K_upper_split(rep, pu, x)
-            assert mat_equals(a, b)
+            assert agrees_with_unfactored(a, KOperatorSpec("upper", pu, x), rep)
             assert mat_equals(a, c)
             pl = lower_params(ctx, rng)
             for variant in ("lower", "upper_alt"):
-                f = build_K(KOperatorSpec(variant, pl, x), rep)
-                u = build_K_unfactored(KOperatorSpec(variant, pl, x), rep)
-                assert mat_equals(f, u), variant
-            la = build_K(KOperatorSpec("lower_alt", pu, x), rep)
-            lu = build_K_unfactored(KOperatorSpec("lower_alt", pu, x), rep)
-            assert mat_equals(la, lu)
+                spec = KOperatorSpec(variant, pl, x)
+                assert agrees_with_unfactored(build_K(spec, rep), spec, rep), variant
+            spec = KOperatorSpec("lower_alt", pu, x)
+            assert agrees_with_unfactored(build_K(spec, rep), spec, rep)
+            signs |= {pu.s < 0, pl.s < 0}
+    assert signs == {False, True}
+    with pytest.raises(ValueError):
+        build_K_unfactored(KOperatorSpec("upper", upper_params(
+            ctx, rng, s_range=(-1,)), x), make_irrep(ctx, 2))
 
 
 def test_variants_swap_under_sigma_iota(ctx):
@@ -322,11 +331,11 @@ def test_candidate_degenerations_exact(ctx):
     rep = make_irrep(ctx, 3)
     x = Spectral.q_power(1)
     pu = upper_params(ctx, rng)
-    cand = build_K_onsager_candidate(rep, pu, x)
-    assert mat_equals(cand, build_K(KOperatorSpec("upper", pu, x), rep))
+    assert agrees_with_unfactored(build_K(KOperatorSpec("upper", pu, x), rep),
+                                  KOperatorSpec("onsager_candidate", pu, x), rep)
     pl = lower_params(ctx, rng)
-    cand = build_K_onsager_candidate(rep, pl, x)
-    assert mat_equals(cand, build_K(KOperatorSpec("lower", pl, x), rep))
+    assert agrees_with_unfactored(build_K(KOperatorSpec("lower", pl, x), rep),
+                                  KOperatorSpec("onsager_candidate", pl, x), rep)
 
 
 def test_candidate_exact_polynomial_route(ctx):
@@ -347,12 +356,14 @@ def test_candidate_exact_polynomial_route(ctx):
                                       ("eps_plus", "eps_minus", "k_plus",
                                        "k_minus")),
                               s0=params.s0, s1=params.s1)
-        k_num = build_K_onsager_candidate(make_irrep(nctx, 3), nparams, x)
+        k_num = build_K_unfactored(
+            KOperatorSpec("onsager_candidate", nparams, x), make_irrep(nctx, 3))
         rep = make_irrep(ctx, 3)
         t = m * params.s
         negative_t.append(t < 0)
         if t >= 0:
-            k_exact = build_K_onsager_candidate(rep, params, x)
+            k_exact = build_K_unfactored(
+                KOperatorSpec("onsager_candidate", params, x), rep)
             target, k_num_mat = k_exact, k_num
         else:
             w1 = eval_affine_expr(rep, params, x,
@@ -380,15 +391,41 @@ def test_candidate_numeric_general():
     params = make_params(nctx, "3/2", "-5/7", k_plus="2/3", k_minus="1/4",
                          s0=1, s1=1)
     rep = make_irrep(nctx, 2)
-    k = build_K_onsager_candidate(rep, params, Spectral.q_power(1))
+    k = build_K_unfactored(
+        KOperatorSpec("onsager_candidate", params, Spectral.q_power(1)), rep)
     assert k.max_abs() > 0
 
 
-def test_repeated_eigenvalues_detected():
-    # v = 1 means q = 1: every diagonal eigenvalue eps- q^-h collides
-    ctx = ScalarContext(v_value=1)
-    params = make_params(ctx, "3/2", "-5/7", s0=1, s1=1)
-    rep = make_irrep(ctx, 2)
+def test_repeated_eigenvalues_detected(nctx):
+    # a numeric triangular argument whose diagonal repeats an entry
+    mat = Matrix(nctx, 3, {(0, 0): 2 + 0j, (0, 1): 1 + 0j, (1, 1): 0.5 + 0j,
+                           (1, 2): 3 + 0j, (2, 2): 2 + 0j})
     with pytest.raises(RepeatedEigenvalueError):
-        build_K_unfactored(KOperatorSpec("diagonal", params, Spectral.q_power(0)),
-                           rep)
+        _triangular_eig(mat)
+    _triangular_eig(Matrix(nctx, 3, {**mat.entries, (2, 2): 1 + 0j}))
+
+
+@pytest.mark.parametrize("variant", [v for v, fam in VARIANTS.items()
+                                     if fam.triangular])
+def test_pole_agreement_at_negative_t(ctx, variant):
+    """eps+ = -eps- is the collision `Drawer.params` avoids.  On V_2 at
+    t = -2 the factors of P are 1 + q^{+-1} M / eps, and one of them is
+    singular exactly where a telescoping factor of a K0 entry vanishes, so
+    the cleared sides and the diagonal core both raise PoleError."""
+    fam = VARIANTS[variant]
+    rep = make_irrep(ctx, 2)
+    x = Spectral.q_power(-1)
+    params = make_params(ctx, "3/2", "-3/2",
+                         k_plus=0 if fam.k_plus_zero else "2/3",
+                         k_minus=0 if fam.k_minus_zero else "1/4", s0=1, s1=1)
+    spec = KOperatorSpec(variant, params, x)
+    assert _telescoped_t(spec) == -2
+    with pytest.raises(PoleError):
+        _polynomial_spectral_core(spec, rep)
+    with pytest.raises(PoleError):
+        build_K0_diagonal(rep, params, x, "plusH" if fam.alt else "minusH")
+    if not fam.alt:
+        # the candidate's frame at these parameters is this family's
+        eye = Matrix.identity(ctx, 2)
+        with pytest.raises(PoleError):
+            candidate_intertwining_sides(rep, params, x, [(eye, eye)])

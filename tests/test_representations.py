@@ -14,9 +14,12 @@ from qreflect.representations import (
     casimir,
     casimir_other_form,
     casimir_value,
-    eval_generator,
+    e_atom,
+    eval_affine_word,
     eval_word,
+    f_atom,
     h_atom,
+    hq_atom,
     make_irrep,
     make_params,
     map_image,
@@ -106,22 +109,20 @@ def test_eval_generator_examples(ctx):
     params = make_params(ctx, 1, 1, s0=1, s1=2)
     rep2 = make_irrep(ctx, 2)
     x = Spectral.q_power(3)
+
+    def ev(rep, atom, x):
+        return eval_affine_word(rep, params, x, (atom,))
+
     # e0 -> x^{s0} F
-    assert mat_equals(eval_generator(rep2, params, "e0", x),
-                      rep2.f_mat.scaled(ctx.x_power(x, 1)))
-    assert mat_equals(eval_generator(rep2, params, "h0-power", x, xi=0),
-                      Matrix.identity(ctx, 2))
+    assert mat_equals(ev(rep2, e_atom(0), x), rep2.f_mat.scaled(ctx.x_power(x, 1)))
+    assert mat_equals(ev(rep2, hq_atom(0, 0), x), Matrix.identity(ctx, 2))
     # h0 carries -H: q^{xi h0} -> q^{-xi H}
-    assert mat_equals(eval_generator(rep2, params, "h1-power", x, xi=1),
-                      cartan_power(rep2, 1))
-    assert mat_equals(eval_generator(rep2, params, "h0-power", x, xi=1),
-                      cartan_power(rep2, -1))
+    assert mat_equals(ev(rep2, hq_atom(1, 1), x), cartan_power(rep2, 1))
+    assert mat_equals(ev(rep2, hq_atom(0, 1), x), cartan_power(rep2, -1))
     rep3 = make_irrep(ctx, 3)
     xq = Spectral.q_power(1)
-    assert mat_equals(eval_generator(rep3, params, "e1", xq),
-                      rep3.e_mat.scaled(ctx.q(2)))
-    assert mat_equals(eval_generator(rep3, params, "f1", xq),
-                      rep3.f_mat.scaled(ctx.q(-2)))
+    assert mat_equals(ev(rep3, e_atom(1), xq), rep3.e_mat.scaled(ctx.q(2)))
+    assert mat_equals(ev(rep3, f_atom(1), xq), rep3.f_mat.scaled(ctx.q(-2)))
 
 
 def test_map_image_examples(ctx):

@@ -23,6 +23,9 @@ from qreflect.scalars import (
     rational,
 )
 
+const = LaurentPolynomial.constant      # the constant polynomial c
+vpow = LaurentPolynomial.v_power        # coeff * v^k
+
 
 def rand_poly(rng, terms=4, span=6):
     coeffs = {}
@@ -260,8 +263,8 @@ def test_integer_core_canonical_form():
         p = nonzero(rng, big_poly if rng.random() < 0.5 else rand_poly)
         q = big_poly(rng)
         routes = [
-            p.scale(rational(-3, 7)).scale(rational(-7, 3)),
-            p.shift(3).shift(-3),
+            p * const(rational(-3, 7)) * const(rational(-7, 3)),
+            p * vpow(3) * vpow(-3),
             (p * v ** 2) * LaurentPolynomial.v_power(-2),
             (p * q + p) - p * q,
             (p + q) - q,
@@ -281,38 +284,38 @@ def test_int_pair_content_routes():
     v = LaurentPolynomial.v_power(1)
     one = LaurentPolynomial.constant(1)
     # the cross gcds reduce a product: (6/35) * (7/10) = 3/25
-    a, b = (v + one).scale(rational(6, 35)), (v - one).scale(rational(7, 10))
+    a, b = (v + one) * const(rational(6, 35)), (v - one) * const(rational(7, 10))
     target = a * b
     assert (target.cn, target.cd, target.prim) == (3, 25, {2: 1, 0: -1})
     big = rational(2 ** 70 + 1, 3 ** 45)            # both parts above 2^64
     w = v + LaurentPolynomial.constant(3)           # monic, coprime to target
     # RationalExpression rescales the numerator by the denominator's content
     # and lowest exponent (_normalize_den)
-    rescaled = RationalExpression(target.scale(-big).shift(-4), w.scale(-big).shift(-4))
+    rescaled = RationalExpression(target * vpow(-4, -big), w * vpow(-4, -big))
     assert rescaled.den == w
     routes = [
         b * a,
-        (v ** 2 - one).scale("3/25"),
+        (v ** 2 - one) * const("3/25"),
         LaurentPolynomial({2: rational(3, 25), 0: rational(-3, 25)}),
         # a negative content: 1 - v^2 has leading coefficient -1
-        (one - v ** 2).scale(rational(-3, 25)),
-        target.scale(big).scale(1 / big),
+        (one - v ** 2) * const(rational(-3, 25)),
+        target * const(big) * const(1 / big),
         # exact quotients whose contents divide: (9/125) / (3/5) = 3/25,
         # and a divisor with a negative content above 2^64
-        poly_divexact((v ** 3 - v).scale(rational(9, 125)), v.scale(rational(3, 5))),
-        poly_divexact(target * w.scale(-big), w.scale(-big)),
+        poly_divexact((v ** 3 - v) * const(rational(9, 125)), v * const(rational(3, 5))),
+        poly_divexact(target * (w * const(-big)), w * const(-big)),
         rescaled.num,
-        RationalExpression(target.shift(2).scale(-7), w.shift(2).scale(-7)).num,
-        (RationalExpression(target.scale(big)) / RationalExpression.constant(big)).num,
+        RationalExpression(target * vpow(2, -7), w * vpow(2, -7)).num,
+        (RationalExpression(target * const(big)) / RationalExpression.constant(big)).num,
     ]
     for r in routes:
         assert_canonical(r)
         assert (r.cn, r.cd, r.prim) == (target.cn, target.cd, target.prim)
         assert r == target and hash(r) == hash(target)
-    for p in [a.scale(-big), -(a * b).scale(big), LaurentPolynomial.constant(-big),
-              LaurentPolynomial.v_power(-3, -big), poly_gcd(a.scale(big), b * a)]:
+    for p in [a * const(-big), -(a * b) * const(big), const(-big),
+              vpow(-3, -big), poly_gcd(a * const(big), b * a)]:
         assert_canonical(p)
-    neg = (-a).scale(big)
+    neg = -a * const(big)
     assert neg.cn < 0 and neg.cd > 0 and neg.cd.bit_length() > 64
     assert Fraction(neg.cn, neg.cd) == rational(-6, 35) * big
 
@@ -354,17 +357,17 @@ def test_exact_hot_path_builds_no_fraction(monkeypatch):
 def test_poly_divexact_integer_long_division():
     v = LaurentPolynomial.v_power(1)
     one, two = LaurentPolynomial.constant(1), LaurentPolynomial.constant(2)
-    assert poly_divexact(v ** 2 - one, two * v - two) == (v + one).scale(rational(1, 2))
-    assert poly_divexact(two * v ** 2 + v.scale(3) + one, two * v + one) == v + one
-    assert poly_divexact(v ** 3 + v, two * v) == (v ** 2 + one).scale(rational(1, 2))
+    assert poly_divexact(v ** 2 - one, two * v - two) == (v + one) * const(rational(1, 2))
+    assert poly_divexact(two * v ** 2 + v * const(3) + one, two * v + one) == v + one
+    assert poly_divexact(v ** 3 + v, two * v) == (v ** 2 + one) * const(rational(1, 2))
     # negative leading coefficient of the divisor, and negative exponents
     assert poly_divexact(one - v ** 2, one - v) == one + v
-    assert poly_divexact(one.shift(-2) - one, one.shift(-1) - one) == one.shift(-1) + one
+    assert poly_divexact(vpow(-2) - one, vpow(-1) - one) == vpow(-1) + one
     for a, b in [
         (v ** 2 + one, v + one),            # remainder 2
         (v ** 2 + one, one - v),            # the same, divisor leading -1
         (v ** 2 + one, two * v + one),      # first quotient digit 1/2
-        (v.shift(-3) + one, v - one),
+        (vpow(-3) + one, v - one),
     ]:
         with pytest.raises(ArithmeticError):
             poly_divexact(a, b)
@@ -396,7 +399,7 @@ def to_sympy(qq, dom, x):
 
 def lowest_zero(qq, ring, p):
     """p times v^-min_exp, in QQ[v]."""
-    return to_sympy(qq, ring, p.shift(-p.min_exp()))
+    return to_sympy(qq, ring, p * vpow(-p.min_exp()))
 
 
 def test_polynomials_against_sympy():
@@ -423,7 +426,7 @@ def test_polynomials_against_sympy():
         theirs = lowest_zero(qq, ring, x).gcd(lowest_zero(qq, ring, y))
         assert to_sympy(qq, ring, ours) == theirs.monic()
         assert ours.min_exp() == 0 and ours.coeffs[ours.max_exp()] == 1
-        assert poly_gcd(x.shift(3).scale(-5), y) == ours
+        assert poly_gcd(x * vpow(3, -5), y) == ours
         assert_canonical(ours)
 
 
