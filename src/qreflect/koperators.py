@@ -19,7 +19,8 @@ Every family also has an unfactored form: the spectral function
 
 applied to a one-generator argument M.  With x = q^m the ratio telescopes to
 a matrix polynomial P in M (P^-1 when t = m s < 0), so the exact backend
-needs neither an infinite series nor an eigenvalue.
+needs neither an infinite series nor an eigenvalue.  The poles of P^-1
+and the eigenvalue collisions are read off M's closed-form spectrum.
 """
 
 from __future__ import annotations
@@ -77,7 +78,8 @@ class NonNilpotentError(ValueError):
 
 
 class RepeatedEigenvalueError(ValueError):
-    """The spectral-function argument has colliding eigenvalues."""
+    """Two eigenvalues of a numeric spectral-function argument coincide (by
+    its closed-form spectrum, or on a triangular matrix's diagonal)."""
 
 
 @dataclass(frozen=True)
@@ -288,52 +290,34 @@ def _triangular_eig(mat: Matrix):
                 raise RepeatedEigenvalueError(
                     f"eigenvalues {i} and {j} collide; the spectral function "
                     "is ambiguous")
-    cols = {}
-    zero = ctx.zero()
-    for i in range(n):
-        w = [zero] * n
-        w[i] = ctx.one()
-        if shape == "upper":
-            order = range(i - 1, -1, -1)
-        else:
-            order = range(i + 1, n)
-        for j in order:
-            if shape == "upper":
-                s = sum((grid[j][k] * w[k] for k in range(j + 1, i + 1)),
-                        start=zero)
-            else:
-                s = sum((grid[j][k] * w[k] for k in range(i, j)), start=zero)
-            w[j] = s / (eigs[i] - grid[j][j])
-        cols[i] = w
-    v_entries = {(r, c): cols[c][r] for c in range(n) for r in range(n)
-                 if not ctx.is_scalar_zero(cols[c][r])}
-    v = Matrix.from_scalar_entries(ctx, n, v_entries)
-    v_inv = _unitriangular_inverse(ctx, cols, n, shape)
-    return v, eigs, v_inv
+    cols = _substitute(ctx, grid, shape,
+                       lambda c, r, s: s / (eigs[c] - grid[r][r]))
+    # V is unit-triangular, so V^-1 is the same substitution on V
+    inv_cols = _substitute(ctx, list(zip(*cols)), shape, lambda c, r, s: -s)
+    return _from_columns(ctx, cols), eigs, _from_columns(ctx, inv_cols)
 
 
-def _unitriangular_inverse(ctx, cols, n, shape):
-    """Invert the unit-triangular eigenvector matrix by substitution."""
+def _substitute(ctx, grid, shape, solve):
+    """Columns w_c of a triangular solve by substitution: w_c[c] = 1 and,
+    towards the upper (lower) corner, w_c[r] = solve(c, r, s) with s the
+    sum of grid[r][k] w_c[k] over the k from r (exclusive) to c."""
+    n = len(grid)
     zero = ctx.zero()
-    inv_cols = {}
-    for j in range(n):
+    cols = []
+    for c in range(n):
         w = [zero] * n
-        w[j] = ctx.one()
-        if shape == "upper":
-            order = range(j - 1, -1, -1)
-        else:
-            order = range(j + 1, n)
-        for i in order:
-            if shape == "upper":
-                s = sum((cols[k][i] * w[k] for k in range(i + 1, j + 1)),
-                        start=zero)
-            else:
-                s = sum((cols[k][i] * w[k] for k in range(j, i)), start=zero)
-            w[i] = -s
-        inv_cols[j] = w
-    entries = {(r, c): inv_cols[c][r] for c in range(n) for r in range(n)
-               if not ctx.is_scalar_zero(inv_cols[c][r])}
-    return Matrix.from_scalar_entries(ctx, n, entries)
+        w[c] = ctx.one()
+        for r in range(c - 1, -1, -1) if shape == "upper" else range(c + 1, n):
+            ks = range(r + 1, c + 1) if shape == "upper" else range(c, r)
+            w[r] = solve(c, r, sum((grid[r][k] * w[k] for k in ks), start=zero))
+        cols.append(w)
+    return cols
+
+
+def _from_columns(ctx, cols) -> Matrix:
+    n = len(cols)
+    return Matrix.from_scalar_entries(
+        ctx, n, {(r, c): cols[c][r] for c in range(n) for r in range(n)})
 
 
 def _spectral_function(ctx: ScalarContext, spec: KOperatorSpec, eps, z):
@@ -352,9 +336,10 @@ def build_K_unfactored(spec: KOperatorSpec, rep: Irrep) -> Matrix:
     families).  At t < 0 it is x^{s0 H} P^-1, which is never formed: this
     function raises ValueError, and the cleared relation K P = x^{s0 H} (or
     `candidate_intertwining_sides` for the candidate) certifies it.  The
-    numeric backend takes eigenvalues instead, by substitution for a
+    numeric backend takes eigenvectors instead, by substitution for a
     triangular M and by `np.linalg.eig` otherwise, giving an independent
-    route.
+    route; whether two eigenvalues of M collide is decided from its
+    closed-form spectrum (`_spectrum`), not from the computed eigenvalues.
     """
     ctx = rep.ctx
     spec.validate(ctx)
@@ -381,46 +366,83 @@ def _telescoped_t(spec: KOperatorSpec) -> int:
     return spec.x.exp * spec.params.s
 
 
+def _spectrum(ctx: ScalarContext, spec: KOperatorSpec):
+    """(eps, A B) of the closed-form spectrum of the spectral argument: on
+    V_n its eigenvalues are A q^j + B q^-j, j = n-1, n-3, ..., 1-n, with
+    A + B = eps (the frame's) and A B = -k+ k- / (q - q^-1)^2, the q-Racah
+    spectrum of a Leonard pair (Terwilliger 2001).  A triangular family has
+    A B = 0."""
+    p = spec.params
+    lam = ctx.q(1) - ctx.q(-1)
+    return _frame(spec.variant, p)[0], -(p.k_plus * p.k_minus) / (lam * lam)
+
+
+def _det_one_plus(ctx: ScalarContext, spec: KOperatorSpec, n: int, c):
+    """det(1 + c M) on V_n from `_spectrum`, with no square root: nodes j and
+    -j pair into 1 + c eps (q^j + q^-j) + c^2 (eps^2 + A B (q^j - q^-j)^2),
+    and an odd n adds the middle node's 1 + c eps."""
+    eps, ab = _spectrum(ctx, spec)
+    det = (1 + c * eps) if n % 2 else ctx.one()
+    for j in range(n - 1, 0, -2):
+        s, d = ctx.q(j) + ctx.q(-j), ctx.q(j) - ctx.q(-j)
+        det = det * (1 + c * eps * s + c * c * (eps * eps + ab * d * d))
+    return det
+
+
 def _polynomial_spectral_core(spec: KOperatorSpec, rep: Irrep) -> Matrix:
     """P = prod_{j<|t|} (1 + q^{|t|-2j-1} M / eps) for the spectral argument M.
 
     This is the telescoped spectral function applied directly to M (no
     eigenvalues are needed): f(M) = P for t >= 0 and P^-1 for t < 0.  For
-    t < 0 each factor is tested for singularity by a fraction-free
-    determinant; det P is their product, so PoleError is raised exactly when
-    P has no inverse.  For a triangular M that is exactly when a factor of
-    the telescoped scalar ratio vanishes at an eigenvalue, as in
-    `build_K0_diagonal`.
+    t < 0, PoleError is raised exactly when P has no inverse, i.e. when the
+    scalar det(1 + c M) of one of its factors vanishes (`_det_one_plus`).
+    For a triangular M that is exactly when a factor of the telescoped
+    scalar ratio vanishes at an eigenvalue, as in `build_K0_diagonal`.
     """
     ctx = rep.ctx
     arg = _spectral_argument(rep, spec)
     _, eps, *_ = _frame(spec.variant, spec.params)
     t = _telescoped_t(spec)
     n = arg.size
+    coeffs = [ctx.q(abs(t) - 2 * j - 1) / eps for j in range(abs(t))]
+    if t < 0 and any(_det_one_plus(ctx, spec, n, c).is_zero() for c in coeffs):
+        raise PoleError("spectral-function pole: an eigenvalue of the "
+                        "argument meets a vanishing telescoping factor")
     core = Matrix.identity(ctx, n)
-    for j in range(abs(t)):
-        coeff = ctx.q(abs(t) - 2 * j - 1) / eps
-        factor = Matrix.identity(ctx, n) + arg.scaled(coeff)
-        if t < 0 and factor.is_singular():
-            raise PoleError("spectral-function pole: an eigenvalue of the "
-                            "argument meets a vanishing telescoping factor")
-        core = core * factor
+    for c in coeffs:
+        core = core * (Matrix.identity(ctx, n) + arg.scaled(c))
     return core
 
 
 def _numeric_spectral_core(ctx, spec, eps, arg: Matrix) -> Matrix:
     import numpy as np
 
-    a = arg.to_numpy()
-    eigvals, vecs = np.linalg.eig(a)
-    scale = max(abs(eigvals)) if len(eigvals) else 1.0
+    # Eigenvalues i != j of `_spectrum` coincide exactly when A q^k = B,
+    # k = i + j, i.e. when d = e^2 q^k - A B (1 + q^k)^2 vanishes (e = A + B);
+    # d(-k) = q^-2k d(k), so k = 0, 2, .., 2n-4 covers every pair.  Rounding,
+    # with u = 2^-53: a complex + errs by u, a * by sqrt(5) u (Brent, Percival
+    # and Zimmermann 2007), CPython's quotient of a real by a complex (Smith's
+    # method) by 6u, a parameter (a rounded rational) by 3u, and
+    # q^k = (q q)^(k/2) by d_k = sqrt(5) k u.  So lam = q - 1/q errs by
+    # (1 + 6/|q lam|) u, A B = -k+ k- / lam^2 by (17.3 + 12/|q lam|) u,
+    # e^2 q^k by 10.5 u + d_k, and A B (1 + q^k)^2 by
+    # (23.8 + 12/|q lam|) u + 2 d_k relative to |A B| (1 + |q|^k)^2.  The two
+    # terms agree at a collision, so there, with the final subtraction's u,
+    # |d| <= (25 + 12/|q lam| + 4.5 k) u S to first order, S the sum of the
+    # two |.|-bounds; doubled for second-order terms and the bound's rounding.
     n = arg.size
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(eigvals[i] - eigvals[j]) < 1e-8 * max(scale, 1.0):
-                raise RepeatedEigenvalueError(
-                    "numeric eigenvalues collide; cannot apply the spectral "
-                    "function reliably")
+    e, ab = _spectrum(ctx, spec)
+    q = ctx.q_value
+    q2, qk = q * q, 1 + 0j
+    for k in range(0, 2 * n - 3, 2):
+        d = e * e * qk - ab * ((1 + qk) * (1 + qk))
+        size = abs(e) ** 2 * abs(qk) + abs(ab) * (1 + abs(qk)) ** 2
+        bound = 2 * (25 + 12 / abs(q * (q - 1 / q)) + 4.5 * k) * 2.0 ** -53
+        if abs(d) <= bound * size:
+            raise RepeatedEigenvalueError(
+                f"eigenvalues of the spectral argument coincide (A q^{k} = B)")
+        qk *= q2
+    eigvals, vecs = np.linalg.eig(arg.to_numpy())
     fv = np.array([_spectral_function(ctx, spec, eps, complex(z))
                    for z in eigvals])
     core = vecs @ np.diag(fv) @ np.linalg.inv(vecs)

@@ -13,7 +13,6 @@ import math
 from collections import defaultdict
 
 from .scalars import (
-    LaurentPolynomial,
     RationalExpression,
     ScalarContext,
     poly_divexact,
@@ -207,46 +206,6 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix(self.ctx, self.size,
                       {(j, i): v for (i, j), v in self.entries.items()}, self.den)
-
-    def det(self):
-        """Determinant as a field scalar (see `_numerator_det`)."""
-        num = self._numerator_det()
-        if self.ctx.is_exact:
-            return RationalExpression(num, self.den ** self.size)
-        return num / self.den ** self.size
-
-    def is_singular(self) -> bool:
-        """True when the determinant vanishes; takes no gcd."""
-        num = self._numerator_det()
-        return num.is_zero() if self.ctx.is_exact else num == 0
-
-    def _numerator_det(self):
-        """Determinant of the entry grid before the common denominator, by
-        Bareiss (1968) fraction-free elimination: each step's division by the
-        previous pivot is exact, so exact entries stay Laurent polynomials."""
-        exact = self.ctx.is_exact
-        n = self.size
-        zero = LaurentPolynomial() if exact else 0j
-        a = [[self.entries.get((i, j), zero) for j in range(n)]
-             for i in range(n)]
-        sign = 1
-        prev = None
-        for k in range(n - 1):
-            if a[k][k] == zero:
-                swap = next((r for r in range(k + 1, n) if a[r][k] != zero),
-                            None)
-                if swap is None:
-                    return zero
-                a[k], a[swap] = a[swap], a[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    t = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                    if prev is not None:
-                        t = poly_divexact(t, prev) if exact else t / prev
-                    a[i][j] = t
-            prev = a[k][k]
-        return -a[-1][-1] if sign < 0 else a[-1][-1]
 
     def to_dense(self):
         """List-of-lists of field scalars."""

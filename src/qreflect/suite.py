@@ -26,7 +26,7 @@ from .checks import (  # the check_* names are called through _run
     check_symmetries,
     check_ybe,
 )
-from .koperators import VARIANTS
+from .koperators import VARIANTS, RepeatedEigenvalueError
 from .representations import make_irrep, make_params
 from .scalars import (
     NonConvergenceError,
@@ -239,10 +239,11 @@ def _run(ctx, drawer, check, args) -> list:
     The check is looked up in this module's namespace at call time, so a
     wrapped `check_*` attribute is the one called (a wrapper may return one
     placeholder report instead of a list).  A `_Draw` slot is drawn before
-    the call and redrawn when the check hits a telescoping pole.  On the
-    numeric backend a float overflow (a non-finite residual included) or a
-    product that does not converge is a configuration error: q is too
-    large, or too close to 1, for floats.
+    the call and redrawn when the check hits a telescoping pole or a
+    repeated eigenvalue of a spectral argument.  On the numeric backend a
+    float overflow (a non-finite residual included) or a product that does
+    not converge is a configuration error: q is too large, or too close to
+    1, for floats.
     """
     redraw = any(isinstance(a, _Draw) for a in args)
     for _ in range(20):
@@ -250,7 +251,7 @@ def _run(ctx, drawer, check, args) -> list:
                 for a in args]
         try:
             out = globals()[check](*call)
-        except PoleError:
+        except (PoleError, RepeatedEigenvalueError):
             if redraw:
                 continue
             raise
@@ -261,8 +262,9 @@ def _run(ctx, drawer, check, args) -> list:
                 f"{check} breaks down in floating point at q = {ctx.q_value}: "
                 f"{type(exc).__name__}: {exc}") from exc
         return [out] if isinstance(out, CheckReport) else out
-    raise ConfigError("persistent pole collisions; pinned parameters sit on "
-                      "a vanishing telescoping factor")
+    raise ConfigError("persistent pole or eigenvalue collisions; pinned "
+                      "parameters sit on a vanishing telescoping factor or "
+                      "give the spectral argument a repeated eigenvalue")
 
 
 # Each suite yields (check name, *positional arguments), drawing its inputs

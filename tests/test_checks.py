@@ -366,6 +366,59 @@ def test_onsager_candidate_pole_raises():
         assert [r.exact_zero for r in reports] == [True, False]
 
 
+def test_onsager_candidate_pole_adjacent_fuzz():
+    """The n = 2 case above, for n = 2..5 and both factors of P at t = -2,
+    with the poles placed by the closed-form spectrum A q^j + B q^-j
+    (A + B = eps-, A B = -k+ k- / (q - q^-1)^2) of M = ev_x(W1).  The factor
+    1 + c M, c = q^e / eps+, is singular when a paired node quadratic
+    1 + c eps- (q^j + q^-j) + c^2 (eps-^2 + A B (q^j - q^-j)^2) vanishes (A B
+    is linear in k-), or, for odd n, when the middle node's 1 + c eps-
+    does (eps+ = -eps- q^e).  There the check raises PoleError, and an
+    independent determinant confirms the singular factor; one step off it
+    decides: W1 is an exact zero and W0 is not."""
+    sp = pytest.importorskip("sympy")
+    v = Fraction(7, 5)
+    q = v * v
+    ctx = ScalarContext(v_value=v)
+    x = Spectral.q_power(-1)          # t = m (s0 + s1) = -2
+    lam2 = (q - 1 / q) ** 2
+    ep, em, kp = Fraction(3, 2), Fraction(-5, 7), Fraction(2, 3)
+
+    def params(ep, km):
+        return make_params(ctx, ep, em, k_plus=kp, k_minus=km, s0=1, s1=1)
+
+    def singular(rep, p, c):
+        w1 = eval_affine_expr(rep, p, x, onsager_generators(ctx, p)["W1"])
+        n = rep.dim
+        # v is pinned, so every entry is a rational constant
+        return sp.Matrix(n, n, lambda i, j: w1.entry(i, j).evaluate(1) * c
+                         + (i == j)).det() == 0
+
+    poles = 0
+    for n in range(2, 6):
+        rep = make_irrep(ctx, n)
+        for e in (1, -1):
+            c = q ** e / ep
+            cases = []              # (eps+, k-) at the pole and one step off
+            for j in range(n - 1, 0, -2):
+                s, d = q ** j + q ** -j, q ** j - q ** -j
+                ab = -(1 + c * em * s + c * c * em * em) / (c * d) ** 2
+                km = -ab * lam2 / kp
+                cases.append(((ep, km), (ep, km + 1)))
+            if n % 2:
+                ep_mid = -em * q ** e
+                cases.append(((ep_mid, kp), (ep_mid + 1, kp)))
+            for pole, off in cases:
+                assert pole[1] != 0
+                assert singular(rep, params(*pole), q ** e / pole[0])
+                with pytest.raises(PoleError):
+                    check_onsager_candidate(ctx, rep, params(*pole), x)
+                reports = check_onsager_candidate(ctx, rep, params(*off), x)
+                assert [r.exact_zero for r in reports] == [True, False]
+                poles += 1
+    assert poles == 16
+
+
 def test_appendix_zero_coefficient_trivial(ctx):
     rep = make_irrep(ctx, 3)
     for ident in (1, 3, 7, 12, 13):

@@ -236,6 +236,21 @@ def test_cli_onsager_findings_do_not_fail(tmp_path, capsys):
     assert "failed 0" in captured.out
 
 
+@pytest.mark.parametrize("q,k_minus", [("2", "-9"), ("3", "-256/9")])
+def test_cli_pinned_repeated_eigenvalue_is_a_config_error(q, k_minus, capsys):
+    # eps- = 4, k+ = 1 and these k- give A B = 4 = eps-^2 / 4, so A = B and
+    # ev_x(W1) on V_2 has a double eigenvalue; the eigenvalues of
+    # np.linalg.eig raised an uncaught RepeatedEigenvalueError at q = 2 and
+    # missed the collision at q = 3, where onsager/int_W1 failed at 3e-9
+    code = main(["--suite", "onsager", "--dims", "2", "--backend", "numeric",
+                 f"--q={q}", "--eps-minus", "4", "--k-plus", "1",
+                 f"--k-minus={k_minus}"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "telescoping factor" in err and "repeated eigenvalue" in err
+
+
 def readme_verify_lines():
     """The `verify ...` command lines of the README's "Command line" block."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()

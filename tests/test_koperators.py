@@ -14,8 +14,11 @@ from qreflect.koperators import (
     KOperatorSpec,
     NonNilpotentError,
     RepeatedEigenvalueError,
+    _det_one_plus,
+    _frame,
     _polynomial_spectral_core,
     _spectral_argument,
+    _spectrum,
     _telescoped_t,
     _triangular_eig,
     build_K,
@@ -429,3 +432,65 @@ def test_pole_agreement_at_negative_t(ctx, variant):
         eye = Matrix.identity(ctx, 2)
         with pytest.raises(PoleError):
             candidate_intertwining_sides(rep, params, x, [(eye, eye)])
+
+
+# -- the closed-form spectrum of the spectral argument ---------------------------
+
+
+def _annihilator(ctx, m, eps, ab):
+    """prod_{j>0} (M^2 - eps (q^j + q^-j) M + eps^2 + A B (q^j - q^-j)^2) on
+    V_n (j = n-1, n-3, ...), times M - eps for odd n: zero exactly when
+    every eigenvalue of M is a node A q^j + B q^-j with A + B = eps."""
+    n = m.size
+    eye = Matrix.identity(ctx, n)
+    out = m - eye.scaled(eps) if n % 2 else eye
+    for j in range(n - 1, 0, -2):
+        s, d = ctx.q(j) + ctx.q(-j), ctx.q(j) - ctx.q(-j)
+        out = out * (m * m - m.scaled(eps * s)
+                     + eye.scaled(eps * eps + ab * d * d))
+    return out
+
+
+def test_closed_form_spectrum_annihilates_w1(ctx):
+    """M = ev_x(W1) on V_n has the eigenvalues A q^j + B q^-j of `_spectrum`
+    (A + B = eps-, A B = -k+ k- / (q - q^-1)^2, for every x): the annihilator
+    vanishes, and with A B q^2 in place of A B it does not (n >= 2).  Matrix
+    operations only, so it runs without numpy or sympy."""
+    for raw in (("3/2", "-5/7", "2/3", "1/4"), ("-4/3", "7/2", "-5/2", "3/8")):
+        params = make_params(ctx, *raw, s0=1, s1=1)
+        w1 = onsager_generators(ctx, params)["W1"]
+        for x in (Spectral.q_power(1), Spectral.q_power(-2)):
+            eps, ab = _spectrum(ctx, KOperatorSpec("onsager_candidate",
+                                                   params, x))
+            assert eps == params.eps_minus
+            for n in range(1, 11):
+                m = eval_affine_expr(make_irrep(ctx, n), params, x, w1)
+                assert _annihilator(ctx, m, eps, ab).is_zero(), (raw, x, n)
+                if n >= 2:
+                    wrong = _annihilator(ctx, m, eps, ab * ctx.q(2))
+                    assert not wrong.is_zero(), (raw, x, n)
+
+
+def test_det_one_plus_against_sympy(ctx):
+    """The closed-form det(1 + c M) equals sympy's DomainMatrix determinant
+    over QQ(v), for every variant's argument M on V_1..V_6 and
+    c = q^k / eps of the spectral function."""
+    from test_linalg import sympy_matrix_oracle, to_domain_matrix
+    from test_scalars import to_sympy
+
+    qq, field, dm = sympy_matrix_oracle()
+    rng = seeded(97)
+    x = Spectral.q_power(1)
+    for variant, fam in VARIANTS.items():
+        params = rand_params(ctx, rng, k_plus_zero=fam.k_plus_zero,
+                             k_minus_zero=fam.k_minus_zero, need_k=True)
+        spec = KOperatorSpec(variant, params, x)
+        eps_f = _frame(variant, params)[1]
+        for n in range(1, 7):
+            m = _spectral_argument(make_irrep(ctx, n), spec)
+            for k in (-3, -1, 0, 2):
+                c = ctx.q(k) / eps_f
+                factor = Matrix.identity(ctx, n) + m.scaled(c)
+                theirs = to_domain_matrix(qq, field, dm, factor).det()
+                ours = _det_one_plus(ctx, spec, n, c)
+                assert to_sympy(qq, field, ours) == theirs, (variant, n, k)

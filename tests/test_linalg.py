@@ -6,7 +6,7 @@ from conftest import mat_equals, seeded
 from qreflect.linalg import Matrix, lift, residual
 from qreflect.representations import E_ATOM, F_ATOM, eval_word, h_atom, make_irrep
 from qreflect.scalars import RationalExpression, ScalarContext
-from test_scalars import nonzero, rand_expr, rand_poly, sympy_qq, to_sympy
+from test_scalars import rand_expr, sympy_qq, to_sympy
 
 
 def rand_matrix(ctx, rng, n, density=0.7):
@@ -54,56 +54,6 @@ def test_scaled_divided_inverse(ctx):
     while s.is_zero():
         s = rand_expr(rng)
     assert mat_equals(m.scaled(s).divided(s), m)
-
-
-def _hadamard_bound(grid):
-    """|det| <= product of the row norms."""
-    import numpy as np
-
-    return float(np.prod([np.linalg.norm(row) for row in grid])) or 1.0
-
-
-def test_bareiss_det_against_numpy(ctx):
-    """Fraction-free determinant at v0 = 1.3 against numpy.linalg.det, on
-    random 2-4 matrices (Laurent-polynomial entries over one random
-    denominator) and on singular ones: a row that is a combination of two
-    others, and a zero column.  Permutation-like matrices force pivot swaps."""
-    import numpy as np
-
-    rng = seeded(41)
-    v0 = 1.3
-    zero = RationalExpression.constant(0)
-    nctx = ScalarContext(backend="numeric", q_value=v0 * v0 + 0j)
-    for trial in range(9):
-        n = 2 + trial % 3
-        den = rand_expr(rng)
-        entries = {(i, j): RationalExpression(rand_poly(rng)) / den
-                   for i in range(n) for j in range(n)}
-        singular = trial >= 6
-        if singular and trial % 2:
-            a, b = RationalExpression(rand_poly(rng)), rand_expr(rng)
-            for j in range(n):
-                entries[(n - 1, j)] = a * entries[(0, j)] + b * entries[(1, j)]
-        elif singular:
-            for i in range(n):
-                entries[(i, 1)] = zero
-        m = Matrix.from_scalar_entries(ctx, n, entries)
-        grid = np.array([[complex(entries[(i, j)].evaluate(v0))
-                          for j in range(n)] for i in range(n)])
-        det = m.det()
-        assert m.is_singular() is singular, trial
-        assert det.is_zero() is singular, trial
-        bound = 1e-9 * _hadamard_bound(grid)
-        assert abs(complex(det.evaluate(v0)) - np.linalg.det(grid)) < bound
-        nm = Matrix.from_scalar_entries(nctx, n, {k: complex(e.evaluate(v0))
-                                                  for k, e in entries.items()})
-        assert abs(nm.det() - np.linalg.det(grid)) < bound
-    perm = Matrix.from_scalar_entries(ctx, 3, {
-        (0, 1): ctx.q(1), (1, 2): ctx.rational(2), (2, 0): ctx.rational(3)})
-    assert perm.det() == ctx.q(1) * ctx.rational(6)
-    swap = Matrix.from_scalar_entries(ctx, 2, {
-        (0, 1): ctx.q(1), (1, 0): ctx.rational(2)})
-    assert swap.det() == -(ctx.q(1) * ctx.rational(2))
 
 
 def test_kron_row_major(ctx):
@@ -173,8 +123,8 @@ def test_entry_is_reduced(ctx):
 
 # -- differential tests against sympy over QQ(v) -----------------------------
 # The oracle is sympy's DomainMatrix over the cancelled field QQ(v): its own
-# product, sum and (Bareiss) determinant, on seeded sparse matrices whose
-# entries are Laurent rational functions with non-trivial denominators.
+# product, sum, scaling and Kronecker product, on seeded sparse matrices
+# whose entries are Laurent rational functions with non-trivial denominators.
 
 
 def sympy_matrix_oracle():
@@ -205,7 +155,6 @@ def assert_same(qq, field, ours, theirs):
 def test_matrix_ops_against_sympy(ctx):
     qq, field, dm = sympy_matrix_oracle()
     rng = seeded(4242)
-    nonsingular = 0
     for _ in range(12):
         n = rng.randint(1, 4)
         a, b = sparse_matrix(ctx, rng, n), sparse_matrix(ctx, rng, n)
@@ -215,24 +164,10 @@ def test_matrix_ops_against_sympy(ctx):
         assert_same(qq, field, a - b, sa - sb)
         s = rand_expr(rng)
         assert_same(qq, field, a.scaled(s), sa * to_sympy(qq, field, s))
-        # det also on a denser matrix (Laurent entries over one common
-        # denominator), and with its rows 0 and 1 swapped so that the
-        # elimination meets a zero pivot and swaps rows
-        c = Matrix.from_scalar_entries(ctx, n, {
-            (i, j): RationalExpression(rand_poly(rng)) for i in range(n)
-            for j in range(n) if rng.random() < 0.7}).divided(nonzero(rng, rand_expr))
-        order = [1, 0, *range(2, n)] if n > 1 else [0]
-        swap = Matrix.from_scalar_entries(
-            ctx, n, {(i, order[i]): ctx.one() for i in range(n)})
-        for m in (a, c, swap * c):
-            theirs = to_domain_matrix(qq, field, dm, m).det()
-            assert to_sympy(qq, field, m.det()) == theirs
-            nonsingular += theirs != field.zero
         k = a.kron(b)
         theirs = [[sa.to_list()[i // n][j // n] * sb.to_list()[i % n][j % n]
                    for j in range(n * n)] for i in range(n * n)]
         assert_same(qq, field, k, dm(theirs, (n * n, n * n), field.to_domain()))
-    assert nonsingular >= 12
 
 
 def test_product_chains_against_sympy(ctx):
