@@ -15,6 +15,7 @@ from .scalars import (
     Spectral,
     poch_finite,
     poch_infinite_truncated,
+    poch_ratio,
     poch_ratio_telescoped,
     q_factorial,
     q_integer,

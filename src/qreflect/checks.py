@@ -697,8 +697,7 @@ def finite_sigma_matrix(rep: Irrep, mat: Matrix) -> Matrix:
 
 def finite_iota_matrix(rep: Irrep, mat: Matrix) -> Matrix:
     d = iota_conjugator(rep)
-    dinv = Matrix.diagonal(rep.ctx, [d.entry(i, i).inverse() if rep.ctx.is_exact
-                                     else 1 / d.entry(i, i)
+    dinv = Matrix.diagonal(rep.ctx, [rep.ctx.one() / d.entry(i, i)
                                      for i in range(rep.dim)])
     return d * mat.transpose() * dinv
 

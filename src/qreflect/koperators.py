@@ -39,8 +39,7 @@ from .scalars import (
     PoleError,
     ScalarContext,
     Spectral,
-    poch_ratio_numeric,
-    poch_ratio_telescoped,
+    poch_ratio,
     q_factorial,
 )
 
@@ -78,8 +77,10 @@ class NonNilpotentError(ValueError):
 
 
 class RepeatedEigenvalueError(ValueError):
-    """Two eigenvalues of a numeric spectral-function argument coincide (by
-    its closed-form spectrum, or on a triangular matrix's diagonal)."""
+    """Two eigenvalues of a numeric spectral-function argument coincide by
+    its closed-form spectrum (A B != 0), or lie within 1e-12 on the diagonal
+    of a triangular argument (A B = 0), where its substitution eigenvectors
+    are too large to trust (`_triangular_eig`)."""
 
 
 @dataclass(frozen=True)
@@ -132,7 +133,7 @@ def build_K0_diagonal(rep: Irrep, params: ParamSet, x: Spectral,
                       sign: str = "minusH") -> Matrix:
     """Generic diagonal Pochhammer-ratio operator.
 
-    On the weight-h eigenvector the entry is
+    On the weight-h eigenvector the entry is the `poch_ratio`
 
         (A_h x^s; q^-2)_inf / (A_h x^-s; q^-2)_inf
 
@@ -143,30 +144,13 @@ def build_K0_diagonal(rep: Irrep, params: ParamSet, x: Spectral,
     ctx = rep.ctx
     p = params
     if sign == "minusH":
-        ratio = p.eps_minus / p.eps_plus
-        h_sign, shift = -1, -1
+        ratio, h_sign = p.eps_minus / p.eps_plus, -1
     elif sign == "plusH":
-        ratio = p.eps_plus / p.eps_minus
-        h_sign, shift = 1, -1
+        ratio, h_sign = p.eps_plus / p.eps_minus, 1
     else:
         raise ValueError("sign must be 'minusH' or 'plusH'")
-
-    if ctx.is_exact:
-        if x.exp is None:
-            raise ValueError("exact backend needs x = q^m")
-        t = x.exp * p.s
-
-        def entry(h):
-            a = -(ratio * ctx.q(h_sign * h + shift))
-            return poch_ratio_telescoped(ctx, a, t)
-    else:
-        xs = ctx.x_power(x, p.s)
-
-        def entry(h):
-            a = -(ratio * ctx.q(h_sign * h + shift))
-            return poch_ratio_numeric(ctx, a, xs, 1 / xs)
-
-    return weight_diagonal(rep, entry)
+    return weight_diagonal(rep, lambda h: poch_ratio(
+        ctx, -(ratio * ctx.q(h_sign * h - 1)), x, p.s))
 
 
 def kappa(ctx: ScalarContext, params: ParamSet, x: Spectral):
@@ -174,17 +158,12 @@ def kappa(ctx: ScalarContext, params: ParamSet, x: Spectral):
 
         kappa(x) = (-(e-/e+) x^s q^-2; q^-2)_inf / (e+ (-(e-/e+) x^-s; q^-2)_inf)
 
-    the Pochhammer ratio of B = -(e-/e+) q^-1 at x^s q^-1 (exactly: telescoped
-    at offset m*s - 1), divided by eps+.
+    the `poch_ratio` of B = -(e-/e+) q^-1 at x^s q^-1 (shift -1; exactly:
+    telescoped at offset m*s - 1), divided by eps+.
     """
     p = params
     b = -(p.eps_minus / p.eps_plus * ctx.q(-1))
-    if ctx.is_exact:
-        if x.exp is None:
-            raise ValueError("exact backend needs x = q^m")
-        return poch_ratio_telescoped(ctx, b, x.exp * p.s - 1) / p.eps_plus
-    up = ctx.x_power(x, p.s) * ctx.q(-1)
-    return poch_ratio_numeric(ctx, b, up, 1 / up) / p.eps_plus
+    return poch_ratio(ctx, b, x, p.s, -1) / p.eps_plus
 
 
 def _frame(variant: str, params: ParamSet):
@@ -261,27 +240,20 @@ def _spectral_argument(rep: Irrep, spec: KOperatorSpec) -> Matrix:
     return arg
 
 
-def _triangular_shape(mat: Matrix):
-    upper = all(i <= j for i, j in mat.entries)
-    lower = all(i >= j for i, j in mat.entries)
-    if upper:
-        return "upper"
-    if lower:
-        return "lower"
-    return None
-
-
-def _triangular_eig(mat: Matrix):
+def _triangular_eig(mat: Matrix, shape: str):
     """Numeric eigendecomposition of a triangular matrix with distinct
-    diagonal, by substitution.
+    diagonal, by substitution; `shape` ("upper" or "lower") says which
+    triangle holds the off-diagonal entries.
 
-    Returns (V, eigenvalues, V^-1) with V unit-triangular.
+    Returns (V, eigenvalues, V^-1) with V unit-triangular.  Diagonal
+    entries within an absolute 1e-12 raise RepeatedEigenvalueError.  For a
+    spectral argument they are eps q^(hw), which never coincide for
+    |q| > 1, so the test guards conditioning: the entries of V grow like
+    k / (eps (q^a - q^b)), about 1e13 at eps = 1e-13, where the residuals
+    fail falsely without it.
     """
     ctx = mat.ctx
     n = mat.size
-    shape = _triangular_shape(mat)
-    if shape is None:
-        raise ValueError("argument is not triangular")
     grid = mat.to_dense()
     eigs = [grid[i][i] for i in range(n)]
     for i in range(n):
@@ -321,10 +293,8 @@ def _from_columns(ctx, cols) -> Matrix:
 
 
 def _spectral_function(ctx: ScalarContext, spec: KOperatorSpec, eps, z):
-    """Numeric f(z) = (-q^-1 x^s z/eps; q^-2)_inf / (-q^-1 x^-s z/eps; q^-2)_inf."""
-    b = -(ctx.q(-1) * z / eps)
-    xs = ctx.x_power(spec.x, spec.params.s)
-    return poch_ratio_numeric(ctx, b, xs, 1 / xs)
+    """f(z) = (-q^-1 x^s z/eps; q^-2)_inf / (-q^-1 x^-s z/eps; q^-2)_inf."""
+    return poch_ratio(ctx, -(ctx.q(-1) * z / eps), spec.x, spec.params.s)
 
 
 def build_K_unfactored(spec: KOperatorSpec, rep: Irrep) -> Matrix:
@@ -336,14 +306,12 @@ def build_K_unfactored(spec: KOperatorSpec, rep: Irrep) -> Matrix:
     families).  At t < 0 it is x^{s0 H} P^-1, which is never formed: this
     function raises ValueError, and the cleared relation K P = x^{s0 H} (or
     `candidate_intertwining_sides` for the candidate) certifies it.  The
-    numeric backend takes eigenvectors instead, by substitution for a
-    triangular M and by `np.linalg.eig` otherwise, giving an independent
-    route; whether two eigenvalues of M collide is decided from its
-    closed-form spectrum (`_spectrum`), not from the computed eigenvalues.
+    numeric backend takes eigenvectors instead (`_numeric_spectral_core`),
+    giving an independent route.
     """
     ctx = rep.ctx
     spec.validate(ctx)
-    _, eps, *_, prefix_exp = _frame(spec.variant, spec.params)
+    *_, prefix_exp = _frame(spec.variant, spec.params)
     if ctx.is_exact:
         if spec.x.exp is None:
             raise ValueError("exact backend needs x = q^m")
@@ -352,13 +320,7 @@ def build_K_unfactored(spec: KOperatorSpec, rep: Irrep) -> Matrix:
                              "never formed; certify the cleared K P = C")
         core = _polynomial_spectral_core(spec, rep)
     else:
-        arg = _spectral_argument(rep, spec)
-        if _triangular_shape(arg) is not None:
-            v, eigs, v_inv = _triangular_eig(arg)
-            fvals = [_spectral_function(ctx, spec, eps, z) for z in eigs]
-            core = v * Matrix.diagonal(ctx, fvals) * v_inv
-        else:
-            core = _numeric_spectral_core(ctx, spec, eps, arg)
+        core = _numeric_spectral_core(spec, rep)
     return spectral_cartan(rep, spec.x, prefix_exp) * core
 
 
@@ -414,7 +376,26 @@ def _polynomial_spectral_core(spec: KOperatorSpec, rep: Irrep) -> Matrix:
     return core
 
 
-def _numeric_spectral_core(ctx, spec, eps, arg: Matrix) -> Matrix:
+def _numeric_spectral_core(spec: KOperatorSpec, rep: Irrep) -> Matrix:
+    """f(M) = V f(D) V^-1 for the spectral argument M = V D V^-1 on the
+    numeric backend, the route read off `_spectrum`.
+
+    At A B = 0 (every triangular family, and the candidate at k+ k- = 0) M is
+    triangular: upper when k- = 0, which leaves only the k+ E term, and
+    lower otherwise.  V then comes by substitution (`_triangular_eig`),
+    which needs no numpy.  Otherwise the closed-form spectrum decides
+    whether two eigenvalues collide (RepeatedEigenvalueError), and
+    `np.linalg.eig` supplies V.
+    """
+    ctx = rep.ctx
+    arg = _spectral_argument(rep, spec)
+    _, eps, *_ = _frame(spec.variant, spec.params)
+    e, ab = _spectrum(ctx, spec)
+    if ab == 0:
+        shape = "upper" if spec.params.k_minus == 0 else "lower"
+        v, eigs, v_inv = _triangular_eig(arg, shape)
+        fvals = [_spectral_function(ctx, spec, eps, z) for z in eigs]
+        return v * Matrix.diagonal(ctx, fvals) * v_inv
     import numpy as np
 
     # Eigenvalues i != j of `_spectrum` coincide exactly when A q^k = B,
@@ -431,7 +412,6 @@ def _numeric_spectral_core(ctx, spec, eps, arg: Matrix) -> Matrix:
     # |d| <= (25 + 12/|q lam| + 4.5 k) u S to first order, S the sum of the
     # two |.|-bounds; doubled for second-order terms and the bound's rounding.
     n = arg.size
-    e, ab = _spectrum(ctx, spec)
     q = ctx.q_value
     q2, qk = q * q, 1 + 0j
     for k in range(0, 2 * n - 3, 2):

@@ -107,29 +107,21 @@ class Matrix:
         if self.size != other.size:
             raise ValueError("matrix size mismatch")
         if self._same_den(other):
-            out = dict(self.entries)
-            for k, v in other.entries.items():
-                if k in out:
-                    s = out[k] + v
-                    if self.ctx.is_exact and s.is_zero():
-                        del out[k]
-                    else:
-                        out[k] = s
-                else:
-                    out[k] = v
-            return Matrix(self.ctx, self.size, out, self.den)
-        out = {k: v * other.den for k, v in self.entries.items()}
-        for k, v in other.entries.items():
-            w = v * self.den
+            out, right, den = dict(self.entries), other.entries, self.den
+        else:
+            out = {k: v * other.den for k, v in self.entries.items()}
+            right = {k: v * self.den for k, v in other.entries.items()}
+            den = self.den * other.den
+        for k, v in right.items():
             if k in out:
-                s = out[k] + w
+                s = out[k] + v
                 if self.ctx.is_exact and s.is_zero():
                     del out[k]
                 else:
                     out[k] = s
             else:
-                out[k] = w
-        return Matrix(self.ctx, self.size, out, self.den * other.den)
+                out[k] = v
+        return Matrix(self.ctx, self.size, out, den)
 
     def __neg__(self):
         return Matrix(self.ctx, self.size,

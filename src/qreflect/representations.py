@@ -107,7 +107,7 @@ def make_irrep(ctx: ScalarContext, n: int) -> Irrep:
 
 
 def cartan_power(rep: Irrep, xi) -> Matrix:
-    """q^(xi*H) as a diagonal matrix; requires 2*xi integral on the exact backend."""
+    """q^(xi*H) as a diagonal matrix; requires 2*xi integral."""
     xi = Fraction(xi) if not isinstance(xi, Fraction) else xi
     key = ("H", xi)
     mat = rep._memo.get(key)
@@ -120,10 +120,7 @@ def _build_cartan_power(rep: Irrep, xi: Fraction) -> Matrix:
     ctx = rep.ctx
     two_xi = xi * 2
     if two_xi.denominator != 1:
-        if ctx.is_exact:
-            raise ValueError(f"exact backend needs 2*xi integral, got xi={xi}")
-        q = ctx.q_value
-        return Matrix.diagonal(ctx, [q ** (float(xi) * h) for h in rep.weights])
+        raise ValueError(f"cartan_power needs 2*xi integral, got xi={xi}")
     two_xi = int(two_xi)
     return Matrix.diagonal(ctx, [ctx.v(two_xi * h) for h in rep.weights])
 

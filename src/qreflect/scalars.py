@@ -797,11 +797,23 @@ def poch_infinite_truncated(ctx: ScalarContext, a, step):
         f"product did not reach tol={TRUNCATION_TOL} within {MAX_TERMS} factors")
 
 
-def poch_ratio_numeric(ctx: ScalarContext, a, up, down):
-    """Numeric (a*up; q^-2)_inf / (a*down; q^-2)_inf."""
+def poch_ratio(ctx: ScalarContext, a, x: Spectral, s: int, shift: int = 0):
+    """(a x^s q^shift; q^-2)_inf / (a x^-s q^-shift; q^-2)_inf.
+
+    Exact: x = q^m and the ratio telescopes at t = m s + shift
+    (`poch_ratio_telescoped`).  Numeric: both products are truncated
+    (`poch_infinite_truncated`); a vanishing denominator raises PoleError.
+    """
+    if ctx.is_exact:
+        if x.exp is None:
+            raise ValueError("exact backend needs x = q^m")
+        return poch_ratio_telescoped(ctx, a, x.exp * s + shift)
+    up = ctx.x_power(x, s)
+    if shift:
+        up = up * ctx.q(shift)
     step = ctx.q(-2)
     num = poch_infinite_truncated(ctx, a * up, step)
-    den = poch_infinite_truncated(ctx, a * down, step)
+    den = poch_infinite_truncated(ctx, a * (1 / up), step)
     if abs(den) < 1e-300:
         raise PoleError("denominator infinite product vanished")
     return num / den

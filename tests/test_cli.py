@@ -251,6 +251,20 @@ def test_cli_pinned_repeated_eigenvalue_is_a_config_error(q, k_minus, capsys):
     assert "telescoping factor" in err and "repeated eigenvalue" in err
 
 
+def test_cli_tiny_eps_triangular_argument_is_a_config_error(capsys):
+    # at eps- = 1e-13 the diagonal nodes eps q^(+-1) of the triangular
+    # degenerations lie within 1e-12, where `_triangular_eig` refuses them.
+    # They never collide, but the substitution eigenvectors grow like
+    # k / (eps (q^a - q^b)), about 1e13 here; without the refusal
+    # onsager/int_W0 FAILs falsely three times at residuals 3.7e-4 to 8.4e-4
+    code = main(["--suite", "onsager", "--dims", "2", "--backend", "numeric",
+                 "--q", "1.4+0.3i", "--eps-minus", "1/10000000000000"])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("config error:")
+    assert "FAIL" not in out + err
+
+
 def readme_verify_lines():
     """The `verify ...` command lines of the README's "Command line" block."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -1,6 +1,9 @@
 """K-operator constructions: q-exponentials, diagonal cores, the five
 families, form equivalences, fundamental reductions, and the candidate."""
 
+import cmath
+import math
+
 import pytest
 
 from conftest import agrees_with_unfactored, mat_equals, rand_params, seeded
@@ -279,6 +282,32 @@ def test_factored_unfactored_split_agree(ctx):
             ctx, rng, s_range=(-1,)), x), make_irrep(ctx, 2))
 
 
+def test_numeric_triangular_forms_agree(nctx):
+    """On the numeric backend at a random complex x the factored form of
+    every triangular family equals its unfactored form, which takes the
+    substitution route at A B = 0: upper when k- = 0, lower otherwise.  The
+    candidate at k- = 0 (k+ = 0) takes the same route and equals the upper
+    (lower) family.  The route needs no numpy."""
+    rng = seeded(67)
+    for n in (2, 3, 4):
+        rep = make_irrep(nctx, n)
+        for variant, fam in VARIANTS.items():
+            if not fam.triangular:
+                continue
+            for _ in range(4):
+                p = rand_params(nctx, rng, k_plus_zero=fam.k_plus_zero,
+                                k_minus_zero=fam.k_minus_zero, need_k=True)
+                x = Spectral.of(cmath.rect(0.5 + 1.5 * rng.random(),
+                                           2 * math.pi * rng.random()))
+                k = build_K(KOperatorSpec(variant, p, x), rep)
+                forms = [variant]
+                if variant in ("upper", "lower"):
+                    forms.append("onsager_candidate")
+                for form in forms:
+                    assert mat_equals(k, build_K_unfactored(
+                        KOperatorSpec(form, p, x), rep)), (variant, form, n)
+
+
 def test_variants_swap_under_sigma_iota(ctx):
     """lower = iota(upper) under k+ -> k-; the alternate families are the
     sigma images with eps/k/gradation swapped."""
@@ -404,8 +433,8 @@ def test_repeated_eigenvalues_detected(nctx):
     mat = Matrix(nctx, 3, {(0, 0): 2 + 0j, (0, 1): 1 + 0j, (1, 1): 0.5 + 0j,
                            (1, 2): 3 + 0j, (2, 2): 2 + 0j})
     with pytest.raises(RepeatedEigenvalueError):
-        _triangular_eig(mat)
-    _triangular_eig(Matrix(nctx, 3, {**mat.entries, (2, 2): 1 + 0j}))
+        _triangular_eig(mat, "upper")
+    _triangular_eig(Matrix(nctx, 3, {**mat.entries, (2, 2): 1 + 0j}), "upper")
 
 
 @pytest.mark.parametrize("variant", [v for v, fam in VARIANTS.items()

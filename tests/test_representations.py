@@ -99,10 +99,11 @@ def test_casimir_forms_and_centrality(ctx):
         assert mat_equals(c1 * half, half * c1)
 
 
-def test_cartan_rejects_non_half_integers(ctx):
-    rep = make_irrep(ctx, 2)
-    with pytest.raises(ValueError):
-        cartan_power(rep, Fraction(1, 3))
+def test_cartan_rejects_non_half_integers(ctx, nctx):
+    for c in (ctx, nctx):
+        rep = make_irrep(c, 2)
+        with pytest.raises(ValueError):
+            cartan_power(rep, Fraction(1, 3))
 
 
 def test_eval_generator_examples(ctx):

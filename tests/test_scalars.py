@@ -15,6 +15,7 @@ from qreflect.scalars import (
     Spectral,
     poch_finite,
     poch_infinite_truncated,
+    poch_ratio,
     poch_ratio_telescoped,
     poly_divexact,
     poly_gcd,
@@ -189,15 +190,22 @@ def test_exact_numeric_agreement():
         exact = q_integer(ctx, k).evaluate(v0)
         numer = q_integer(nctx, k)
         assert abs(exact - numer) <= 1e-10 * max(1.0, abs(numer))
+    # poch_ratio telescopes at x = q^m on the exact backend and truncates on
+    # the numeric one; t = m s + shift takes both signs for both shifts
+    signs = set()
     for _ in range(10):
         a_num, a_den = rng.randint(1, 9), rng.randint(1, 9)
-        t = rng.randint(-4, 4)
-        a = ctx.rational(a_num, a_den)
-        exact = poch_ratio_telescoped(ctx, a, t).evaluate(v0)
-        an = nctx.rational(a_num, a_den)
-        num = poch_infinite_truncated(nctx, an * nctx.q(t), nctx.q(-2))
-        den = poch_infinite_truncated(nctx, an * nctx.q(-t), nctx.q(-2))
-        assert abs(exact - num / den) <= 1e-10 * max(1.0, abs(exact))
+        m, s = rng.randint(-2, 2), rng.choice((-1, 1, 2))
+        x, a = Spectral.q_power(m), ctx.rational(a_num, a_den)
+        for shift in (0, -1):
+            t = m * s + shift
+            ratio = poch_ratio(ctx, a, x, s, shift)
+            assert ratio == poch_ratio_telescoped(ctx, a, t)
+            exact = ratio.evaluate(v0)
+            numer = poch_ratio(nctx, nctx.rational(a_num, a_den), x, s, shift)
+            assert abs(exact - numer) <= 1e-10 * max(1.0, abs(exact))
+            signs.add((shift, (t > 0) - (t < 0)))
+    assert {(0, 1), (0, -1), (-1, 1), (-1, -1)} <= signs
 
 
 def test_pinned_rational_v_backend():
