@@ -216,10 +216,7 @@ def check_reflection(ctx: ScalarContext, level: str, variant: str | None,
     if level != "operator":
         raise ValueError("level must be 'matrix' or 'operator'")
     kop = build_K(KOperatorSpec(variant, params, x), rep)
-    fam = VARIANTS[variant]
-    k2 = build_K_scalar(ctx, params, y,
-                        k_plus=0 if fam.k_plus_zero else None,
-                        k_minus=0 if fam.k_minus_zero else None)
+    k2 = build_K_scalar(ctx, params, y)
     yield (f"reflection/operator/{variant}",
            _params_dict(params, rep, x=x, y=y, form="factored"),
            *reflection_sides_operator(rep, params, x, y, kop, k2))
@@ -242,7 +239,7 @@ def variant_generator_exprs(ctx: ScalarContext, variant: str, params: ParamSet) 
     if not fam.triangular:
         raise ValueError(f"no intertwining generator set for variant {variant!r}")
     eps, eps_f, _, _, upper, lower, _ = _frame(variant, params)
-    _, k, _ = lower if upper[0] else upper  # the surviving k; zero for diagonal
+    k, _ = lower if fam.lower else upper  # as build_K reads it; 0 for diagonal
     gens = triangular_onsager_generators(ctx, k, eps_f, eps, params.p_tilde)
     if fam.lower:
         gens = {name: expr_iota(ctx, g) for name, g in gens.items()}
@@ -273,7 +270,7 @@ def _diagonal_intertwining(ctx, rep, params, x):
     F (e+ + e- x^s q^{1-H}) K0 = K0 F (e+ + e- x^-s q^{1-H})
     """
     p = params
-    k0 = build_K0_diagonal(rep, p, x, "minusH")
+    k0 = build_K0_diagonal(rep, p, x)
     xs = ctx.x_power(x, p.s)
     xsi = ctx.x_power(x, -p.s)
 
@@ -317,7 +314,7 @@ def check_aux_lemmas(ctx: ScalarContext, rep: Irrep, params: ParamSet,
     yield "aux/similarity_to_cartan", pd, exp_p * t1 * exp_m, em_qmh
 
     # (b) exchange rule of E past the diagonal core
-    k0 = build_K0_diagonal(rep, p, x, "minusH")
+    k0 = build_K0_diagonal(rep, p, x)
     ratio = _hk_ratio(ctx, rep, p, x)
     yield "aux/core_exchange_E", pd, rep.e_mat * k0, k0 * ratio * rep.e_mat
 
@@ -526,8 +523,7 @@ def check_onsager_candidate(ctx: ScalarContext, rep: Irrep, params: ParamSet,
     """
     wgens = onsager_generators(ctx, params)
     xinv = x.inverse()
-    degenerate = (ctx.is_scalar_zero(params.k_plus)
-                  or ctx.is_scalar_zero(params.k_minus))
+    degenerate = params.k_plus == 0 or params.k_minus == 0
     findings = {"W1": "", "W0": "" if degenerate else
                 "candidate satisfies the W0 relation here"}
     pairs = [(eval_affine_expr(rep, params, xinv, wgens[name]),
@@ -622,7 +618,7 @@ def _appendix_series(ctx, rep, g, m, inverse_first, word, middle, a, b, c):
 
     def qpow(e):
         # q^e for a (half-)integral exponent e
-        return ctx.v(int(2 * Fraction(e)))
+        return ctx.v(int(2 * e))
 
     if m in ("1", g):
         # base exponent +-2(c - b [M = G]), + for G = E

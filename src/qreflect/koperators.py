@@ -85,19 +85,20 @@ class RepeatedEigenvalueError(ValueError):
 
 @dataclass(frozen=True)
 class KOperatorSpec:
+    """A K-family at parameters and a spectral point; constructing it checks
+    the family's k-constraint (VARIANTS), so no builder has to."""
+
     variant: str
     params: ParamSet
     x: Spectral
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
+        fam = VARIANTS.get(self.variant)
+        if fam is None:
             raise ValueError(f"unknown K-operator variant {self.variant!r}")
-
-    def validate(self, ctx: ScalarContext):
         p = self.params
-        fam = VARIANTS[self.variant]
-        if ((fam.k_plus_zero and not ctx.is_scalar_zero(p.k_plus))
-                or (fam.k_minus_zero and not ctx.is_scalar_zero(p.k_minus))):
+        if ((fam.k_plus_zero and p.k_plus != 0)
+                or (fam.k_minus_zero and p.k_minus != 0)):
             raise ValueError(
                 f"variant {self.variant!r} violates its k-constraint "
                 f"(k_plus={p.raw['k_plus']}, k_minus={p.raw['k_minus']})")
@@ -130,27 +131,23 @@ def q_exp_nilpotent(ctx: ScalarContext, mat: Matrix, inverse: bool = False) -> M
 
 
 def build_K0_diagonal(rep: Irrep, params: ParamSet, x: Spectral,
-                      sign: str = "minusH") -> Matrix:
-    """Generic diagonal Pochhammer-ratio operator.
+                      h: int = -1) -> Matrix:
+    """Generic diagonal Pochhammer-ratio operator for the frame's Cartan
+    sign h = -1 or +1 (`_frame`).
 
-    On the weight-h eigenvector the entry is the `poch_ratio`
+    On the weight-w eigenvector the entry is the `poch_ratio`
 
-        (A_h x^s; q^-2)_inf / (A_h x^-s; q^-2)_inf
+        (A_w x^s; q^-2)_inf / (A_w x^-s; q^-2)_inf
 
-    with A_h = -(eps-/eps+) q^(-h-1) for sign="minusH" (the K0 of the upper
-    and lower families) or A_h = -(eps+/eps-) q^(h-1) for sign="plusH" (the
-    K0 used by the alternate families, whose ratio carries q^(H-1)).
+    with A_w = -(eps-/eps+) q^(-w-1) for h = -1 (the K0 of the upper and
+    lower families) or A_w = -(eps+/eps-) q^(w-1) for h = +1 (the K0 used by
+    the alternate families, whose ratio carries q^(H-1)).
     """
     ctx = rep.ctx
     p = params
-    if sign == "minusH":
-        ratio, h_sign = p.eps_minus / p.eps_plus, -1
-    elif sign == "plusH":
-        ratio, h_sign = p.eps_plus / p.eps_minus, 1
-    else:
-        raise ValueError("sign must be 'minusH' or 'plusH'")
-    return weight_diagonal(rep, lambda h: poch_ratio(
-        ctx, -(ratio * ctx.q(h_sign * h - 1)), x, p.s))
+    ratio = p.eps_minus / p.eps_plus if h < 0 else p.eps_plus / p.eps_minus
+    return weight_diagonal(rep, lambda w: poch_ratio(
+        ctx, -(ratio * ctx.q(h * w - 1)), x, p.s))
 
 
 def kappa(ctx: ScalarContext, params: ParamSet, x: Spectral):
@@ -172,16 +169,15 @@ def _frame(variant: str, params: ParamSet):
         (eps of the argument, eps of the spectral function, s, Cartan sign h,
          upper term, lower term, Cartan prefactor exponent)
 
-    Each term is (zeroed, k, name of its generator on an Irrep); k+ always
-    multiplies E and k- always multiplies F.  The base frame is
+    Each term is (k, name of its generator on an Irrep), with k = 0 where
+    the family sets it so; k+ multiplies E and k- F.  The base frame is
     (e-, e+, s0, -1, k+ E, k- F, s0); sigma maps it to
     (e+, e-, s1, +1, k- F, k+ E, -s1) for the alternate families.
     """
     p = params
-    fam = VARIANTS[variant]
-    plus = (fam.k_plus_zero, p.k_plus, "e_mat")
-    minus = (fam.k_minus_zero, p.k_minus, "f_mat")
-    if fam.alt:
+    plus = (p.k_plus, "e_mat")
+    minus = (p.k_minus, "f_mat")
+    if VARIANTS[variant].alt:
         return p.eps_plus, p.eps_minus, p.s1, 1, minus, plus, -p.s1
     return p.eps_minus, p.eps_plus, p.s0, -1, plus, minus, p.s0
 
@@ -190,7 +186,6 @@ def build_K(spec: KOperatorSpec, rep: Irrep) -> Matrix:
     """Factored K-operator: Cartan prefactor, conjugating q-exponentials,
     diagonal Pochhammer core."""
     ctx = rep.ctx
-    spec.validate(ctx)
     p = spec.params
     x = spec.x
     fam = VARIANTS[spec.variant]
@@ -198,17 +193,16 @@ def build_K(spec: KOperatorSpec, rep: Irrep) -> Matrix:
         raise ValueError("the q-Onsager candidate has no factored form; "
                          "use build_K_unfactored")
     eps, _, s, h, upper, lower, prefix_exp = _frame(spec.variant, p)
-    core = build_K0_diagonal(rep, p, x, "plusH" if h > 0 else "minusH")
+    core = build_K0_diagonal(rep, p, x, h)
     prefix = spectral_cartan(rep, x, prefix_exp)
     if fam.k_plus_zero and fam.k_minus_zero:
         return prefix * core
 
     lam = ctx.q(1) - ctx.q(-1)
+    k, gen = lower if fam.lower else upper
     if fam.lower:
-        _, k, gen = lower
         arg = getattr(rep, gen).scaled(-(k * ctx.x_power(x, s)) / (lam * eps))
     else:
-        _, k, gen = upper
         coeff = -(ctx.q(1) * k * ctx.x_power(x, -s)) / (lam * eps)
         arg = (getattr(rep, gen) * cartan_power(rep, -h)).scaled(coeff)
     exp_plus = q_exp_nilpotent(ctx, arg, inverse=False)
@@ -223,18 +217,18 @@ def build_K(spec: KOperatorSpec, rep: Irrep) -> Matrix:
 def _spectral_argument(rep: Irrep, spec: KOperatorSpec) -> Matrix:
     """The evaluated T1 (W1 for the candidate) whose spectral function gives
     the K-operator, read off the frame: the base eps q^{hH}, plus the upper
-    term k x^-s G and the lower term k q x^s G q^{hH}, each kept unless its
-    k is set to zero.
+    term k x^-s G and the lower term k q x^s G q^{hH}; a term with k = 0
+    adds nothing.
     """
     ctx = rep.ctx
     x = spec.x
     eps, _, s, h, upper, lower, _ = _frame(spec.variant, spec.params)
     arg = weight_diagonal(rep, lambda w: eps * ctx.q(h * w))
-    zero, k, gen = upper
-    if not zero:
+    k, gen = upper
+    if k != 0:
         arg = arg + getattr(rep, gen).scaled(k * ctx.x_power(x, -s))
-    zero, k, gen = lower
-    if not zero:
+    k, gen = lower
+    if k != 0:
         gen_qh = getattr(rep, gen) * cartan_power(rep, h)
         arg = arg + gen_qh.scaled(k * ctx.q(1) * ctx.x_power(x, s))
     return arg
@@ -310,10 +304,9 @@ def build_K_unfactored(spec: KOperatorSpec, rep: Irrep) -> Matrix:
     giving an independent route.
     """
     ctx = rep.ctx
-    spec.validate(ctx)
     *_, prefix_exp = _frame(spec.variant, spec.params)
     if ctx.is_exact:
-        if spec.x.exp is None:
+        if spec.x.value is not None:
             raise ValueError("exact backend needs x = q^m")
         if _telescoped_t(spec) < 0:
             raise ValueError("at t = m s < 0 the exact K-operator C P^-1 is "
@@ -456,7 +449,7 @@ def candidate_intertwining_sides(rep: Irrep, params: ParamSet, x: Spectral,
     """
     ctx = rep.ctx
     spec = KOperatorSpec("onsager_candidate", params, x)
-    if not (ctx.is_exact and x.exp is not None and _telescoped_t(spec) < 0):
+    if not (ctx.is_exact and x.value is None and _telescoped_t(spec) < 0):
         k = build_K_unfactored(spec, rep)
         return [(left * k, k * right) for left, right in pairs], False
     *_, prefix_exp = _frame(spec.variant, params)
@@ -477,12 +470,13 @@ def build_K_upper_split(rep: Irrep, params: ParamSet, x: Spectral) -> Matrix:
     K0 Pochhammer ratio, which keeps the exact backend finite.
     """
     ctx = rep.ctx
-    KOperatorSpec("upper", params, x).validate(ctx)
     p = params
+    if p.k_minus != 0:
+        raise ValueError(f"the split form needs k_minus = 0, not {p.raw['k_minus']}")
     lam = ctx.q(1) - ctx.q(-1)
     d = -(ctx.q(1) * p.k_plus) / (lam * p.eps_minus)
     eqh = rep.e_mat * cartan_power(rep, 1)
     left = q_exp_nilpotent(ctx, eqh.scaled(d * ctx.x_power(x, p.s0)), inverse=True)
     right = q_exp_nilpotent(ctx, eqh.scaled(d * ctx.x_power(x, -p.s0)), inverse=False)
     return (left * spectral_cartan(rep, x, p.s0)
-            * build_K0_diagonal(rep, p, x, "minusH") * right)
+            * build_K0_diagonal(rep, p, x) * right)

@@ -149,11 +149,7 @@ class Matrix:
 
     def divided(self, s) -> "Matrix":
         """Divide by a nonzero field scalar."""
-        if self.ctx.is_exact:
-            if not isinstance(s, RationalExpression):
-                s = self.ctx.scalar(s)
-            return self.scaled(s.inverse())
-        return self.scaled(1 / complex(s))
+        return self.scaled(self.ctx.one() / s)
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product, row-major composite index (self is the major leg)."""

@@ -141,18 +141,15 @@ def matrix_sigma_tensor(mat: Matrix) -> Matrix:
     return Matrix(mat.ctx, n, entries, mat.den)
 
 
-def build_K_scalar(ctx: ScalarContext, params: ParamSet, x: Spectral,
-                   k_plus=None, k_minus=None) -> Matrix:
+def build_K_scalar(ctx: ScalarContext, params: ParamSet, x: Spectral) -> Matrix:
     """The general 2x2 K-matrix solving the matrix reflection equation.
 
     [[x^s0 e+ + x^-s1 e-,        k+ (x^s - x^-s)/(q - q^-1)],
      [k- (x^s - x^-s)/(q - q^-1),  x^-s0 e+ + x^s1 e-]]
 
-    k_plus / k_minus default to the values in `params`; passing 0 selects a
+    k+ and k- are the values in `params`; params with k+ or k- = 0 give a
     triangular member of the family.
     """
-    kp = params.k_plus if k_plus is None else ctx.scalar(k_plus)
-    km = params.k_minus if k_minus is None else ctx.scalar(k_minus)
     lam = ctx.q(1) - ctx.q(-1)
     xs = ctx.x_power(x, params.s)
     xsi = ctx.x_power(x, -params.s)
@@ -160,8 +157,8 @@ def build_K_scalar(ctx: ScalarContext, params: ParamSet, x: Spectral,
     return Matrix.from_scalar_entries(ctx, 2, {
         (0, 0): ctx.x_power(x, params.s0) * params.eps_plus
                 + ctx.x_power(x, -params.s1) * params.eps_minus,
-        (0, 1): kp * off,
-        (1, 0): km * off,
+        (0, 1): params.k_plus * off,
+        (1, 0): params.k_minus * off,
         (1, 1): ctx.x_power(x, -params.s0) * params.eps_plus
                 + ctx.x_power(x, params.s1) * params.eps_minus,
     })

@@ -11,7 +11,6 @@ with [m]_q = (q^m - q^-m)/(q - q^-1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .linalg import Matrix
 from .scalars import ScalarContext, Spectral
@@ -52,7 +51,7 @@ def make_params(ctx: ScalarContext, eps_plus, eps_minus, k_plus=0, k_minus=0,
     }
     ep = ctx.scalar(eps_plus)
     em = ctx.scalar(eps_minus)
-    if ctx.is_scalar_zero(ep) or ctx.is_scalar_zero(em):
+    if ep == 0 or em == 0:
         raise ValueError("eps_plus and eps_minus must be nonzero (eps_plus*eps_minus != 0)")
     return ParamSet(
         eps_plus=ep,
@@ -107,8 +106,9 @@ def make_irrep(ctx: ScalarContext, n: int) -> Irrep:
 
 
 def cartan_power(rep: Irrep, xi) -> Matrix:
-    """q^(xi*H) as a diagonal matrix; requires 2*xi integral."""
-    xi = Fraction(xi) if not isinstance(xi, Fraction) else xi
+    """q^(xi*H) as a diagonal matrix for an int or Fraction xi; requires
+    2*xi integral.  An int and the equal Fraction hash alike, so they share
+    one memo entry."""
     key = ("H", xi)
     mat = rep._memo.get(key)
     if mat is None:
@@ -116,7 +116,7 @@ def cartan_power(rep: Irrep, xi) -> Matrix:
     return mat
 
 
-def _build_cartan_power(rep: Irrep, xi: Fraction) -> Matrix:
+def _build_cartan_power(rep: Irrep, xi) -> Matrix:
     ctx = rep.ctx
     two_xi = xi * 2
     if two_xi.denominator != 1:
@@ -177,7 +177,7 @@ F_ATOM = ("F",)
 
 
 def h_atom(xi) -> tuple:
-    return ("H", Fraction(xi))
+    return ("H", xi)
 
 
 def eval_word(rep: Irrep, word, coeff=None) -> Matrix:
@@ -264,7 +264,7 @@ def f_atom(i: int) -> tuple:
 
 
 def hq_atom(i: int, xi) -> tuple:
-    return ("h", i, Fraction(xi))
+    return ("h", i, xi)
 
 
 def eval_affine_word(rep: Irrep, params: ParamSet, x: Spectral, word) -> Matrix:

@@ -548,7 +548,7 @@ def _coerce(x):
     if isinstance(x, LaurentPolynomial):
         return RationalExpression(x)
     if isinstance(x, (int, Fraction)):
-        return RationalExpression.constant(x)
+        return RationalExpression.constant(x) if x else _RE_ZERO
     return NotImplemented
 
 
@@ -558,17 +558,19 @@ def _coerce(x):
 
 @dataclass(frozen=True)
 class Spectral:
-    """Spectral parameter: x = q^exp (both backends) or an explicit complex value.
+    """Spectral parameter: the monomial x = value q^exp.
 
-    The exact backend only accepts the q-power form.
+    A q-power (no value) serves both backends; a complex value, alone or
+    times a q-power, only the numeric one.  Products and inverses multiply
+    the two parts apart, so a pinned q-power and a drawn complex point mix.
     """
 
     exp: int | None = None
     value: complex | None = None
 
     def __post_init__(self):
-        if (self.exp is None) == (self.value is None):
-            raise ValueError("exactly one of exp/value must be given")
+        if self.exp is None and self.value is None:
+            raise ValueError("give exp, value or both")
 
     @staticmethod
     def q_power(m: int) -> "Spectral":
@@ -579,25 +581,21 @@ class Spectral:
         return Spectral(value=complex(value))
 
     def inverse(self) -> "Spectral":
-        if self.exp is not None:
-            return Spectral(exp=-self.exp)
-        return Spectral(value=1 / self.value)
+        return Spectral(exp=None if self.exp is None else -self.exp,
+                        value=None if self.value is None else 1 / self.value)
 
     def times(self, other: "Spectral") -> "Spectral":
-        if self.exp is not None and other.exp is not None:
-            return Spectral(exp=self.exp + other.exp)
-        return Spectral(value=self._as_value() * other._as_value())
+        e, f, a, b = self.exp, other.exp, self.value, other.value
+        return Spectral(exp=f if e is None else e if f is None else e + f,
+                        value=b if a is None else a if b is None else a * b)
 
     def over(self, other: "Spectral") -> "Spectral":
         return self.times(other.inverse())
 
-    def _as_value(self):
-        if self.value is not None:
-            return self.value
-        raise ValueError("spectral parameter has no numeric value outside a context")
-
     def describe(self):
-        return f"q^{self.exp}" if self.exp is not None else repr(self.value)
+        if self.value is None:
+            return f"q^{self.exp}"
+        return repr(self.value) if self.exp is None else f"{self.value!r} q^{self.exp}"
 
 
 # ---------------------------------------------------------------------------
@@ -606,36 +604,34 @@ class Spectral:
 
 @dataclass(frozen=True)
 class ScalarContext:
-    """Selects the scalar backend and its parameters.
+    """The scalar backend, decided by its parameters.
 
-    exact: symbolic v, or v pinned to the rational `v_value` (so q = v_value^2).
-    numeric: complex arithmetic at `q_value`, which must satisfy |q| > 1.
+    exact (no `q_value`): symbolic v, or v pinned to the rational `v_value`
+    (so q = v_value^2).
+    numeric (`q_value` given): complex arithmetic at `q_value`, which must be
+    finite with |q| > 1.  A pinned `v_value` beside it raises ValueError.
     """
 
-    backend: str = "exact"
     q_value: complex | None = None
     v_value: object | None = None
-    # derived from backend once: read on every scalar and matrix operation
+    # derived once: read on every scalar and matrix operation
     is_exact: bool = field(init=False, repr=False, compare=False)
     # the pinned v as a reduced int pair (numerator, denominator), or None
     v_pair: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.backend not in ("exact", "numeric"):
-            raise ValueError(f"unknown backend {self.backend!r}")
-        object.__setattr__(self, "is_exact", self.backend == "exact")
+        object.__setattr__(self, "is_exact", self.q_value is None)
         object.__setattr__(self, "v_pair",
                            None if self.v_value is None else _pair(self.v_value))
-        if self.backend == "numeric":
-            if self.q_value is None:
-                raise ValueError("numeric backend needs q_value")
-            if not has_finite_modulus(self.q_value):
-                raise ValueError(
-                    f"numeric backend needs a finite q (got {self.q_value!r})")
-            if abs(self.q_value) <= 1:
-                raise ValueError("numeric backend requires |q| > 1")
-        elif self.q_value is not None:
-            raise ValueError("exact backend carries no floating q")
+        if self.is_exact:
+            return
+        if self.v_value is not None:
+            raise ValueError("give a numeric q_value or a pinned v_value, not both")
+        if not has_finite_modulus(self.q_value):
+            raise ValueError(
+                f"numeric backend needs a finite q (got {self.q_value!r})")
+        if abs(self.q_value) <= 1:
+            raise ValueError("numeric backend requires |q| > 1")
 
     # -- constants ---------------------------------------------------------
 
@@ -686,16 +682,12 @@ class ScalarContext:
     def x_power(self, x: Spectral, k: int):
         """x^k for integer k."""
         if self.is_exact:
-            if x.exp is None:
+            if x.value is not None:
                 raise ValueError("exact backend requires the spectral parameter x = q^m")
             return self.v(2 * x.exp * k)
-        base = x.value if x.value is not None else self.q_value ** x.exp
+        qm = None if x.exp is None else self.q_value ** x.exp
+        base = x.value if qm is None else qm if x.value is None else qm * x.value
         return base ** k
-
-    def is_scalar_zero(self, s) -> bool:
-        if self.is_exact:
-            return s.is_zero()
-        return s == 0
 
 
 def has_finite_modulus(z) -> bool:
@@ -759,23 +751,15 @@ def poch_ratio_telescoped(ctx: ScalarContext, a, t: int):
     """
     t = int(t)
     one = ctx.one()
-    if t == 0:
-        return one
     invert = t < 0
     t = abs(t)
     acc = one
     for j in range(t):
         factor = one - a * ctx.q(t - 2 * j)
-        if invert and ctx.is_scalar_zero(factor):
+        if invert and factor == 0:
             raise PoleError(f"factor 1 - a*q^{t - 2 * j} vanishes (a collides with q^{2 * j - t})")
         acc = acc * factor
-    if invert:
-        if ctx.is_exact:
-            if acc.is_zero():
-                raise PoleError("telescoped product vanishes identically")
-            return acc.inverse()
-        return 1 / acc
-    return acc
+    return one / acc if invert else acc
 
 
 def poch_infinite_truncated(ctx: ScalarContext, a, step):
@@ -805,7 +789,7 @@ def poch_ratio(ctx: ScalarContext, a, x: Spectral, s: int, shift: int = 0):
     (`poch_infinite_truncated`); a vanishing denominator raises PoleError.
     """
     if ctx.is_exact:
-        if x.exp is None:
+        if x.value is not None:
             raise ValueError("exact backend needs x = q^m")
         return poch_ratio_telescoped(ctx, a, x.exp * s + shift)
     up = ctx.x_power(x, s)

@@ -33,7 +33,6 @@ from .scalars import (
     PoleError,
     ScalarContext,
     Spectral,
-    has_finite_modulus,
     rational,
 )
 
@@ -101,25 +100,27 @@ class SuiteConfig:
                 raise ConfigError(f"{name} must be an integer")
 
     def context(self) -> ScalarContext:
+        """The ScalarContext of `backend` and `q`; the context's own ValueError
+        (a numeric q not finite, or |q| <= 1) becomes a ConfigError."""
         if self.backend == "numeric":
             if self.q == "symbolic":
                 raise ConfigError("numeric backend needs a complex q (e.g. 1.4+0.3i)")
-            q = _parse_complex(self.q)
-            if not has_finite_modulus(q):
-                raise ConfigError(f"numeric backend needs a finite q (got {self.q!r})")
-            if abs(q) <= 1:
-                raise ConfigError("numeric backend requires |q| > 1")
-            return ScalarContext(backend="numeric", q_value=q)
-        if self.q == "symbolic":
-            return ScalarContext()
-        v = _rational_sqrt(self.q)
-        if v is None:
-            raise ConfigError(
-                f"exact backend with a pinned q needs a perfect-square rational "
-                f"(got {self.q!r}); q = v^2 must keep v = q^(1/2) rational")
-        if v == 1:
-            raise ConfigError("a pinned q must not be 1, where q - q^-1 vanishes")
-        return ScalarContext(v_value=v)
+            kw = {"q_value": _parse_complex(self.q)}
+        elif self.q == "symbolic":
+            kw = {}
+        else:
+            v = _rational_sqrt(self.q)
+            if v is None:
+                raise ConfigError(
+                    f"exact backend with a pinned q needs a perfect-square rational "
+                    f"(got {self.q!r}); q = v^2 must keep v = q^(1/2) rational")
+            if v == 1:
+                raise ConfigError("a pinned q must not be 1, where q - q^-1 vanishes")
+            kw = {"v_value": v}
+        try:
+            return ScalarContext(**kw)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 def _parse_complex(text: str) -> complex:
@@ -241,9 +242,9 @@ def _run(ctx, drawer, check, args) -> list:
     placeholder report instead of a list).  A `_Draw` slot is drawn before
     the call and redrawn when the check hits a telescoping pole or a
     repeated eigenvalue of a spectral argument.  On the numeric backend a
-    float overflow (a non-finite residual included) or a product that does
-    not converge is a configuration error: q is too large, or too close to
-    1, for floats.
+    float overflow (a non-finite residual included), a division by a float
+    that underflowed to zero or a product that does not converge is a
+    configuration error: q is too large, or too close to 1, for floats.
     """
     redraw = any(isinstance(a, _Draw) for a in args)
     for _ in range(20):
@@ -255,7 +256,7 @@ def _run(ctx, drawer, check, args) -> list:
             if redraw:
                 continue
             raise
-        except (OverflowError, NonConvergenceError) as exc:
+        except (OverflowError, ZeroDivisionError, NonConvergenceError) as exc:
             if ctx.is_exact:
                 raise
             raise ConfigError(
@@ -408,15 +409,15 @@ def report_to_dict(r: CheckReport) -> dict:
     return out
 
 
-def emit_report(reports, fmt: str = "json",
-                config: SuiteConfig | None = None) -> str:
-    tol = config.tol if config is not None else 1e-9
+def emit_report(reports, fmt: str, config: SuiteConfig) -> str:
+    """The report of a run of `config` as "json" or "text"; statuses are
+    judged at `config.tol`."""
+    tol = config.tol
     summary = summarize(reports, tol)
     if fmt == "json":
         doc = {
-            "suite": config.suite if config else None,
-            "config": ({**asdict(config), "dims": list(config.dims)}
-                       if config else None),
+            "suite": config.suite,
+            "config": {**asdict(config), "dims": list(config.dims)},
             "checks": [report_to_dict(r) for r in reports],
             "summary": summary,
         }

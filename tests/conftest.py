@@ -14,7 +14,7 @@ def ctx():
 
 @pytest.fixture
 def nctx():
-    return ScalarContext(backend="numeric", q_value=1.4 + 0.3j)
+    return ScalarContext(q_value=1.4 + 0.3j)
 
 
 def rand_rational(rng, nonzero=True):

@@ -289,7 +289,7 @@ def test_criterion_10_appendix_identities():
 
 
 def test_criterion_11_onsager_finding():
-    nctx = ScalarContext(backend="numeric", q_value=1.4 + 0j)
+    nctx = ScalarContext(q_value=1.4 + 0j)
     rng = seeded(1011)
     with Criterion(11, 30, "q-Onsager candidate: W1 holds, W0 fails for "
                            "k+ k- != 0; both degenerations hold"):
@@ -319,7 +319,7 @@ def test_criterion_11_onsager_finding():
 
 
 def test_criterion_12_backend_coherence():
-    nctx = ScalarContext(backend="numeric", q_value=1.4 + 0.3j)
+    nctx = ScalarContext(q_value=1.4 + 0.3j)
     rng = seeded(1012)
     tol = 1e-9
 

@@ -145,7 +145,7 @@ def test_matrix_reflection_is_fundamental_image(ctx):
     x, y = Spectral.q_power(1), Spectral.q_power(2)
     rep2 = make_irrep(ctx, 2)
     kpi = build_K(KOperatorSpec("upper", params, x), rep2)
-    k2 = build_K_scalar(ctx, params, y, k_minus=0)
+    k2 = build_K_scalar(ctx, params, y)
     # perturb so both residuals are nonzero
     kpi_bad = kpi + Matrix.from_scalar_entries(ctx, 2, {(1, 0): ctx.one()})
     lhs_m, rhs_m = reflection_sides_matrix(ctx, params, x, y, k1=kpi_bad, k2=k2)
@@ -297,7 +297,7 @@ def test_onsager_candidate_exact_negative_t():
     backend and with v pinned to 7/5."""
     budget_s = 10
     exact = ScalarContext()
-    nctx = ScalarContext(backend="numeric", q_value=1.4 + 0.3j)
+    nctx = ScalarContext(q_value=1.4 + 0.3j)
     pinned = ScalarContext(v_value=Fraction(7, 5))
     start = time.perf_counter()
     for n in (2, 3):
@@ -307,7 +307,7 @@ def test_onsager_candidate_exact_negative_t():
                 params = make_params(c, "3/2", "-5/7", k_plus="2/3",
                                      k_minus="1/4", s0=s0, s1=s1)
                 w1, w0 = check_onsager_candidate(c, make_irrep(c, n), params, x)
-                case = (n, t, c.backend, c.v_value)
+                case = (n, t, c.q_value, c.v_value)
                 assert (w1.name, w0.name) == ("onsager/int_W1", "onsager/int_W0")
                 assert not w1.is_finding and w0.is_finding, case
                 if c.is_exact:
@@ -322,7 +322,7 @@ def test_onsager_candidate_exact_negative_t():
 
 
 def test_onsager_candidate_numeric_finding():
-    nctx = ScalarContext(backend="numeric", q_value=1.4 + 0j)
+    nctx = ScalarContext(q_value=1.4 + 0j)
     params = make_params(nctx, "3/2", "-5/7", k_plus="2/3", k_minus="1/4",
                          s0=1, s1=1)
     rep = make_irrep(nctx, 2)

@@ -6,6 +6,7 @@ import json
 import re
 import shlex
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -97,7 +98,7 @@ def test_emit_text_and_failure_counting():
                           is_finding=True)
     summary = summarize([good, bad, finding], tol=1e-9)
     assert summary == {"passed": 1, "failed": 1, "findings": 1}
-    text = emit_report([good, bad, finding], "text")
+    text = emit_report([good, bad, finding], "text", small_config())
     assert "FAIL" in text and "FINDING" in text
     assert "passed 1  failed 1  findings 1" in text
 
@@ -164,7 +165,7 @@ def test_cli_rejects_numeric_q_that_is_not_finite(q, capsys):
     with pytest.raises(ConfigError, match="finite q"):
         small_config(backend="numeric", q=q).context()
     with pytest.raises(ValueError, match="finite q"):
-        ScalarContext(backend="numeric", q_value=_parse_complex(q))
+        ScalarContext(q_value=_parse_complex(q))
 
 
 @pytest.mark.parametrize("q", ["1", "4/4"])
@@ -197,14 +198,16 @@ def test_cli_rejects_pinned_q_that_is_not_positive(q, capsys):
     ("1e308+1e308i", "ybe", "check_ybe", "residual nan"),
     ("1e308+1e308i", "coideal", "check_coideal_algebras", "residual nan"),
     ("1.0001", "reflection", "check_reflection", "NonConvergenceError"),
+    ("1e308+1e308i", "symmetries", "check_symmetries", "ZeroDivisionError"),
 ])
 def test_cli_numeric_float_breakdown_is_a_config_error(q, suite, check, error,
                                                        capsys):
     # q^2 overflows at 1e308: appendix used to end in an OverflowError
     # traceback, ybe and coideal in a FAIL of every check with residual nan
     # (exit 1); the infinite q-Pochhammer products need too many factors
-    # near q = 1
-    code = main(["--suite", suite, "--dims", "2", "--backend", "numeric",
+    # near q = 1.  On V_3 an entry of the iota conjugator underflows to 0,
+    # and symmetries ended in a ZeroDivisionError traceback
+    code = main(["--suite", suite, "--dims", "2,3", "--backend", "numeric",
                  f"--q={q}"])
     assert code == 2
     err = capsys.readouterr().err
@@ -249,6 +252,21 @@ def test_cli_pinned_repeated_eigenvalue_is_a_config_error(q, k_minus, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "telescoping factor" in err and "repeated eigenvalue" in err
+
+
+def test_numeric_pinned_spectral_exponents_give_the_exact_verdicts():
+    """Pinned x = q^2 and y = q^-1 meet drawn complex points on the numeric
+    backend (ybe divides x by its drawn z); that ended in a ValueError
+    traceback.  Every identity now gets the exact run's verdict."""
+    def verdicts(**kw):
+        config = SuiteConfig(suite="all", dims=(2,), seed=7, x_exp=2,
+                             y_exp=-1, **kw)
+        return Counter((r.name, r.is_finding, r.passed(config.tol))
+                       for r in run_suite(config))
+
+    assert verdicts() == verdicts(backend="numeric", q="1.4+0.3i")
+    assert main(["--suite", "all", "--dims", "2", "--seed", "7", "--backend",
+                 "numeric", "--q", "1.4+0.3i", "--x-exp", "2"]) == 0
 
 
 def test_cli_tiny_eps_triangular_argument_is_a_config_error(capsys):

@@ -94,8 +94,8 @@ def test_k0_at_x_one_is_identity(ctx):
     rng = seeded(3)
     rep = make_irrep(ctx, 3)
     params = rand_params(ctx, rng)
-    for sign in ("minusH", "plusH"):
-        k0 = build_K0_diagonal(rep, params, Spectral.q_power(0), sign)
+    for h in (-1, 1):
+        k0 = build_K0_diagonal(rep, params, Spectral.q_power(0), h)
         assert mat_equals(k0, Matrix.identity(ctx, 3))
 
 
@@ -103,7 +103,7 @@ def test_k0_entry_against_truncated_products():
     """Exact telescoped entries equal 40-term numeric infinite products."""
     ctx = ScalarContext()
     q0 = 1.9
-    nctx = ScalarContext(backend="numeric", q_value=q0 + 0j)
+    nctx = ScalarContext(q_value=q0 + 0j)
     rng = seeded(8)
     for _ in range(5):
         params = rand_params(ctx, rng, s_range=(1, 2))
@@ -144,7 +144,7 @@ def test_kappa_at_one_and_against_numeric(ctx):
     assert one == (params.eps_plus + params.eps_minus).inverse()
     # m = 1, s = s0 + s1: compare with 40-term truncated numeric products
     q0 = 1.7
-    nctx = ScalarContext(backend="numeric", q_value=q0 + 0j)
+    nctx = ScalarContext(q_value=q0 + 0j)
     p1 = make_params(ctx, "4/3", "5/2", s0=1, s1=0)
     np1 = make_params(nctx, "4/3", "5/2", s0=1, s1=0)
     exact = kappa(ctx, p1, Spectral.q_power(1)).evaluate((q0 ** 0.5) + 0j)
@@ -169,7 +169,7 @@ def test_upper_with_zero_k_is_diagonal(ctx):
         k = build_K(KOperatorSpec(variant, params, x), rep)
         assert mat_equals(k, diag), variant
     alt_diag = (spectral_cartan(rep, x, -params.s1)
-                * build_K0_diagonal(rep, params, x, "plusH"))
+                * build_K0_diagonal(rep, params, x, 1))
     for variant in ("upper_alt", "lower_alt"):
         k = build_K(KOperatorSpec(variant, params, x), rep)
         assert mat_equals(k, alt_diag), variant
@@ -190,10 +190,9 @@ def test_variant_constraints_enforced(ctx, nctx):
     rng = seeded(37)
     params = rand_params(ctx, rng, need_k=True)  # both k nonzero
     x = Spectral.q_power(1)
-    rep = make_irrep(ctx, 2)
     for variant in ("diagonal", "upper", "lower", "upper_alt", "lower_alt"):
         with pytest.raises(ValueError):
-            build_K(KOperatorSpec(variant, params, x), rep)
+            KOperatorSpec(variant, params, x)
     with pytest.raises(ValueError):
         KOperatorSpec("sideways", params, x)
 
@@ -209,12 +208,14 @@ def test_variant_constraints_enforced(ctx, nctx):
                 (only_plus, {"upper", "lower_alt", "onsager_candidate"}),
                 (only_minus, {"lower", "upper_alt", "onsager_candidate"})):
             for variant in SURVIVING_K:
-                spec = KOperatorSpec(variant, params, x)
                 if variant in accepted:
-                    spec.validate(c)
+                    KOperatorSpec(variant, params, x)
                 else:
                     with pytest.raises(ValueError):
-                        spec.validate(c)
+                        KOperatorSpec(variant, params, x)
+        # the split form is the upper family's
+        with pytest.raises(ValueError):
+            build_K_upper_split(make_irrep(c, 2), only_minus, x)
 
 
 @pytest.mark.parametrize("backend", ["exact", "numeric"])
@@ -222,7 +223,7 @@ def test_spectral_argument_is_the_evaluated_generator(backend):
     """The table-driven argument equals ev_x(T1) of the variant's generator
     set (ev_x(W1) for the candidate), built through the affine expressions."""
     c = (ScalarContext() if backend == "exact"
-         else ScalarContext(backend="numeric", q_value=1.4 + 0.3j))
+         else ScalarContext(q_value=1.4 + 0.3j))
     rng = seeded(71)
     x = Spectral.q_power(1) if c.is_exact else Spectral.of(0.8 - 0.5j)
     for variant, fam in VARIANTS.items():
@@ -378,7 +379,7 @@ def test_candidate_exact_polynomial_route(ctx):
     never formed, so there the numeric candidate must satisfy K P = C."""
     rng = seeded(67)
     q0 = 1.8
-    nctx = ScalarContext(backend="numeric", q_value=q0 + 0j)
+    nctx = ScalarContext(q_value=q0 + 0j)
     v0 = (q0 + 0j) ** 0.5
     negative_t = []
     for m in (2, -2):
@@ -419,7 +420,7 @@ def test_candidate_exact_polynomial_route(ctx):
 
 
 def test_candidate_numeric_general():
-    nctx = ScalarContext(backend="numeric", q_value=1.4 + 0j)
+    nctx = ScalarContext(q_value=1.4 + 0j)
     params = make_params(nctx, "3/2", "-5/7", k_plus="2/3", k_minus="1/4",
                          s0=1, s1=1)
     rep = make_irrep(nctx, 2)
@@ -455,7 +456,7 @@ def test_pole_agreement_at_negative_t(ctx, variant):
     with pytest.raises(PoleError):
         _polynomial_spectral_core(spec, rep)
     with pytest.raises(PoleError):
-        build_K0_diagonal(rep, params, x, "plusH" if fam.alt else "minusH")
+        build_K0_diagonal(rep, params, x, 1 if fam.alt else -1)
     if not fam.alt:
         # the candidate's frame at these parameters is this family's
         eye = Matrix.identity(ctx, 2)

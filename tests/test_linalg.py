@@ -105,7 +105,7 @@ def test_transpose_and_residual(ctx):
 
 
 def test_numeric_residual_normalization():
-    nctx = ScalarContext(backend="numeric", q_value=2.0 + 0j)
+    nctx = ScalarContext(q_value=2.0 + 0j)
     big = Matrix.from_scalar_entries(nctx, 2, {(0, 0): 1e8 + 0j})
     tiny = Matrix.from_scalar_entries(nctx, 2, {(0, 0): 1e8 + 1e-4j})
     ok, res, _, _ = residual(big, tiny)

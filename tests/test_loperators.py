@@ -1,5 +1,7 @@
 """L-operators, R-matrices, the scalar K-matrix, and their symmetries."""
 
+from dataclasses import replace
+
 import pytest
 
 from conftest import mat_equals, rand_params, seeded
@@ -88,7 +90,8 @@ def test_k_scalar_examples(ctx):
         params.eps_plus + params.eps_minus))
     # k+ = k- = 0: purely diagonal
     x = Spectral.q_power(2)
-    kd = build_K_scalar(ctx, params, x, k_plus=0, k_minus=0)
+    kd = build_K_scalar(ctx, replace(params, k_plus=ctx.zero(),
+                                     k_minus=ctx.zero()), x)
     assert kd.entry(0, 1).is_zero() and kd.entry(1, 0).is_zero()
     assert kd.entry(0, 0) == (ctx.x_power(x, params.s0) * params.eps_plus
                               + ctx.x_power(x, -params.s1) * params.eps_minus)

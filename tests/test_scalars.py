@@ -128,7 +128,7 @@ def test_poch_ratio_pole_detection(ctx):
 
 
 def test_poch_infinite_truncated():
-    nctx = ScalarContext(backend="numeric", q_value=2.0 + 0j)
+    nctx = ScalarContext(q_value=2.0 + 0j)
     assert poch_infinite_truncated(nctx, 0, 0.25) == 1
     assert abs(poch_infinite_truncated(nctx, 0.7, 0.0) - 0.3) < 1e-15
     fin = 1.0
@@ -182,7 +182,7 @@ def test_rational_string_parsing():
 
 def test_exact_numeric_agreement():
     ctx = ScalarContext()
-    nctx = ScalarContext(backend="numeric", q_value=1.7 + 0j)
+    nctx = ScalarContext(q_value=1.7 + 0j)
     v0 = (1.7 + 0j) ** 0.5
     rng = seeded(13)
     for _ in range(10):
@@ -219,13 +219,11 @@ def test_pinned_rational_v_backend():
 
 def test_context_validation():
     with pytest.raises(ValueError):
-        ScalarContext(backend="numeric")
+        ScalarContext(q_value=0.5 + 0j)
+    # the backend is numeric exactly when q_value is given, and v_value pins
+    # the exact one, so the two exclude each other
     with pytest.raises(ValueError):
-        ScalarContext(backend="numeric", q_value=0.5 + 0j)
-    with pytest.raises(ValueError):
-        ScalarContext(backend="exact", q_value=2.0 + 0j)
-    with pytest.raises(ValueError):
-        ScalarContext(backend="magic")
+        ScalarContext(q_value=2, v_value=rational(7, 5))
 
 
 def test_spectral_arithmetic():
@@ -236,10 +234,16 @@ def test_spectral_arithmetic():
     assert x.inverse().exp == -2
     with pytest.raises(ValueError):
         Spectral()
-    with pytest.raises(ValueError):
-        Spectral(exp=1, value=2.0)
     z = Spectral.of(0.5 + 0.5j)
     assert abs(z.times(z.inverse()).value - 1) < 1e-15
+    # a pinned q-power and a complex point multiply apart: x = value q^exp
+    w = x.over(z)
+    assert w == Spectral(exp=2, value=1 / z.value)
+    assert Spectral(exp=1, value=2.0).inverse() == Spectral(exp=-1, value=0.5)
+    nctx = ScalarContext(q_value=1.5 + 0j)
+    assert abs(nctx.x_power(w, 3) - (2.25 / z.value) ** 3) < 1e-12
+    with pytest.raises(ValueError):
+        ScalarContext().x_power(w, 1)
 
 
 def test_exact_backend_requires_q_power(ctx):
