@@ -1,9 +1,11 @@
 """Small dense-square matrices over the active scalar backend.
 
 Exact matrices are stored fraction-free: a sparse map of Laurent-polynomial
-entries plus one common denominator polynomial.  Products then never touch a
-gcd; reduced `RationalExpression` values appear only when an individual entry
-is requested.  Numeric matrices use the same layout with complex entries.
+entries plus one common denominator polynomial.  Products never take a gcd;
+a sum of two matrices with different denominators takes one, to bring them
+to their lcm.  Reduced `RationalExpression` values appear only when an
+individual entry is requested.  Numeric matrices hold complex entries and
+carry no denominator: their `den` is 1 + 0j by construction.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from .scalars import (
 
 
 class Matrix:
-    """Square matrix on a backend ring, entries/den in common-denominator form."""
+    """Square matrix on a backend ring: exact entries over the common
+    denominator `den`, numeric entries as they are (`den` stays 1 + 0j)."""
 
     __slots__ = ("ctx", "size", "entries", "den")
 
@@ -30,9 +33,7 @@ class Matrix:
         self.ctx = ctx
         self.size = size
         self.entries = entries
-        if den is None:
-            den = poly_one() if ctx.is_exact else 1 + 0j
-        self.den = den
+        self.den = (poly_one() if ctx.is_exact else 1 + 0j) if den is None else den
 
     # -- constructors --------------------------------------------------------
 
@@ -98,20 +99,19 @@ class Matrix:
             acc = {k: v for k, v in acc.items() if not v.is_zero()}
         return Matrix(self.ctx, self.size, acc, self.den * other.den)
 
-    def _same_den(self, other) -> bool:
-        return self.den is other.den or self.den == other.den
-
     def __add__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.size != other.size:
             raise ValueError("matrix size mismatch")
-        if self._same_den(other):
+        if self.den is other.den or self.den == other.den:
             out, right, den = dict(self.entries), other.entries, self.den
-        else:
-            out = {k: v * other.den for k, v in self.entries.items()}
-            right = {k: v * self.den for k, v in other.entries.items()}
-            den = self.den * other.den
+        else:  # exact only: bring both sides to the lcm of the denominators
+            g = poly_gcd(self.den, other.den)
+            fa, fb = poly_divexact(other.den, g), poly_divexact(self.den, g)
+            out = {k: v * fa for k, v in self.entries.items()}
+            right = {k: v * fb for k, v in other.entries.items()}
+            den = self.den * fa
         for k, v in right.items():
             if k in out:
                 s = out[k] + v
@@ -165,11 +165,9 @@ class Matrix:
     def entry(self, i: int, j: int):
         """Entry (i, j) as a reduced field scalar."""
         v = self.entries.get((i, j))
-        if self.ctx.is_exact:
-            if v is None:
-                return RationalExpression.constant(0)
-            return RationalExpression(v, self.den)
-        return 0j if v is None else v / self.den
+        if v is None:
+            return RationalExpression.constant(0) if self.ctx.is_exact else 0j
+        return RationalExpression(v, self.den) if self.ctx.is_exact else v
 
     def is_zero(self) -> bool:
         if self.ctx.is_exact:
@@ -178,18 +176,13 @@ class Matrix:
 
     def max_abs(self) -> float:
         """Numeric: largest entry magnitude."""
-        if not self.entries:
-            return 0.0
-        d = abs(self.den)
-        return max(abs(v) for v in self.entries.values()) / d
+        return max((abs(v) for v in self.entries.values()), default=0.0)
 
     def worst_entry(self):
         """Locate the 'most nonzero' entry: (i, j) for diagnostics."""
-        if not self.entries:
-            return None
         if self.ctx.is_exact:
-            return next(iter(sorted(self.entries)))
-        return max(self.entries, key=lambda k: abs(self.entries[k]))
+            return min(self.entries, default=None)
+        return max(self.entries, key=lambda k: abs(self.entries[k]), default=None)
 
     def transpose(self) -> "Matrix":
         return Matrix(self.ctx, self.size,
@@ -205,7 +198,7 @@ class Matrix:
         out = np.zeros((self.size, self.size), dtype=complex)
         for (i, j), v in self.entries.items():
             out[i, j] = v
-        return out / complex(self.den)
+        return out
 
     def __repr__(self):
         return f"Matrix(size={self.size}, nnz={len(self.entries)})"
@@ -252,6 +245,6 @@ def residual(lhs: Matrix, rhs: Matrix):
         return ok, None, (None if ok else diff.worst_entry()), diff
     scale = max(lhs.max_abs(), rhs.max_abs())
     worst = diff.worst_entry()  # the first entry of largest magnitude
-    raw = 0.0 if worst is None else abs(diff.entries[worst]) / abs(diff.den)
+    raw = 0.0 if worst is None else abs(diff.entries[worst])
     res = raw / scale if scale > 0 else raw
     return None, res, worst, diff

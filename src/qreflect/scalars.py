@@ -489,6 +489,8 @@ class RationalExpression:
             return other
         if other.num.is_zero():
             raise ZeroDivisionError("division by zero rational expression")
+        if self is _RE_ONE:
+            return other.inverse()
         return RationalExpression(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):

@@ -185,6 +185,11 @@ class Drawer:
     def params(self, ctx, k_plus_zero=False, k_minus_zero=False,
                need_k_plus=False, need_k_minus=False):
         c = self.config
+        for key, needed in (("k_plus", need_k_plus), ("k_minus", need_k_minus)):
+            if needed and getattr(c, key) and rational(getattr(c, key)) == 0:
+                raise ConfigError(f"{key} is pinned to 0; this check needs {key} != 0")
+        if c.eps_plus and c.eps_minus and rational(c.eps_plus) + rational(c.eps_minus) == 0:
+            raise ConfigError("eps_plus = -eps_minus is pinned: a telescoping pole")
         for _ in range(100):
             ep = c.eps_plus or self.rational_str()
             em = c.eps_minus or self.rational_str()

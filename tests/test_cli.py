@@ -254,6 +254,19 @@ def test_cli_pinned_repeated_eigenvalue_is_a_config_error(q, k_minus, capsys):
     assert "telescoping factor" in err and "repeated eigenvalue" in err
 
 
+@pytest.mark.parametrize("args,key", [
+    (["--suite", "onsager", "--k-minus", "0"], "k_minus"),
+    (["--suite", "reflection", "--k-plus", "0"], "k_plus"),
+    (["--suite", "reflection", "--eps-plus", "1/2", "--eps-minus=-1/2"], "eps_plus"),
+])
+def test_cli_unsatisfiable_pin_is_named_before_any_draw(args, key, capsys):
+    # no draw can satisfy these pins; they were rejected only after 100
+    # futile draws, by a message that named no key
+    assert main(args + ["--dims", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+
+
 def test_numeric_pinned_spectral_exponents_give_the_exact_verdicts():
     """Pinned x = q^2 and y = q^-1 meet drawn complex points on the numeric
     backend (ybe divides x by its drawn z); that ended in a ValueError

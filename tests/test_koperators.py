@@ -87,6 +87,18 @@ def test_q_exp_rejects_non_nilpotent(ctx):
         q_exp_nilpotent(ctx, Matrix.identity(ctx, 3))
 
 
+@pytest.mark.parametrize("n,span", [(4, 12), (6, 40), (8, 84)])
+def test_q_exp_denominator_is_the_last_factorial(ctx, n, span):
+    """The k-th term of exp_{q^-2}(a E q^H) is divided by (k)_{q^-2}!, and
+    each factorial divides the next, so the sum needs only the last one,
+    (n-1)_{q^-2}!, of v-span 2(n-1)(n-2).  Multiplying the denominators of
+    the terms instead gave spans 16, 80 and 224."""
+    rep = make_irrep(ctx, n)
+    arg = (rep.e_mat * cartan_power(rep, 1)).scaled(ctx.rational(3, 7))
+    den = q_exp_nilpotent(ctx, arg).den
+    assert den.max_exp() - den.min_exp() == span == 2 * (n - 1) * (n - 2)
+
+
 # -- diagonal core and kappa ----------------------------------------------------
 
 

@@ -113,6 +113,40 @@ def test_numeric_residual_normalization():
     assert res < 1e-11  # scale-free: 1e-4 / 1e8
 
 
+def test_sum_takes_the_lcm_of_shared_denominator_factors(ctx):
+    one, v = ctx.one(), ctx.v(1)
+    f1, f2, f3 = one + v, one + 2 * v, one + 3 * v
+    a = Matrix.diagonal(ctx, [one / (f1 * f2), one])
+    b = Matrix.from_scalar_entries(ctx, 2, {(0, 1): one / (f1 * f3)})
+    total = a + b
+    # lcm (1 + v)(1 + 2v)(1 + 3v), not the product with (1 + v) squared
+    assert total.den == (one / (f1 * f2 * f3)).den
+    assert total.den.max_exp() - total.den.min_exp() == 3
+    assert total.entry(0, 0) == one / (f1 * f2)
+    assert total.entry(0, 1) == one / (f1 * f3)
+    assert total.entry(1, 1) == one
+
+
+def test_numeric_matrices_carry_no_denominator(nctx):
+    rng = seeded(41)
+
+    def rand_numeric(n):
+        return Matrix.from_scalar_entries(
+            nctx, n, {(i, j): complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                      for i in range(n) for j in range(n) if rng.random() < 0.7})
+
+    a, b = rand_numeric(2), rand_numeric(2)
+    built = [Matrix.identity(nctx, 2), Matrix.diagonal(nctx, [2, 3j]),
+             a * b, a + b, a - b, -a, a.kron(b), lift(a, (2, 3), (0,)),
+             a.scaled(1.5 - 2j), a.divided(3j), a.transpose()]
+    for m in built:
+        assert m.den == 1
+        # entries are read as stored, with no division
+        assert all(m.entry(i, j) == m.entries.get((i, j), 0j)
+                   for i in range(m.size) for j in range(m.size))
+        assert m.max_abs() == max(map(abs, m.entries.values()), default=0.0)
+
+
 def test_entry_is_reduced(ctx):
     s = rand_expr(seeded(2))
     m = Matrix.diagonal(ctx, [s, s * s])
