@@ -28,9 +28,10 @@ from .representations import (
     cartan_power,
     casimir,
     casimir_value,
+    iota_matrix,
     make_irrep,
     make_params,
-    map_image,
+    sigma_matrix,
 )
 from .loperators import build_K_scalar, build_L, build_R, r_from_l
 from .koperators import (

@@ -18,13 +18,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .linalg import Matrix, lift, residual
-from .loperators import (
-    build_K_scalar,
-    build_L,
-    build_L_mapped,
-    build_R,
-    matrix_sigma_tensor,
-)
+from .loperators import build_K_scalar, build_L, build_R
 from .koperators import (
     VARIANTS,
     KOperatorSpec,
@@ -53,9 +47,9 @@ from .representations import (
     expr_sigma,
     f_atom,
     hq_atom,
+    iota_matrix,
     onsager_generators,
-    q_bracket,
-    sigma_conjugator,
+    sigma_matrix,
     triangular_onsager_generators,
     weight_diagonal,
 )
@@ -244,7 +238,7 @@ def variant_generator_exprs(ctx: ScalarContext, variant: str, params: ParamSet) 
     if fam.lower:
         gens = {name: expr_iota(ctx, g) for name, g in gens.items()}
     if fam.alt:
-        gens = {name: expr_sigma(ctx, g) for name, g in gens.items()}
+        gens = {name: expr_sigma(g) for name, g in gens.items()}
     return gens
 
 
@@ -674,30 +668,6 @@ def _appendix_series(ctx, rep, g, m, inverse_first, word, middle, a, b, c):
 # Symmetry and consistency checks
 # ---------------------------------------------------------------------------
 
-def iota_conjugator(rep: Irrep) -> Matrix:
-    """Diagonal D with iota(a) = D a^T D^-1 on this irrep."""
-    ctx = rep.ctx
-    n = rep.dim
-    d = [ctx.one()]
-    for j in range(n - 1):
-        ratio = (ctx.q(2 * j + 2 - n) * q_bracket(ctx, n - 1 - j)
-                 / q_bracket(ctx, j + 1))
-        d.append(d[-1] * ratio)
-    return Matrix.diagonal(ctx, d)
-
-
-def finite_sigma_matrix(rep: Irrep, mat: Matrix) -> Matrix:
-    w = sigma_conjugator(rep)
-    return w * mat * w
-
-
-def finite_iota_matrix(rep: Irrep, mat: Matrix) -> Matrix:
-    d = iota_conjugator(rep)
-    dinv = Matrix.diagonal(rep.ctx, [rep.ctx.one() / d.entry(i, i)
-                                     for i in range(rep.dim)])
-    return d * mat.transpose() * dinv
-
-
 def _swap_gradation(params: ParamSet) -> ParamSet:
     raw = dict(params.raw)
     raw["s0"], raw["s1"] = raw["s1"], raw["s0"]
@@ -713,23 +683,18 @@ def check_symmetries(ctx: ScalarContext, rep: Irrep, params: ParamSet,
     swapped = _swap_gradation(params)
     xinv = x.inverse()
 
-    yield ("symmetry/sigma_L", pd,
-           build_L_mapped(rep, params, x, False, "sigma"),
-           build_L(rep, swapped, x, False))
-    yield ("symmetry/sigma_Lbar", pd,
-           build_L_mapped(rep, params, x, True, "sigma"),
-           build_L(rep, swapped, x, True))
-    yield ("symmetry/iota_L", pd,
-           build_L_mapped(rep, params, x, False, "iota"),
-           build_L(rep, params, xinv, True))
-    yield ("symmetry/iota_Lbar", pd,
-           build_L_mapped(rep, params, x, True, "iota"),
-           build_L(rep, params, xinv, False))
-    yield ("symmetry/sigma_R", pd, matrix_sigma_tensor(build_R(ctx, params, x)),
-           build_R(ctx, swapped, x))
-    yield ("symmetry/iota_R", pd, build_R(ctx, params, x).transpose(),
+    n = rep.dim
+    for bar in (False, True):
+        suffix = "bar" if bar else ""
+        lmat = build_L(rep, params, x, bar)
+        yield (f"symmetry/sigma_L{suffix}", pd, sigma_matrix(lmat),
+               build_L(rep, swapped, x, bar))
+        yield (f"symmetry/iota_L{suffix}", pd, iota_matrix(lmat, n),
+               build_L(rep, params, xinv, not bar))
+    rmat = build_R(ctx, params, x)
+    yield ("symmetry/sigma_R", pd, sigma_matrix(rmat), build_R(ctx, swapped, x))
+    yield ("symmetry/iota_R", pd, iota_matrix(rmat, 2),
            build_R(ctx, params, xinv, bar=True))
-
 
     # evaluation-map consistency: sigma . ev_x = ev_x . sigma (s0 <-> s1) and
     # iota . ev_x = ev_{1/x} . iota
@@ -737,11 +702,11 @@ def check_symmetries(ctx: ScalarContext, rep: Irrep, params: ParamSet,
             (hq_atom(0, 1),), (hq_atom(1, 1),)]
     for g in gens:
         yield (f"symmetry/ev_sigma_{g[0][0]}{g[0][1]}", pd,
-               finite_sigma_matrix(rep, eval_affine_word(rep, params, x, g)),
+               sigma_matrix(eval_affine_word(rep, params, x, g)),
                eval_affine_word(rep, swapped, x, affine_sigma(g)))
         coeff, word = affine_iota(ctx, g)
         yield (f"symmetry/ev_iota_{g[0][0]}{g[0][1]}", pd,
-               finite_iota_matrix(rep, eval_affine_word(rep, params, x, g)),
+               iota_matrix(eval_affine_word(rep, params, x, g), n),
                eval_affine_word(rep, params, xinv, word).scaled(coeff))
 
     yield from _serre(ctx, rep, params, x)

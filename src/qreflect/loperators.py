@@ -11,95 +11,37 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .linalg import Matrix
-from .representations import (
-    E_ATOM,
-    F_ATOM,
-    Irrep,
-    ParamSet,
-    eval_word,
-    h_atom,
-    iota_word,
-    sigma_word,
-)
+from .representations import Irrep, ParamSet, cartan_power
 from .scalars import ScalarContext, Spectral
 
-# q^(H/2) and q^(-H/2), the Cartan atoms of every L-entry word
-_QH = h_atom(Fraction(1, 2))
-_QH_INV = h_atom(Fraction(-1, 2))
 
-
-def l_entry_words(ctx: ScalarContext, params: ParamSet, x: Spectral, bar: bool):
-    """2x2 grid of generator-word expressions for L(x) (bar=False) or Lbar(x).
+def build_L(rep: Irrep, params: ParamSet, x: Spectral, bar: bool = False) -> Matrix:
+    """The L-operator (or Lbar) evaluated on V_n, acting on V_n (x) C^2:
+    sum_ij A_ij (x) E_ij with
 
     L(x)    = [[q^(H/2) - q^-1 x^s q^(-H/2),   (q-q^-1) x^s0  F q^(-H/2)],
                [(q-q^-1) x^s1  E q^(H/2),      q^(-H/2) - q^-1 x^s q^(H/2)]]
     Lbar(x) swaps the spectral exponents: x^-s, x^-s1 F, x^-s0 E.
     """
+    ctx = rep.ctx
     sgn = -1 if bar else 1
     xs = ctx.x_power(x, sgn * params.s)
     x01 = ctx.x_power(x, params.s0 if not bar else -params.s1)
     x10 = ctx.x_power(x, params.s1 if not bar else -params.s0)
-    one = ctx.one()
     lam = ctx.q(1) - ctx.q(-1)
     mqx = -(ctx.q(-1) * xs)
-    return [
-        [
-            ((one, (_QH,)), (mqx, (_QH_INV,))),
-            ((lam * x01, (F_ATOM, _QH_INV)),),
-        ],
-        [
-            ((lam * x10, (E_ATOM, _QH)),),
-            ((one, (_QH_INV,)), (mqx, (_QH,))),
-        ],
-    ]
-
-
-def _assemble_blocks(ctx: ScalarContext, rep: Irrep, grid) -> Matrix:
-    """Sum_{ij} A_ij (x) E_ij on V_n (x) C^2 from a grid of word expressions."""
-    n = rep.dim
-    out = Matrix.zero(ctx, 2 * n)
-    for i in range(2):
-        for j in range(2):
-            block = Matrix.zero(ctx, n)
-            for coeff, word in grid[i][j]:
-                block = block + eval_word(rep, word, coeff)
-            unit = Matrix.from_scalar_entries(ctx, 2, {(i, j): ctx.one()})
-            out = out + block.kron(unit)
+    half = cartan_power(rep, Fraction(1, 2))
+    half_inv = cartan_power(rep, Fraction(-1, 2))
+    blocks = {
+        (0, 0): half + half_inv.scaled(mqx),
+        (0, 1): (rep.f_mat * half_inv).scaled(lam * x01),
+        (1, 0): (rep.e_mat * half).scaled(lam * x10),
+        (1, 1): half_inv + half.scaled(mqx),
+    }
+    out = Matrix.zero(ctx, 2 * rep.dim)
+    for ij, block in blocks.items():
+        out = out + block.kron(Matrix.from_scalar_entries(ctx, 2, {ij: ctx.one()}))
     return out
-
-
-def build_L(rep: Irrep, params: ParamSet, x: Spectral, bar: bool = False) -> Matrix:
-    """The L-operator (or Lbar) evaluated on V_n, acting on V_n (x) C^2."""
-    ctx = rep.ctx
-    return _assemble_blocks(ctx, rep, l_entry_words(ctx, params, x, bar))
-
-
-def build_L_mapped(rep: Irrep, params: ParamSet, x: Spectral, bar: bool,
-                   which: str) -> Matrix:
-    """(sigma (x) sigma) or (iota (x) iota) image of L / Lbar.
-
-    The algebra map acts on the U_q(sl2) entries through the generator words;
-    the matrix map acts on the C^2 structure (rotation by pi for sigma,
-    transposition for iota).  Parameter maps (s0 <-> s1 for sigma) are the
-    caller's job.
-    """
-    ctx = rep.ctx
-    grid = l_entry_words(ctx, params, x, bar)
-    new_grid = [[None, None], [None, None]]
-    for i in range(2):
-        for j in range(2):
-            terms = []
-            for coeff, word in grid[i][j]:
-                if which == "sigma":
-                    c, w = sigma_word(ctx, word)
-                else:
-                    c, w = iota_word(ctx, word)
-                terms.append((coeff * c, w))
-            if which == "sigma":
-                new_grid[1 - i][1 - j] = tuple(terms)
-            else:
-                new_grid[j][i] = tuple(terms)
-    return _assemble_blocks(ctx, rep, new_grid)
 
 
 def build_R(ctx: ScalarContext, params: ParamSet, x: Spectral,
@@ -132,13 +74,6 @@ def r_from_l(rep2: Irrep, params: ParamSet, x: Spectral, bar: bool = False) -> M
     if rep2.dim != 2:
         raise ValueError("the fundamental representation has dimension 2")
     return build_L(rep2, params, x, bar).scaled(rep2.ctx.v(1))
-
-
-def matrix_sigma_tensor(mat: Matrix) -> Matrix:
-    """sigma (x) sigma on a 4x4 scalar matrix: index reversal on each C^2 leg."""
-    n = mat.size
-    entries = {(n - 1 - i, n - 1 - j): v for (i, j), v in mat.entries.items()}
-    return Matrix(mat.ctx, n, entries, mat.den)
 
 
 def build_K_scalar(ctx: ScalarContext, params: ParamSet, x: Spectral) -> Matrix:

@@ -69,9 +69,9 @@ def make_params(ctx: ScalarContext, eps_plus, eps_minus, k_plus=0, k_minus=0,
 class Irrep:
     """An n-dimensional irreducible representation in the weight basis.
 
-    `_memo` keeps the x-independent images (Cartan powers, finite words)
-    built on first use; handing out shared matrices is safe because a
-    `Matrix` is never mutated after construction.
+    `_memo` keeps the Cartan powers q^(xi H), built on first use; handing
+    out shared matrices is safe because a `Matrix` is never mutated after
+    construction.
     """
 
     dim: int
@@ -161,99 +161,52 @@ def casimir_value(ctx: ScalarContext, n: int):
 
 
 # ---------------------------------------------------------------------------
-# Generator words: the finite U_q(sl2) vocabulary and the affine one
+# sigma and iota on matrices, and the affine generator words
 # ---------------------------------------------------------------------------
 #
-# Finite atoms:  ("E",)  ("F",)  ("H", xi)      -- xi with 2*xi integral
-# Affine atoms:  ("e", i)  ("f", i)  ("h", i, xi)   for i in {0, 1}
-#
-# A word is a tuple of atoms (product left to right); an expression is a
-# tuple of (coefficient, word) terms.  sigma acts multiplicatively, iota
-# anti-multiplicatively; both fix scalar coefficients (the parameter maps on
-# eps/k/s are applied by the caller).
+# sigma (E <-> F, q^(xi H) -> q^(-xi H)) is multiplicative and iota
+# (E -> q^(-H-1) F, F -> E q^(H+1), q^(xi H) fixed) anti-multiplicative.  On
+# V_n and on V_n (x) C^2 both act as matrix maps, on C^2 by the rotation by
+# pi (sigma) and the transpose (iota).
 
-E_ATOM = ("E",)
-F_ATOM = ("F",)
-
-
-def h_atom(xi) -> tuple:
-    return ("H", xi)
+def sigma_matrix(mat: Matrix) -> Matrix:
+    """sigma as a matrix map: every index i -> size-1-i.  That is W a W on
+    V_n (W the antidiagonal of ones), W (x) J on V_n (x) C^2 and J (x) J on
+    the R-matrix's C^2 (x) C^2."""
+    n = mat.size
+    return Matrix(mat.ctx, n, {(n - 1 - i, n - 1 - j): v
+                               for (i, j), v in mat.entries.items()}, mat.den)
 
 
-def eval_word(rep: Irrep, word, coeff=None) -> Matrix:
-    """Evaluate a finite generator word to a matrix, optionally scaled."""
-    key = ("word", word)
-    out = rep._memo.get(key)
-    if out is None:
-        out = rep._memo[key] = _word_product(rep, word)
-    return out if coeff is None else out.scaled(coeff)
+def iota_conjugator(ctx: ScalarContext, n: int) -> Matrix:
+    """Diagonal D with iota(a) = D a^T D^-1 on V_n."""
+    d = [ctx.one()]
+    for j in range(n - 1):
+        ratio = (ctx.q(2 * j + 2 - n) * q_bracket(ctx, n - 1 - j)
+                 / q_bracket(ctx, j + 1))
+        d.append(d[-1] * ratio)
+    return Matrix.diagonal(ctx, d)
 
 
-def _word_product(rep: Irrep, word) -> Matrix:
-    out = None
-    for atom in word:
-        if atom[0] == "E":
-            m = rep.e_mat
-        elif atom[0] == "F":
-            m = rep.f_mat
-        elif atom[0] == "H":
-            m = cartan_power(rep, atom[1])
-        else:
-            raise ValueError(f"unknown atom {atom!r}")
-        out = m if out is None else out * m
-    return Matrix.identity(rep.ctx, rep.dim) if out is None else out
-
-
-def sigma_word(ctx: ScalarContext, word):
-    """sigma: E <-> F, q^(xi H) -> q^(-xi H), extended multiplicatively."""
-    out = []
-    for atom in word:
-        if atom[0] == "E":
-            out.append(F_ATOM)
-        elif atom[0] == "F":
-            out.append(E_ATOM)
-        else:
-            out.append(("H", -atom[1]))
-    return ctx.one(), tuple(out)
-
-
-def iota_word(ctx: ScalarContext, word):
-    """iota: E -> q^(-H-1) F, F -> E q^(H+1), q^(xi H) fixed, order reversed."""
-    coeff = ctx.one()
-    out = []
-    for atom in reversed(word):
-        if atom[0] == "E":
-            coeff = coeff * ctx.q(-1)
-            out.extend([h_atom(-1), F_ATOM])
-        elif atom[0] == "F":
-            coeff = coeff * ctx.q(1)
-            out.extend([E_ATOM, h_atom(1)])
-        else:
-            out.append(atom)
-    return coeff, tuple(out)
-
-
-def map_image(rep: Irrep, which: str, word) -> Matrix:
-    """Matrix image of sigma(word) or iota(word) in the given representation."""
-    ctx = rep.ctx
-    if which == "sigma":
-        c, w = sigma_word(ctx, word)
-    elif which == "iota":
-        c, w = iota_word(ctx, word)
-    else:
-        raise ValueError("map must be 'sigma' or 'iota'")
-    return eval_word(rep, w, c)
-
-
-def sigma_conjugator(rep: Irrep) -> Matrix:
-    """The antidiagonal matrix W with sigma(a) = W a W^-1 on this irrep."""
-    n = rep.dim
-    one = rep.ctx.one()
-    return Matrix.from_scalar_entries(
-        rep.ctx, n, {(i, n - 1 - i): one for i in range(n)})
+def iota_matrix(mat: Matrix, n: int) -> Matrix:
+    """iota as a matrix map on V_n, or on V_n (x) C^2 (x) ... with V_n the
+    major leg: D mat^T D^-1 with D = iota_conjugator (x) 1.  D = 1 on V_2,
+    so iota on the R-matrix is its transpose."""
+    ctx = mat.ctx
+    d = iota_conjugator(ctx, n)
+    dinv = Matrix.diagonal(ctx, [ctx.one() / d.entry(i, i) for i in range(n)])
+    unit = Matrix.identity(ctx, mat.size // n)
+    return d.kron(unit) * mat.transpose() * dinv.kron(unit)
 
 
 # -- affine layer ------------------------------------------------------------
+#
+# Atoms:  ("e", i)  ("f", i)  ("h", i, xi)   for i in {0, 1}, 2*xi integral
+#
+# A word is a tuple of atoms (product left to right); an expression is a
+# tuple of (coefficient, word) terms.  affine_sigma and affine_iota fix
+# scalar coefficients (the parameter maps on eps/k/s are applied by the
+# caller).
 
 def e_atom(i: int) -> tuple:
     return ("e", i)
@@ -323,7 +276,7 @@ def affine_iota(ctx: ScalarContext, word):
     return coeff, tuple(out)
 
 
-def expr_sigma(ctx: ScalarContext, expr):
+def expr_sigma(expr):
     return tuple((c, affine_sigma(w)) for c, w in expr)
 
 

@@ -185,6 +185,7 @@ class Drawer:
     def params(self, ctx, k_plus_zero=False, k_minus_zero=False,
                need_k_plus=False, need_k_minus=False):
         c = self.config
+        # a drawn rational is never 0, so only a pin can zero a needed k
         for key, needed in (("k_plus", need_k_plus), ("k_minus", need_k_minus)):
             if needed and getattr(c, key) and rational(getattr(c, key)) == 0:
                 raise ConfigError(f"{key} is pinned to 0; this check needs {key} != 0")
@@ -198,17 +199,9 @@ class Drawer:
             pt = c.p_tilde or self.rational_str(nonzero=False)
             s0 = self.gradation(c.s0)
             s1 = self.gradation(c.s1)
-            if need_k_plus and rational(kp) == 0:
-                continue
-            if need_k_minus and rational(km) == 0:
-                continue
             # eps+ = -eps- collides with a telescoping factor at exponent 0
-            if rational(ep) + rational(em) == 0:
-                continue
-            try:
+            if rational(ep) + rational(em) != 0:
                 return make_params(ctx, ep, em, kp, km, s0, s1, pt)
-            except ValueError:
-                continue
         raise ConfigError("could not draw admissible parameters; "
                           "check the pinned values")
 
@@ -225,10 +218,11 @@ def run_suite(config: SuiteConfig) -> list:
     ctx = config.context()
     rng = random.Random(config.seed)
     drawer = Drawer(config, rng)
+    reps = {n: make_irrep(ctx, n) for n in config.dims}
     suites = SUITES[1:] if config.suite == "all" else (config.suite,)
     reports = []
     for name in suites:
-        for check, *args in _SUITE_RUNNERS[name](ctx, config, drawer):
+        for check, *args in _SUITE_RUNNERS[name](ctx, config, drawer, reps):
             reports.extend(_run(ctx, drawer, check, args))
     reports.sort(key=lambda r: (r.name, json.dumps(r.params, sort_keys=True,
                                                    default=str)))
@@ -275,10 +269,11 @@ def _run(ctx, drawer, check, args) -> list:
 
 # Each suite yields (check name, *positional arguments), drawing its inputs
 # lazily: `_run` finishes one call before the next one's inputs are drawn.
+# `reps` maps each configured dimension to its irrep, built once per run.
 
-def _suite_ybe(ctx, config, drawer):
+def _suite_ybe(ctx, config, drawer, reps):
     for n in config.dims:
-        rep = make_irrep(ctx, n)
+        rep = reps[n]
         for _ in range(config.draws):
             params = drawer.params(ctx)
             x = drawer.spectral(ctx, config.x_exp)
@@ -292,14 +287,14 @@ def _zeroed(fam) -> _Draw:
     return _Draw(k_plus_zero=fam.k_plus_zero, k_minus_zero=fam.k_minus_zero)
 
 
-def _suite_reflection(ctx, config, drawer):
+def _suite_reflection(ctx, config, drawer, reps):
     for _ in range(config.draws):
         x = drawer.spectral(ctx, config.x_exp)
         y = drawer.spectral(ctx, config.y_exp)
         yield ("check_reflection", ctx, "matrix", None, None,
                _Draw(need_k_plus=True, need_k_minus=True), x, y)
     for n in config.dims:
-        rep = make_irrep(ctx, n)
+        rep = reps[n]
         for variant, fam in _TRIANGULAR.items():
             for _ in range(config.draws):
                 x = drawer.spectral(ctx, config.x_exp)
@@ -308,9 +303,9 @@ def _suite_reflection(ctx, config, drawer):
                        _zeroed(fam), x, y)
 
 
-def _suite_intertwining(ctx, config, drawer):
+def _suite_intertwining(ctx, config, drawer, reps):
     for n in config.dims:
-        rep = make_irrep(ctx, n)
+        rep = reps[n]
         for variant, fam in _TRIANGULAR.items():
             for _ in range(config.draws):
                 x = drawer.spectral(ctx, config.x_exp)
@@ -320,17 +315,16 @@ def _suite_intertwining(ctx, config, drawer):
             yield "check_aux_lemmas", ctx, rep, _Draw(k_minus_zero=True), x
 
 
-def _suite_coideal(ctx, config, drawer):
+def _suite_coideal(ctx, config, drawer, reps):
     for n in config.dims:
-        rep = make_irrep(ctx, n)
+        rep = reps[n]
         for _ in range(config.draws):
             params = drawer.params(ctx)
             x = drawer.spectral(ctx, config.x_exp)
             yield "check_coideal_algebras", ctx, rep, params, x
     for n in config.dims:
         for m in config.dims:
-            rep1 = make_irrep(ctx, n)
-            rep2 = make_irrep(ctx, m)
+            rep1, rep2 = reps[n], reps[m]
             for _ in range(config.draws):
                 params = drawer.params(ctx)
                 x = drawer.spectral(ctx, config.x_exp)
@@ -338,10 +332,10 @@ def _suite_coideal(ctx, config, drawer):
                 yield "check_coideal_coproduct", ctx, rep1, rep2, params, x, y
 
 
-def _suite_appendix(ctx, config, drawer):
+def _suite_appendix(ctx, config, drawer, reps):
     halves = (-2, -1, 0, 1, 2, 3)
     for n in config.dims:
-        rep = make_irrep(ctx, n)
+        rep = reps[n]
         for _ in range(config.draws):
             a = drawer.rational_str()
             b = Fraction(drawer.rng.choice(halves), 2)
@@ -350,23 +344,23 @@ def _suite_appendix(ctx, config, drawer):
                 yield "check_appendix", ctx, ident, rep, a, b, c
 
 
-def _suite_symmetries(ctx, config, drawer):
+def _suite_symmetries(ctx, config, drawer, reps):
     for n in config.dims:
-        rep = make_irrep(ctx, n)
+        rep = reps[n]
         for _ in range(config.draws):
             params = drawer.params(ctx)
             x = drawer.spectral(ctx, config.x_exp)
             yield "check_symmetries", ctx, rep, params, x
 
 
-def _suite_onsager(ctx, config, drawer):
+def _suite_onsager(ctx, config, drawer, reps):
     # generic k+ k- != 0, then the triangular degenerations, which satisfy
     # both relations
     draws = (_Draw(need_k_plus=True, need_k_minus=True),
              _Draw(k_minus_zero=True, need_k_plus=True),
              _Draw(k_plus_zero=True, need_k_minus=True))
     for n in config.dims:
-        rep = make_irrep(ctx, n)
+        rep = reps[n]
         for _ in range(config.draws):
             x = drawer.spectral(ctx, config.x_exp)
             for draw in draws:

@@ -43,11 +43,8 @@ from qreflect.suite import SuiteConfig, run_suite
 EXACT = ScalarContext()
 
 VARIANT_ZEROING = {
-    "diagonal": dict(k_plus_zero=True, k_minus_zero=True),
-    "upper": dict(k_minus_zero=True),
-    "lower": dict(k_plus_zero=True),
-    "upper_alt": dict(k_plus_zero=True),
-    "lower_alt": dict(k_minus_zero=True),
+    variant: dict(k_plus_zero=fam.k_plus_zero, k_minus_zero=fam.k_minus_zero)
+    for variant, fam in koperators.VARIANTS.items() if fam.triangular
 }
 
 

@@ -18,7 +18,6 @@ from qreflect.checks import (
     check_serre,
     check_symmetries,
     check_ybe,
-    iota_conjugator,
     reflection_sides_matrix,
     reflection_sides_operator,
 )
@@ -27,6 +26,7 @@ from qreflect.linalg import Matrix, lift
 from qreflect.loperators import build_K_scalar, build_L, build_R
 from qreflect.representations import (
     eval_affine_expr,
+    iota_matrix,
     make_irrep,
     make_params,
     onsager_generators,
@@ -71,11 +71,7 @@ def test_ybe_bar_is_iota_image_of_unbarred(ctx):
     left = (lift(build_L(rep, params, u), dims, (0, 1))
             * lift(build_L(rep, params, w), dims, (0, 2))
             * lift(build_R(ctx, params, v), dims, (1, 2)))
-    d = iota_conjugator(rep)
-    dinv = Matrix.diagonal(ctx, [d.entry(i, i).inverse() for i in range(3)])
-    s = lift(d, dims, (0,))
-    sinv = lift(dinv, dims, (0,))
-    mapped = s * left.transpose() * sinv
+    mapped = iota_matrix(left, 3)
     right = (lift(build_R(ctx, params, v.inverse(), bar=True), dims, (1, 2))
              * lift(build_L(rep, params, w.inverse(), bar=True), dims, (0, 2))
              * lift(build_L(rep, params, u.inverse(), bar=True), dims, (0, 1)))

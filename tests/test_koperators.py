@@ -7,11 +7,7 @@ import math
 import pytest
 
 from conftest import agrees_with_unfactored, mat_equals, rand_params, seeded
-from qreflect.checks import (
-    finite_iota_matrix,
-    finite_sigma_matrix,
-    variant_generator_exprs,
-)
+from qreflect.checks import variant_generator_exprs
 from qreflect.koperators import (
     VARIANTS,
     KOperatorSpec,
@@ -38,9 +34,11 @@ from qreflect.representations import (
     cartan_power,
     casimir,
     eval_affine_expr,
+    iota_matrix,
     make_irrep,
     make_params,
     onsager_generators,
+    sigma_matrix,
     spectral_cartan,
 )
 from qreflect.scalars import (
@@ -337,18 +335,18 @@ def test_variants_swap_under_sigma_iota(ctx):
         pl = make_params(ctx, ep, em, k_plus=0, k_minus=kval, s0=s0, s1=s1)
         ku = build_K(KOperatorSpec("upper", pu, x), rep)
         kl = build_K(KOperatorSpec("lower", pl, x), rep)
-        assert mat_equals(finite_iota_matrix(rep, ku), kl)
+        assert mat_equals(iota_matrix(ku, 3), kl)
         # upper_alt(P) = sigma(upper(P')) with P' = (eps, k, s) swapped
         pu_sw = make_params(ctx, em, ep, k_plus=kval, k_minus=0, s0=s1, s1=s0)
         palt = make_params(ctx, ep, em, k_plus=0, k_minus=kval, s0=s0, s1=s1)
         kupd = build_K(KOperatorSpec("upper_alt", palt, x), rep)
-        assert mat_equals(finite_sigma_matrix(
-            rep, build_K(KOperatorSpec("upper", pu_sw, x), rep)), kupd)
+        assert mat_equals(sigma_matrix(
+            build_K(KOperatorSpec("upper", pu_sw, x), rep)), kupd)
         pl_sw = make_params(ctx, em, ep, k_plus=0, k_minus=kval, s0=s1, s1=s0)
         plou = make_params(ctx, ep, em, k_plus=kval, k_minus=0, s0=s0, s1=s1)
         klou = build_K(KOperatorSpec("lower_alt", plou, x), rep)
-        assert mat_equals(finite_sigma_matrix(
-            rep, build_K(KOperatorSpec("lower", pl_sw, x), rep)), klou)
+        assert mat_equals(sigma_matrix(
+            build_K(KOperatorSpec("lower", pl_sw, x), rep)), klou)
 
 
 def rand_rational_nonzero(rng):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from conftest import mat_equals, seeded
 from qreflect.linalg import Matrix, lift, residual
-from qreflect.representations import E_ATOM, F_ATOM, eval_word, h_atom, make_irrep
+from qreflect.representations import cartan_power, make_irrep
 from qreflect.scalars import RationalExpression, ScalarContext
 from test_scalars import rand_expr, sympy_qq, to_sympy
 
@@ -205,7 +205,8 @@ def test_matrix_ops_against_sympy(ctx):
 
 
 def test_product_chains_against_sympy(ctx):
-    """Chains of products: random factors and generator words of an irrep."""
+    """Chains of products: random factors, and products of an irrep's E, F
+    and Cartan powers."""
     qq, field, dm = sympy_matrix_oracle()
     rng = seeded(77)
     for _ in range(4):
@@ -215,14 +216,15 @@ def test_product_chains_against_sympy(ctx):
         for f in factors[1:]:
             ours, theirs = ours * f, theirs * to_domain_matrix(qq, field, dm, f)
             assert_same(qq, field, ours, theirs)
-    atoms = (E_ATOM, F_ATOM, h_atom(1), h_atom(Fraction(1, 2)), h_atom(-2))
     for n in (2, 3, 4):
         rep = make_irrep(ctx, n)
-        images = {a: to_domain_matrix(qq, field, dm, eval_word(rep, (a,)))
-                  for a in atoms}
+        gens = (rep.e_mat, rep.f_mat, cartan_power(rep, 1),
+                cartan_power(rep, Fraction(1, 2)), cartan_power(rep, -2))
         for _ in range(6):
-            word = tuple(rng.choice(atoms) for _ in range(rng.randint(2, 6)))
-            theirs = images[word[0]]
-            for a in word[1:]:
-                theirs = theirs * images[a]
-            assert_same(qq, field, eval_word(rep, word), theirs)
+            word = [rng.choice(gens) for _ in range(rng.randint(2, 6))]
+            ours = word[0]
+            theirs = to_domain_matrix(qq, field, dm, ours)
+            for g in word[1:]:
+                ours = ours * g
+                theirs = theirs * to_domain_matrix(qq, field, dm, g)
+            assert_same(qq, field, ours, theirs)
