@@ -301,7 +301,7 @@ def check_aux_lemmas(ctx: ScalarContext, rep: Irrep, params: ParamSet,
     exp_p = q_exp_nilpotent(ctx, arg)
     exp_m = q_exp_nilpotent(ctx, arg, inverse=True)
     em_qmh = weight_diagonal(rep, lambda h: p.eps_minus * ctx.q(-h))
-    t1 = em_qmh + rep.e_mat.scaled(p.k_plus * ctx.x_power(x, -p.s0))
+    t1 = eval_affine_expr(rep, p, x, variant_generator_exprs(ctx, "upper", p)["T1"])
     pd = _params_dict(params, rep, x=x)
 
     # (a) the similarity transform turning ev_x(T1) into a Cartan element

@@ -25,6 +25,8 @@ and the eigenvalue collisions are read off M's closed-form spectrum.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 from .linalg import Matrix
@@ -79,8 +81,8 @@ class NonNilpotentError(ValueError):
 class RepeatedEigenvalueError(ValueError):
     """Two eigenvalues of a numeric spectral-function argument coincide by
     its closed-form spectrum (A B != 0), or lie within 1e-12 on the diagonal
-    of a triangular argument (A B = 0), where its substitution eigenvectors
-    are too large to trust (`_triangular_eig`)."""
+    of a triangular argument (A B = 0), where the divided differences of
+    Parlett's recurrence are too large to trust (`_triangular_function`)."""
 
 
 @dataclass(frozen=True)
@@ -234,56 +236,42 @@ def _spectral_argument(rep: Irrep, spec: KOperatorSpec) -> Matrix:
     return arg
 
 
-def _triangular_eig(mat: Matrix, shape: str):
-    """Numeric eigendecomposition of a triangular matrix with distinct
-    diagonal, by substitution; `shape` ("upper" or "lower") says which
-    triangle holds the off-diagonal entries.
+def _triangular_function(mat: Matrix, f) -> Matrix:
+    """f(M) of a numeric triangular M by Parlett's recurrence (Parlett 1976;
+    Higham, *Functions of Matrices*, 2008, section 4.6): F = f(M) commutes
+    with M, so F_ii = f(m_ii) and, one superdiagonal at a time,
 
-    Returns (V, eigenvalues, V^-1) with V unit-triangular.  Diagonal
-    entries within an absolute 1e-12 raise RepeatedEigenvalueError.  For a
-    spectral argument they are eps q^(hw), which never coincide for
-    |q| > 1, so the test guards conditioning: the entries of V grow like
-    k / (eps (q^a - q^b)), about 1e13 at eps = 1e-13, where the residuals
-    fail falsely without it.
+        F_ij = (m_ij (F_jj - F_ii) + sum_{i<k<j} (m_ik F_kj - F_ik m_kj))
+               / (m_jj - m_ii).
+
+    A lower M (read off its nonzero entries) goes through its transpose; one
+    with nonzero entries on both sides of the diagonal raises ValueError.
+    Diagonal entries within an absolute 1e-12 raise RepeatedEigenvalueError:
+    for a spectral argument they are eps q^(hw), which never coincide for
+    |q| > 1, but the divided differences grow like k / (eps (q^a - q^b)),
+    about 1e13 at eps = 1e-13, where the residuals fail falsely.
     """
-    ctx = mat.ctx
+    nonzero = [key for key, v in mat.entries.items() if v != 0]
+    if any(i > j for i, j in nonzero):
+        if any(i < j for i, j in nonzero):
+            raise ValueError("Parlett's recurrence needs a triangular matrix")
+        return _triangular_function(mat.transpose(), f).transpose()
     n = mat.size
-    grid = mat.to_dense()
-    eigs = [grid[i][i] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(eigs[i] - eigs[j]) < 1e-12:
-                raise RepeatedEigenvalueError(
-                    f"eigenvalues {i} and {j} collide; the spectral function "
-                    "is ambiguous")
-    cols = _substitute(ctx, grid, shape,
-                       lambda c, r, s: s / (eigs[c] - grid[r][r]))
-    # V is unit-triangular, so V^-1 is the same substitution on V
-    inv_cols = _substitute(ctx, list(zip(*cols)), shape, lambda c, r, s: -s)
-    return _from_columns(ctx, cols), eigs, _from_columns(ctx, inv_cols)
-
-
-def _substitute(ctx, grid, shape, solve):
-    """Columns w_c of a triangular solve by substitution: w_c[c] = 1 and,
-    towards the upper (lower) corner, w_c[r] = solve(c, r, s) with s the
-    sum of grid[r][k] w_c[k] over the k from r (exclusive) to c."""
-    n = len(grid)
-    zero = ctx.zero()
-    cols = []
-    for c in range(n):
-        w = [zero] * n
-        w[c] = ctx.one()
-        for r in range(c - 1, -1, -1) if shape == "upper" else range(c + 1, n):
-            ks = range(r + 1, c + 1) if shape == "upper" else range(c, r)
-            w[r] = solve(c, r, sum((grid[r][k] * w[k] for k in ks), start=zero))
-        cols.append(w)
-    return cols
-
-
-def _from_columns(ctx, cols) -> Matrix:
-    n = len(cols)
-    return Matrix.from_scalar_entries(
-        ctx, n, {(r, c): cols[c][r] for c in range(n) for r in range(n)})
+    m = [[mat.entries.get((i, j), 0j) for j in range(n)] for i in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        if abs(m[j][j] - m[i][i]) < 1e-12:
+            raise RepeatedEigenvalueError(
+                f"eigenvalues {i} and {j} collide; the spectral function "
+                "is ambiguous")
+    fm = {(i, i): f(m[i][i]) for i in range(n)}
+    for d in range(1, n):
+        for i in range(n - d):
+            j = i + d
+            acc = m[i][j] * (fm[j, j] - fm[i, i])
+            for k in range(i + 1, j):
+                acc += m[i][k] * fm[k, j] - fm[i, k] * m[k][j]
+            fm[i, j] = acc / (m[j][j] - m[i][i])
+    return Matrix.from_scalar_entries(mat.ctx, n, fm)
 
 
 def _spectral_function(ctx: ScalarContext, spec: KOperatorSpec, eps, z):
@@ -300,8 +288,8 @@ def build_K_unfactored(spec: KOperatorSpec, rep: Irrep) -> Matrix:
     families).  At t < 0 it is x^{s0 H} P^-1, which is never formed: this
     function raises ValueError, and the cleared relation K P = x^{s0 H} (or
     `candidate_intertwining_sides` for the candidate) certifies it.  The
-    numeric backend takes eigenvectors instead (`_numeric_spectral_core`),
-    giving an independent route.
+    numeric backend applies the spectral function to M itself instead
+    (`_numeric_spectral_core`), giving an independent route.
     """
     ctx = rep.ctx
     *_, prefix_exp = _frame(spec.variant, spec.params)
@@ -370,25 +358,22 @@ def _polynomial_spectral_core(spec: KOperatorSpec, rep: Irrep) -> Matrix:
 
 
 def _numeric_spectral_core(spec: KOperatorSpec, rep: Irrep) -> Matrix:
-    """f(M) = V f(D) V^-1 for the spectral argument M = V D V^-1 on the
-    numeric backend, the route read off `_spectrum`.
+    """f(M) for the spectral argument M on the numeric backend, by the
+    route read off `_spectrum`.
 
     At A B = 0 (every triangular family, and the candidate at k+ k- = 0) M is
-    triangular: upper when k- = 0, which leaves only the k+ E term, and
-    lower otherwise.  V then comes by substitution (`_triangular_eig`),
-    which needs no numpy.  Otherwise the closed-form spectrum decides
-    whether two eigenvalues collide (RepeatedEigenvalueError), and
-    `np.linalg.eig` supplies V.
+    triangular, and Parlett's recurrence (`_triangular_function`) gives f(M)
+    with no eigenvector and no numpy.  Otherwise the closed-form spectrum
+    decides whether two eigenvalues collide (RepeatedEigenvalueError), and
+    f(M) = V f(D) V^-1 with V from `np.linalg.eig`.
     """
     ctx = rep.ctx
     arg = _spectral_argument(rep, spec)
     _, eps, *_ = _frame(spec.variant, spec.params)
+    f = functools.partial(_spectral_function, ctx, spec, eps)
     e, ab = _spectrum(ctx, spec)
     if ab == 0:
-        shape = "upper" if spec.params.k_minus == 0 else "lower"
-        v, eigs, v_inv = _triangular_eig(arg, shape)
-        fvals = [_spectral_function(ctx, spec, eps, z) for z in eigs]
-        return v * Matrix.diagonal(ctx, fvals) * v_inv
+        return _triangular_function(arg, f)
     import numpy as np
 
     # Eigenvalues i != j of `_spectrum` coincide exactly when A q^k = B,
@@ -416,8 +401,7 @@ def _numeric_spectral_core(spec: KOperatorSpec, rep: Irrep) -> Matrix:
                 f"eigenvalues of the spectral argument coincide (A q^{k} = B)")
         qk *= q2
     eigvals, vecs = np.linalg.eig(arg.to_numpy())
-    fv = np.array([_spectral_function(ctx, spec, eps, complex(z))
-                   for z in eigvals])
+    fv = np.array([f(complex(z)) for z in eigvals])
     core = vecs @ np.diag(fv) @ np.linalg.inv(vecs)
     entries = {(i, j): complex(core[i, j]) for i in range(n) for j in range(n)
                if core[i, j] != 0}

@@ -188,10 +188,6 @@ class Matrix:
         return Matrix(self.ctx, self.size,
                       {(j, i): v for (i, j), v in self.entries.items()}, self.den)
 
-    def to_dense(self):
-        """List-of-lists of field scalars."""
-        return [[self.entry(i, j) for j in range(self.size)] for i in range(self.size)]
-
     def to_numpy(self):
         import numpy as np
 

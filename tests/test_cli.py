@@ -284,10 +284,11 @@ def test_numeric_pinned_spectral_exponents_give_the_exact_verdicts():
 
 def test_cli_tiny_eps_triangular_argument_is_a_config_error(capsys):
     # at eps- = 1e-13 the diagonal nodes eps q^(+-1) of the triangular
-    # degenerations lie within 1e-12, where `_triangular_eig` refuses them.
-    # They never collide, but the substitution eigenvectors grow like
-    # k / (eps (q^a - q^b)), about 1e13 here; without the refusal
-    # onsager/int_W0 FAILs falsely three times at residuals 3.7e-4 to 8.4e-4
+    # degenerations lie within 1e-12, where `_triangular_function` refuses
+    # them.  They never collide, but the divided differences of Parlett's
+    # recurrence grow like k / (eps (q^a - q^b)), about 1e13 here; without
+    # the refusal onsager/int_W0 FAILs falsely three times at residuals
+    # 2.7e-4 to 9.0e-4
     code = main(["--suite", "onsager", "--dims", "2", "--backend", "numeric",
                  "--q", "1.4+0.3i", "--eps-minus", "1/10000000000000"])
     assert code == 2

@@ -6,11 +6,13 @@ A change that alters a report on purpose updates the hash and says why.
 The numeric hash also depends on the platform's floating point and LAPACK
 (numpy.linalg.eig); the exact hash depends on nothing but the code.
 
-The exact golden config is also run with q pinned to rational squares, a
-second route to every exact verdict: at a pinned q every scalar is a
-constant, so none of the polynomial multiply, division and gcd code runs.
+The exact golden config, and one seeded config at each of dims 4, 5 and 6,
+is also run with q pinned to rational squares, a second route to every
+exact verdict: at a pinned q every scalar is a constant, so none of the
+polynomial multiply, division and gcd code runs.
 """
 
+import functools
 import hashlib
 import json
 
@@ -26,13 +28,14 @@ GOLDEN = [
     # the appendix reports among themselves; nothing else changed
     (dict(seed=7, dims=(2, 3)),
      "a519ff07be876020059c55dc50caf302dbf2b754e710e5177d55b9de69883741"),
-    # the numeric hash moved once more when sigma and iota became matrix
-    # maps (index reversal, and D (.)^T D^-1) in place of generator-word
-    # images: the symmetry/iota_L and iota_Lbar residuals change in the
-    # last bits, and the zero-residual symmetry/sigma_* and ev_sigma_*
-    # details name another zero entry; every verdict is as before
+    # the numeric hash moved once more when triangular spectral arguments
+    # (k+ = 0 or k- = 0) took Parlett's recurrence in place of substitution
+    # eigenvectors, and aux/similarity_to_cartan took ev_x(T1) from its
+    # affine expression: the k+- = 0 onsager/int_W0 and int_W1 and the
+    # aux/similarity_to_cartan residuals and details change in the last
+    # bits; every verdict is as before
     (dict(seed=7, dims=(2, 3), backend="numeric", q="1.4+0.3i"),
-     "778eb3759b8b3b75287edab14cdf7beac74277749ef6111fd996c31247ae65c8"),
+     "9b73550107e2896a9885affc92a641adf9546b13e3dc1f1cc7c92002c3b34fc8"),
 ]
 
 
@@ -52,19 +55,28 @@ def verdicts(config: SuiteConfig) -> dict:
     return out
 
 
-@pytest.fixture(scope="module")
-def symbolic_verdicts():
-    return verdicts(SuiteConfig(**GOLDEN[0][0]))
+# the golden config's cases keep the bare q as their id
+PINNED_CONFIGS = [GOLDEN[0][0], dict(seed=3, dims=(4,)), dict(seed=5, dims=(5,)),
+                  dict(seed=7, dims=(6,))]
+PINNED = [pytest.param(cfg, q, id=q if cfg is GOLDEN[0][0]
+                       else f"dims{cfg['dims'][0]}-seed{cfg['seed']}-{q}")
+          for cfg in PINNED_CONFIGS for q in ("49/25", "9/4", "121/49")]
 
 
-@pytest.mark.parametrize("q", ["49/25", "9/4", "121/49"])
-def test_pinned_q_agrees_with_symbolic_verdicts(q, symbolic_verdicts):
-    pinned = verdicts(SuiteConfig(**GOLDEN[0][0], q=q))
+@functools.cache
+def symbolic_verdicts(seed: int, dims: tuple) -> dict:
+    return verdicts(SuiteConfig(seed=seed, dims=dims))
+
+
+@pytest.mark.parametrize("kwargs,q", PINNED)
+def test_pinned_q_agrees_with_symbolic_verdicts(kwargs, q):
+    symbolic = symbolic_verdicts(**kwargs)
+    pinned = verdicts(SuiteConfig(**kwargs, q=q))
     # a key that is missing here had its parameters redrawn after a pole
     # at this q, so it has nothing to compare against
-    shared = symbolic_verdicts.keys() & pinned.keys()
+    shared = symbolic.keys() & pinned.keys()
     assert shared
-    disagree = [k for k in shared if pinned[k] != symbolic_verdicts[k]]
+    disagree = [k for k in shared if pinned[k] != symbolic[k]]
     assert not disagree, disagree[:5]
 
 

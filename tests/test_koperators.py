@@ -19,7 +19,7 @@ from qreflect.koperators import (
     _spectral_argument,
     _spectrum,
     _telescoped_t,
-    _triangular_eig,
+    _triangular_function,
     build_K,
     build_K0_diagonal,
     build_K_unfactored,
@@ -295,10 +295,10 @@ def test_factored_unfactored_split_agree(ctx):
 
 def test_numeric_triangular_forms_agree(nctx):
     """On the numeric backend at a random complex x the factored form of
-    every triangular family equals its unfactored form, which takes the
-    substitution route at A B = 0: upper when k- = 0, lower otherwise.  The
-    candidate at k- = 0 (k+ = 0) takes the same route and equals the upper
-    (lower) family.  The route needs no numpy."""
+    every triangular family equals its unfactored form, which takes
+    Parlett's recurrence at A B = 0, on the transpose when the argument is
+    lower.  The candidate at k- = 0 (k+ = 0) takes the same route and equals
+    the upper (lower) family.  The route needs no numpy."""
     rng = seeded(67)
     for n in (2, 3, 4):
         rep = make_irrep(nctx, n)
@@ -440,12 +440,37 @@ def test_candidate_numeric_general():
 
 
 def test_repeated_eigenvalues_detected(nctx):
-    # a numeric triangular argument whose diagonal repeats an entry
+    # a numeric triangular argument whose diagonal repeats an entry, upper
+    # and lower
     mat = Matrix(nctx, 3, {(0, 0): 2 + 0j, (0, 1): 1 + 0j, (1, 1): 0.5 + 0j,
                            (1, 2): 3 + 0j, (2, 2): 2 + 0j})
-    with pytest.raises(RepeatedEigenvalueError):
-        _triangular_eig(mat, "upper")
-    _triangular_eig(Matrix(nctx, 3, {**mat.entries, (2, 2): 1 + 0j}), "upper")
+    for m in (mat, mat.transpose()):
+        with pytest.raises(RepeatedEigenvalueError):
+            _triangular_function(m, cmath.exp)
+        _triangular_function(Matrix(nctx, 3, {**m.entries, (2, 2): 1 + 0j}),
+                             cmath.exp)
+
+
+@pytest.mark.parametrize("q", [1.4 + 0.3j, -1.1 + 2.3j])
+def test_triangular_function_is_the_matrix_polynomial(q):
+    """Parlett's recurrence gives p(M) = M M + 3 M + 1, formed by matrix
+    products, for the upper M = eps q^-H + c E and the lower
+    M = eps q^-H + c F, n = 1..6; a matrix with entries on both sides of
+    the diagonal is refused.  Needs no numpy."""
+    nctx = ScalarContext(q_value=q)
+    rng = seeded(71)
+    for n in range(1, 7):
+        rep = make_irrep(nctx, n)
+        for gen in (rep.e_mat, rep.f_mat):
+            eps, c = (cmath.rect(0.5 + rng.random(), 2 * math.pi * rng.random())
+                      for _ in range(2))
+            m = cartan_power(rep, -1).scaled(eps) + gen.scaled(c)
+            poly = m * m + m.scaled(3) + Matrix.identity(nctx, n)
+            got = _triangular_function(m, lambda z: z * z + 3 * z + 1)
+            assert mat_equals(got, poly), (q, n)
+    rep = make_irrep(nctx, 2)
+    with pytest.raises(ValueError, match="triangular"):
+        _triangular_function(rep.e_mat + rep.f_mat, cmath.exp)
 
 
 @pytest.mark.parametrize("variant", [v for v, fam in VARIANTS.items()
