@@ -48,6 +48,7 @@ from .representations import (
     f_atom,
     hq_atom,
     iota_matrix,
+    make_irrep,
     onsager_generators,
     sigma_matrix,
     triangular_onsager_generators,
@@ -683,17 +684,16 @@ def check_symmetries(ctx: ScalarContext, rep: Irrep, params: ParamSet,
     swapped = _swap_gradation(params)
     xinv = x.inverse()
 
-    n = rep.dim
     for bar in (False, True):
         suffix = "bar" if bar else ""
         lmat = build_L(rep, params, x, bar)
         yield (f"symmetry/sigma_L{suffix}", pd, sigma_matrix(lmat),
                build_L(rep, swapped, x, bar))
-        yield (f"symmetry/iota_L{suffix}", pd, iota_matrix(lmat, n),
+        yield (f"symmetry/iota_L{suffix}", pd, iota_matrix(lmat, rep),
                build_L(rep, params, xinv, not bar))
     rmat = build_R(ctx, params, x)
     yield ("symmetry/sigma_R", pd, sigma_matrix(rmat), build_R(ctx, swapped, x))
-    yield ("symmetry/iota_R", pd, iota_matrix(rmat, 2),
+    yield ("symmetry/iota_R", pd, iota_matrix(rmat, make_irrep(ctx, 2)),
            build_R(ctx, params, xinv, bar=True))
 
     # evaluation-map consistency: sigma . ev_x = ev_x . sigma (s0 <-> s1) and
@@ -706,7 +706,7 @@ def check_symmetries(ctx: ScalarContext, rep: Irrep, params: ParamSet,
                eval_affine_word(rep, swapped, x, affine_sigma(g)))
         coeff, word = affine_iota(ctx, g)
         yield (f"symmetry/ev_iota_{g[0][0]}{g[0][1]}", pd,
-               iota_matrix(eval_affine_word(rep, params, x, g), n),
+               iota_matrix(eval_affine_word(rep, params, x, g), rep),
                eval_affine_word(rep, params, xinv, word).scaled(coeff))
 
     yield from _serre(ctx, rep, params, x)

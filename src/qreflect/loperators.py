@@ -34,8 +34,10 @@ def build_L(rep: Irrep, params: ParamSet, x: Spectral, bar: bool = False) -> Mat
     half_inv = cartan_power(rep, Fraction(-1, 2))
     blocks = {
         (0, 0): half + half_inv.scaled(mqx),
-        (0, 1): (rep.f_mat * half_inv).scaled(lam * x01),
-        (1, 0): (rep.e_mat * half).scaled(lam * x10),
+        (0, 1): rep._memoized("F q^(-H/2)", lambda: rep.f_mat * half_inv)
+                   .scaled(lam * x01),
+        (1, 0): rep._memoized("E q^(H/2)", lambda: rep.e_mat * half)
+                   .scaled(lam * x10),
         (1, 1): half_inv + half.scaled(mqx),
     }
     out = Matrix.zero(ctx, 2 * rep.dim)

@@ -69,9 +69,10 @@ def make_params(ctx: ScalarContext, eps_plus, eps_minus, k_plus=0, k_minus=0,
 class Irrep:
     """An n-dimensional irreducible representation in the weight basis.
 
-    `_memo` keeps the Cartan powers q^(xi H), built on first use; handing
-    out shared matrices is safe because a `Matrix` is never mutated after
-    construction.
+    `_memo` keeps the x-independent matrices built on first use: the Cartan
+    powers q^(xi H), the products F q^(-H/2) and E q^(H/2) of L, the iota
+    conjugators and the Casimir.  Handing out shared matrices is safe
+    because a `Matrix` is never mutated after construction.
     """
 
     dim: int
@@ -80,6 +81,13 @@ class Irrep:
     f_mat: Matrix
     ctx: ScalarContext
     _memo: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def _memoized(self, key, build) -> Matrix:
+        """The matrix stored under `key`, made by `build()` on first use."""
+        mat = self._memo.get(key)
+        if mat is None:
+            mat = self._memo[key] = build()
+        return mat
 
 
 def q_bracket(ctx: ScalarContext, m: int):
@@ -109,11 +117,7 @@ def cartan_power(rep: Irrep, xi) -> Matrix:
     """q^(xi*H) as a diagonal matrix for an int or Fraction xi; requires
     2*xi integral.  An int and the equal Fraction hash alike, so they share
     one memo entry."""
-    key = ("H", xi)
-    mat = rep._memo.get(key)
-    if mat is None:
-        mat = rep._memo[key] = _build_cartan_power(rep, xi)
-    return mat
+    return rep._memoized(("H", xi), lambda: _build_cartan_power(rep, xi))
 
 
 def _build_cartan_power(rep: Irrep, xi) -> Matrix:
@@ -137,7 +141,12 @@ def spectral_cartan(rep: Irrep, x: Spectral, coeff: int) -> Matrix:
 
 
 def casimir(rep: Irrep) -> Matrix:
-    """FE + (q^(H+1) + q^(-H-1))/(q - q^-1)^2, central in U_q(sl2)."""
+    """FE + (q^(H+1) + q^(-H-1))/(q - q^-1)^2, central in U_q(sl2); built
+    once per irrep."""
+    return rep._memoized("casimir", lambda: _build_casimir(rep))
+
+
+def _build_casimir(rep: Irrep) -> Matrix:
     ctx = rep.ctx
     lam = ctx.q(1) - ctx.q(-1)
     lam2 = lam * lam
@@ -188,13 +197,15 @@ def iota_conjugator(ctx: ScalarContext, n: int) -> Matrix:
     return Matrix.diagonal(ctx, d)
 
 
-def iota_matrix(mat: Matrix, n: int) -> Matrix:
-    """iota as a matrix map on V_n, or on V_n (x) C^2 (x) ... with V_n the
-    major leg: D mat^T D^-1 with D = iota_conjugator (x) 1.  D = 1 on V_2,
-    so iota on the R-matrix is its transpose."""
-    ctx = mat.ctx
-    d = iota_conjugator(ctx, n)
-    dinv = Matrix.diagonal(ctx, [ctx.one() / d.entry(i, i) for i in range(n)])
+def iota_matrix(mat: Matrix, rep: Irrep) -> Matrix:
+    """iota as a matrix map on V_n = `rep`, or on V_n (x) C^2 (x) ... with
+    V_n the major leg: D mat^T D^-1 with D = iota_conjugator (x) 1, where D
+    and D^-1 are built once per irrep.  D = 1 on V_2, so iota on the
+    R-matrix is its transpose."""
+    ctx, n = rep.ctx, rep.dim
+    d = rep._memoized("iota D", lambda: iota_conjugator(ctx, n))
+    dinv = rep._memoized("iota D^-1", lambda: Matrix.diagonal(
+        ctx, [ctx.one() / d.entry(i, i) for i in range(n)]))
     unit = Matrix.identity(ctx, mat.size // n)
     return d.kron(unit) * mat.transpose() * dinv.kron(unit)
 

@@ -9,6 +9,7 @@ report content exactly.
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -408,6 +409,9 @@ def report_to_dict(r: CheckReport) -> dict:
     return out
 
 
+_EMIT_BATCH = 4096  # encoder chunks per joined piece of the JSON text
+
+
 def emit_report(reports, fmt: str, config: SuiteConfig) -> str:
     """The report of a run of `config` as "json" or "text"; statuses are
     judged at `config.tol`."""
@@ -420,7 +424,16 @@ def emit_report(reports, fmt: str, config: SuiteConfig) -> str:
             "checks": [report_to_dict(r) for r in reports],
             "summary": summary,
         }
-        return json.dumps(doc, indent=2, default=str) + "\n"
+        # the text of json.dumps(doc, indent=2, default=str), joined a
+        # batch of encoder chunks at a time: with indent set the encoder is
+        # pure Python and yields hundreds of thousands of chunks, and a list
+        # of them all would take several times the text's size
+        chunks = json.JSONEncoder(indent=2, default=str).iterencode(doc)
+        parts = []
+        while batch := "".join(itertools.islice(chunks, _EMIT_BATCH)):
+            parts.append(batch)
+        parts.append("\n")
+        return "".join(parts)
     if fmt != "text":
         raise ConfigError(f"unknown report format {fmt!r}")
     lines = []

@@ -71,7 +71,7 @@ def test_ybe_bar_is_iota_image_of_unbarred(ctx):
     left = (lift(build_L(rep, params, u), dims, (0, 1))
             * lift(build_L(rep, params, w), dims, (0, 2))
             * lift(build_R(ctx, params, v), dims, (1, 2)))
-    mapped = iota_matrix(left, 3)
+    mapped = iota_matrix(left, rep)
     right = (lift(build_R(ctx, params, v.inverse(), bar=True), dims, (1, 2))
              * lift(build_L(rep, params, w.inverse(), bar=True), dims, (0, 2))
              * lift(build_L(rep, params, u.inverse(), bar=True), dims, (0, 1)))

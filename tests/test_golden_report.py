@@ -10,15 +10,28 @@ The exact golden config, and one seeded config at each of dims 4, 5 and 6,
 is also run with q pinned to rational squares, a second route to every
 exact verdict: at a pinned q every scalar is a constant, so none of the
 polynomial multiply, division and gcd code runs.
+
+The hash covers the parsed document, not its text.  The text layout
+(indent, separators, key order) is pinned by its own test against one
+`json.dumps` of the whole document, and a second test bounds the memory
+that emitting the text takes.
 """
 
 import functools
 import hashlib
 import json
+import tracemalloc
+from dataclasses import asdict
 
 import pytest
 
-from qreflect.suite import SuiteConfig, emit_report, run_suite
+from qreflect.suite import (
+    SuiteConfig,
+    emit_report,
+    report_to_dict,
+    run_suite,
+    summarize,
+)
 
 GOLDEN = [
     # the two t < 0 onsager/int_W0 details show an entry of the residual
@@ -84,3 +97,49 @@ def test_pinned_q_agrees_with_symbolic_verdicts(kwargs, q):
                          ids=[cfg.get("backend", "exact") for cfg, _ in GOLDEN])
 def test_fixed_seed_report_is_unchanged(kwargs, digest):
     assert canonical_sha256(SuiteConfig(**kwargs)) == digest
+
+
+def one_shot_json(reports: list, config: SuiteConfig) -> str:
+    """The reference layout: one json.dumps of the whole report document."""
+    doc = {
+        "suite": config.suite,
+        "config": {**asdict(config), "dims": list(config.dims)},
+        "checks": [report_to_dict(r) for r in reports],
+        "summary": summarize(reports, config.tol),
+    }
+    return json.dumps(doc, indent=2, default=str) + "\n"
+
+
+@pytest.mark.parametrize("kwargs", [GOLDEN[0][0], GOLDEN[1][0], None],
+                         ids=["exact", "numeric", "empty"])
+def test_json_report_layout_is_one_shot_dumps(kwargs):
+    if kwargs is None:
+        config, reports = SuiteConfig(suite="ybe", dims=(2,)), []
+    else:
+        if kwargs.get("backend") == "numeric":
+            pytest.importorskip("numpy")
+        config = SuiteConfig(**kwargs)
+        reports = run_suite(config)
+    assert emit_report(reports, "json", config) == one_shot_json(reports, config)
+
+
+# Peak traced memory of emitting the exact golden report (501 reports, 165 KB
+# of text), over the length of the text.  Encoded a bounded batch of chunks
+# at a time it measured 2.6x on CPython 3.11: the joined pieces and the final
+# text take 2x, the report dicts the rest.  One json.dumps of the document
+# lists every chunk of the pure-Python encoder (indent set) before joining
+# them and measured 8.1x.  The bound leaves room for the object sizes of
+# other CPython versions and stays well below the one-shot figure.
+EMIT_PEAK_PER_CHAR = 4.0
+
+
+def test_json_report_emission_memory_is_bounded():
+    config = SuiteConfig(**GOLDEN[0][0])
+    reports = run_suite(config)
+    tracemalloc.start()
+    try:
+        text = emit_report(reports, "json", config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < EMIT_PEAK_PER_CHAR * len(text), peak / len(text)

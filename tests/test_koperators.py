@@ -335,7 +335,7 @@ def test_variants_swap_under_sigma_iota(ctx):
         pl = make_params(ctx, ep, em, k_plus=0, k_minus=kval, s0=s0, s1=s1)
         ku = build_K(KOperatorSpec("upper", pu, x), rep)
         kl = build_K(KOperatorSpec("lower", pl, x), rep)
-        assert mat_equals(iota_matrix(ku, 3), kl)
+        assert mat_equals(iota_matrix(ku, rep), kl)
         # upper_alt(P) = sigma(upper(P')) with P' = (eps, k, s) swapped
         pu_sw = make_params(ctx, em, ep, k_plus=kval, k_minus=0, s0=s1, s1=s0)
         palt = make_params(ctx, ep, em, k_plus=0, k_minus=kval, s0=s0, s1=s1)

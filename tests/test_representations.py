@@ -124,9 +124,9 @@ def test_eval_generator_examples(ctx):
 def test_iota_is_antimultiplicative(ctx):
     rep = make_irrep(ctx, 3)
     # iota(E) = q^{-H-1} F and iota(F) = E q^{H+1} as matrices
-    assert mat_equals(iota_matrix(rep.e_mat, 3),
+    assert mat_equals(iota_matrix(rep.e_mat, rep),
                       cartan_power(rep, -1).scaled(ctx.q(-1)) * rep.f_mat)
-    assert mat_equals(iota_matrix(rep.f_mat, 3),
+    assert mat_equals(iota_matrix(rep.f_mat, rep),
                       rep.e_mat * cartan_power(rep, 1).scaled(ctx.q(1)))
 
 
@@ -152,18 +152,18 @@ def test_sigma_iota_act_leg_by_leg(backend, ctx, nctx):
             word = [rng.choice(gens) for _ in range(rng.randint(1, 4))]
             prod = word[0]
             sigma_prod = sigma_matrix(word[0])
-            iota_prod = iota_matrix(word[0], n)
+            iota_prod = iota_matrix(word[0], rep)
             for g in word[1:]:
                 prod = prod * g
                 sigma_prod = sigma_prod * sigma_matrix(g)
-                iota_prod = iota_matrix(g, n) * iota_prod
+                iota_prod = iota_matrix(g, rep) * iota_prod
             assert mat_equals(sigma_matrix(prod), sigma_prod)
-            assert mat_equals(iota_matrix(prod, n), iota_prod)
+            assert mat_equals(iota_matrix(prod, rep), iota_prod)
             b = rng.choice(c2)
             assert mat_equals(sigma_matrix(prod.kron(b)),
                               sigma_matrix(prod).kron(sigma_matrix(b)))
-            assert mat_equals(iota_matrix(prod.kron(b), n),
-                              iota_matrix(prod, n).kron(b.transpose()))
+            assert mat_equals(iota_matrix(prod.kron(b), rep),
+                              iota_matrix(prod, rep).kron(b.transpose()))
 
 
 def test_make_params_validation(ctx):
