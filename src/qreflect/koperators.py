@@ -25,8 +25,7 @@ and the eigenvalue collisions are read off M's closed-form spectrum.
 
 from __future__ import annotations
 
-import functools
-import itertools
+import math
 from dataclasses import dataclass
 
 from .linalg import Matrix
@@ -80,9 +79,7 @@ class NonNilpotentError(ValueError):
 
 class RepeatedEigenvalueError(ValueError):
     """Two eigenvalues of a numeric spectral-function argument coincide by
-    its closed-form spectrum (A B != 0), or lie within 1e-12 on the diagonal
-    of a triangular argument (A B = 0), where the divided differences of
-    Parlett's recurrence are too large to trust (`_triangular_function`)."""
+    its closed-form spectrum (A B != 0, the eig route)."""
 
 
 @dataclass(frozen=True)
@@ -236,42 +233,45 @@ def _spectral_argument(rep: Irrep, spec: KOperatorSpec) -> Matrix:
     return arg
 
 
-def _triangular_function(mat: Matrix, f) -> Matrix:
-    """f(M) of a numeric triangular M by Parlett's recurrence (Parlett 1976;
-    Higham, *Functions of Matrices*, 2008, section 4.6): F = f(M) commutes
-    with M, so F_ii = f(m_ii) and, one superdiagonal at a time,
+def _bidiagonal_spectral_core(spec: KOperatorSpec, arg: Matrix) -> Matrix:
+    """f(M) for a numeric bidiagonal spectral argument M (A B = 0), one
+    closed-form product per entry (Opitz's formula; Higham, *Functions of
+    Matrices*, 2008, section 4.6): f(M)_{i,i+k} = mu_i .. mu_{i+k-1}
+    f[l_i, .., l_{i+k}], with mu and l the off-diagonal and diagonal entries.
+    The nodes l = eps' q^(hw) form a geometric progression with ratio
+    p = q^-2, and f(z) = (alpha z; p)_inf / (beta z; p)_inf with alpha, beta
+    = -q^-1 x^(+-s) / eps (`_spectral_function`), so on z, zp, .., zp^k
 
-        F_ij = (m_ij (F_jj - F_ii) + sum_{i<k<j} (m_ik F_kj - F_ik m_kj))
-               / (m_jj - m_ii).
+        f[z, .., zp^k] = prod_{j<k} (beta - alpha p^j) / (p; p)_k
+                         * (alpha p^k z; p)_inf / (beta z; p)_inf
 
-    A lower M (read off its nonzero entries) goes through its transpose; one
-    with nonzero entries on both sides of the diagonal raises ValueError.
-    Diagonal entries within an absolute 1e-12 raise RepeatedEigenvalueError:
-    for a spectral argument they are eps q^(hw), which never coincide for
-    |q| > 1, but the divided differences grow like k / (eps (q^a - q^b)),
-    about 1e13 at eps = 1e-13, where the residuals fail falsely.
+    by induction from f(z) - f(pz) (Gasper and Rahman, 2004, ch. 1), z the
+    end node of the window (l_{i+k} for h = -1, l_i for h = +1): no node
+    difference is divided by.  A lower M fills the transposed entries.
     """
-    nonzero = [key for key, v in mat.entries.items() if v != 0]
-    if any(i > j for i, j in nonzero):
-        if any(i < j for i, j in nonzero):
-            raise ValueError("Parlett's recurrence needs a triangular matrix")
-        return _triangular_function(mat.transpose(), f).transpose()
-    n = mat.size
-    m = [[mat.entries.get((i, j), 0j) for j in range(n)] for i in range(n)]
-    for i, j in itertools.combinations(range(n), 2):
-        if abs(m[j][j] - m[i][i]) < 1e-12:
-            raise RepeatedEigenvalueError(
-                f"eigenvalues {i} and {j} collide; the spectral function "
-                "is ambiguous")
-    fm = {(i, i): f(m[i][i]) for i in range(n)}
-    for d in range(1, n):
-        for i in range(n - d):
-            j = i + d
-            acc = m[i][j] * (fm[j, j] - fm[i, i])
-            for k in range(i + 1, j):
-                acc += m[i][k] * fm[k, j] - fm[i, k] * m[k][j]
-            fm[i, j] = acc / (m[j][j] - m[i][i])
-    return Matrix.from_scalar_entries(mat.ctx, n, fm)
+    ctx, n = arg.ctx, arg.size
+    x, s = spec.x, spec.params.s
+    _, eps, _, h, *_ = _frame(spec.variant, spec.params)
+    lower = any(i > j for (i, j), v in arg.entries.items() if v != 0)
+    mu = [arg.entries.get((i + 1, i) if lower else (i, i + 1), 0j)
+          for i in range(n - 1)]
+    # beta - alpha p^j = beta (1 - x^2s q^-2j) with x's q-power folded into
+    # one exponent, so at x = q^m the factor j = t = m s >= 0 is exactly 0
+    beta = -(ctx.q(-1) * ctx.x_power(x, -s) / eps)
+    x2s = 1 if x.value is None else x.value ** (2 * s)
+    t = 0 if x.exp is None else x.exp * s
+    out, coeff = {}, ctx.one()
+    for k in range(n):
+        if k:
+            coeff = (coeff * beta * (1 - x2s * ctx.q(2 * (t - k + 1)))
+                     / (1 - ctx.q(-2 * k)))
+        for i in range(n - k):
+            c = math.prod(mu[i:i + k], start=coeff)
+            if c != 0:
+                z = arg.entries.get((i + k, i + k) if h < 0 else (i, i), 0j)
+                out[(i + k, i) if lower else (i, i + k)] = c * poch_ratio(
+                    ctx, -(ctx.q(-1 - k) * z / eps), x, s, -k)
+    return Matrix.from_scalar_entries(ctx, n, out)
 
 
 def _spectral_function(ctx: ScalarContext, spec: KOperatorSpec, eps, z):
@@ -288,8 +288,8 @@ def build_K_unfactored(spec: KOperatorSpec, rep: Irrep) -> Matrix:
     families).  At t < 0 it is x^{s0 H} P^-1, which is never formed: this
     function raises ValueError, and the cleared relation K P = x^{s0 H} (or
     `candidate_intertwining_sides` for the candidate) certifies it.  The
-    numeric backend applies the spectral function to M itself instead
-    (`_numeric_spectral_core`), giving an independent route.
+    numeric backend applies f to M itself (`_numeric_spectral_core`: one
+    closed-form product per entry at A B = 0), an independent route.
     """
     ctx = rep.ctx
     *_, prefix_exp = _frame(spec.variant, spec.params)
@@ -362,18 +362,16 @@ def _numeric_spectral_core(spec: KOperatorSpec, rep: Irrep) -> Matrix:
     route read off `_spectrum`.
 
     At A B = 0 (every triangular family, and the candidate at k+ k- = 0) M is
-    triangular, and Parlett's recurrence (`_triangular_function`) gives f(M)
-    with no eigenvector and no numpy.  Otherwise the closed-form spectrum
-    decides whether two eigenvalues collide (RepeatedEigenvalueError), and
-    f(M) = V f(D) V^-1 with V from `np.linalg.eig`.
+    bidiagonal, and `_bidiagonal_spectral_core` needs no eigenvector and no
+    numpy.  Otherwise the closed-form spectrum decides whether two
+    eigenvalues collide (RepeatedEigenvalueError), and f(M) = V f(D) V^-1
+    with V from `np.linalg.eig`.
     """
     ctx = rep.ctx
     arg = _spectral_argument(rep, spec)
-    _, eps, *_ = _frame(spec.variant, spec.params)
-    f = functools.partial(_spectral_function, ctx, spec, eps)
     e, ab = _spectrum(ctx, spec)
     if ab == 0:
-        return _triangular_function(arg, f)
+        return _bidiagonal_spectral_core(spec, arg)
     import numpy as np
 
     # Eigenvalues i != j of `_spectrum` coincide exactly when A q^k = B,
@@ -401,7 +399,9 @@ def _numeric_spectral_core(spec: KOperatorSpec, rep: Irrep) -> Matrix:
                 f"eigenvalues of the spectral argument coincide (A q^{k} = B)")
         qk *= q2
     eigvals, vecs = np.linalg.eig(arg.to_numpy())
-    fv = np.array([f(complex(z)) for z in eigvals])
+    _, eps, *_ = _frame(spec.variant, spec.params)
+    fv = np.array([_spectral_function(ctx, spec, eps, complex(z))
+                   for z in eigvals])
     core = vecs @ np.diag(fv) @ np.linalg.inv(vecs)
     entries = {(i, j): complex(core[i, j]) for i in range(n) for j in range(n)
                if core[i, j] != 0}

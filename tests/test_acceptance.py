@@ -237,7 +237,7 @@ def test_exact_k_operators_take_no_eigenvalue(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("an exact K-operator took an eigenvalue")
 
-    for name in ("_triangular_function", "_spectral_function",
+    for name in ("_bidiagonal_spectral_core", "_spectral_function",
                  "_numeric_spectral_core"):
         monkeypatch.setattr(koperators, name, forbidden)
     reports = run_suite(SuiteConfig(suite="onsager", dims=(2, 3), seed=7))

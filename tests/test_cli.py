@@ -282,19 +282,19 @@ def test_numeric_pinned_spectral_exponents_give_the_exact_verdicts():
                  "numeric", "--q", "1.4+0.3i", "--x-exp", "2"]) == 0
 
 
-def test_cli_tiny_eps_triangular_argument_is_a_config_error(capsys):
-    # at eps- = 1e-13 the diagonal nodes eps q^(+-1) of the triangular
-    # degenerations lie within 1e-12, where `_triangular_function` refuses
-    # them.  They never collide, but the divided differences of Parlett's
-    # recurrence grow like k / (eps (q^a - q^b)), about 1e13 here; without
-    # the refusal onsager/int_W0 FAILs falsely three times at residuals
-    # 2.7e-4 to 9.0e-4
-    code = main(["--suite", "onsager", "--dims", "2", "--backend", "numeric",
-                 "--q", "1.4+0.3i", "--eps-minus", "1/10000000000000"])
-    assert code == 2
-    out, err = capsys.readouterr()
-    assert err.startswith("config error:")
-    assert "FAIL" not in out + err
+def test_cli_tiny_eps_triangular_argument_passes(capsys):
+    # the nodes eps- q^(+-j) of the triangular degenerations differ by about
+    # eps-.  Parlett's recurrence divided by those differences: at 1e-11 it
+    # gave 13 false onsager/int_W0 FAILs at dims 2,3,4, and at 1e-13 its
+    # refusal ended the run in a config error.  The closed-form entries
+    # divide by no difference of nodes
+    for dims, eps_minus in (("2,3,4", "1/100000000000"),
+                            ("2", "1/10000000000000")):
+        code = main(["--suite", "onsager", "--dims", dims, "--backend",
+                     "numeric", "--q", "1.4+0.3i", "--eps-minus", eps_minus])
+        out, err = capsys.readouterr()
+        assert code == 0, (dims, err)
+        assert "FAIL" not in out + err, dims
 
 
 def readme_verify_lines():

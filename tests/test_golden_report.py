@@ -46,9 +46,13 @@ GOLDEN = [
     # eigenvectors, and aux/similarity_to_cartan took ev_x(T1) from its
     # affine expression: the k+- = 0 onsager/int_W0 and int_W1 and the
     # aux/similarity_to_cartan residuals and details change in the last
-    # bits; every verdict is as before
+    # bits; every verdict is as before.  It moved once more when those
+    # triangular arguments took one closed-form product per entry of f(M)
+    # in place of Parlett's recurrence: only the k+ k- = 0 onsager/int_W0
+    # and int_W1 residuals and details move (16 reports, all below 4e-15);
+    # every verdict is as before
     (dict(seed=7, dims=(2, 3), backend="numeric", q="1.4+0.3i"),
-     "9b73550107e2896a9885affc92a641adf9546b13e3dc1f1cc7c92002c3b34fc8"),
+     "173dfd5611f0f73466b665a500fb89ea9d2989e14fc8bac1906dbe4dc32e4a6c"),
 ]
 
 

@@ -12,14 +12,12 @@ from qreflect.koperators import (
     VARIANTS,
     KOperatorSpec,
     NonNilpotentError,
-    RepeatedEigenvalueError,
     _det_one_plus,
     _frame,
     _polynomial_spectral_core,
     _spectral_argument,
     _spectrum,
     _telescoped_t,
-    _triangular_function,
     build_K,
     build_K0_diagonal,
     build_K_unfactored,
@@ -295,10 +293,11 @@ def test_factored_unfactored_split_agree(ctx):
 
 def test_numeric_triangular_forms_agree(nctx):
     """On the numeric backend at a random complex x the factored form of
-    every triangular family equals its unfactored form, which takes
-    Parlett's recurrence at A B = 0, on the transpose when the argument is
-    lower.  The candidate at k- = 0 (k+ = 0) takes the same route and equals
-    the upper (lower) family.  The route needs no numpy."""
+    every triangular family equals its unfactored form, which takes one
+    closed-form product per entry at A B = 0, filling the transposed entries
+    when the argument is lower.  The candidate at k- = 0 (k+ = 0) takes the
+    same route and equals the upper (lower) family.  The route needs no
+    numpy."""
     rng = seeded(67)
     for n in (2, 3, 4):
         rep = make_irrep(nctx, n)
@@ -439,38 +438,46 @@ def test_candidate_numeric_general():
     assert k.max_abs() > 0
 
 
-def test_repeated_eigenvalues_detected(nctx):
-    # a numeric triangular argument whose diagonal repeats an entry, upper
-    # and lower
-    mat = Matrix(nctx, 3, {(0, 0): 2 + 0j, (0, 1): 1 + 0j, (1, 1): 0.5 + 0j,
-                           (1, 2): 3 + 0j, (2, 2): 2 + 0j})
-    for m in (mat, mat.transpose()):
-        with pytest.raises(RepeatedEigenvalueError):
-            _triangular_function(m, cmath.exp)
-        _triangular_function(Matrix(nctx, 3, {**m.entries, (2, 2): 1 + 0j}),
-                             cmath.exp)
-
-
-@pytest.mark.parametrize("q", [1.4 + 0.3j, -1.1 + 2.3j])
-def test_triangular_function_is_the_matrix_polynomial(q):
-    """Parlett's recurrence gives p(M) = M M + 3 M + 1, formed by matrix
-    products, for the upper M = eps q^-H + c E and the lower
-    M = eps q^-H + c F, n = 1..6; a matrix with entries on both sides of
-    the diagonal is refused.  Needs no numpy."""
-    nctx = ScalarContext(q_value=q)
-    rng = seeded(71)
-    for n in range(1, 7):
-        rep = make_irrep(nctx, n)
-        for gen in (rep.e_mat, rep.f_mat):
-            eps, c = (cmath.rect(0.5 + rng.random(), 2 * math.pi * rng.random())
-                      for _ in range(2))
-            m = cartan_power(rep, -1).scaled(eps) + gen.scaled(c)
-            poly = m * m + m.scaled(3) + Matrix.identity(nctx, n)
-            got = _triangular_function(m, lambda z: z * z + 3 * z + 1)
-            assert mat_equals(got, poly), (q, n)
-    rep = make_irrep(nctx, 2)
-    with pytest.raises(ValueError, match="triangular"):
-        _triangular_function(rep.e_mat + rep.f_mat, cmath.exp)
+def test_numeric_triangular_k_matches_pinned_exact():
+    """The numeric unfactored K of every triangular family at q = 36/25
+    equals the exact factored K at the pinned v = 6/5, entry by entry, for
+    n = 1..8, t = m s of both signs, and the eps of the spectral argument
+    (eps-, or eps+ for the alternate families) drawn, 1e-11 and 1e-13: each
+    nonzero entry within 1e-12 relative, each exact zero within 1e-12 of
+    the largest entry.  Its nodes eps q^(hw) then differ by about eps, but
+    the closed-form entries divide by no difference of nodes, and at t >= 0
+    they vanish exactly past the t-th off-diagonal.  Needs no numpy."""
+    v = rational("6/5")
+    ectx = ScalarContext(v_value=v)
+    nctx = ScalarContext(q_value=complex(v * v))
+    rng = seeded(89)
+    signs = set()
+    for variant, fam in VARIANTS.items():
+        if not fam.triangular:
+            continue
+        for n in range(1, 9):
+            erep, nrep = make_irrep(ectx, n), make_irrep(nctx, n)
+            for eps in (None, "1/100000000000", "1/10000000000000"):
+                for m in range(-2, 4):
+                    raw = rand_params(ectx, rng, k_plus_zero=fam.k_plus_zero,
+                                      k_minus_zero=fam.k_minus_zero,
+                                      need_k=True, s_range=(-1, 1, 2)).raw
+                    if eps:
+                        raw["eps_plus" if fam.alt else "eps_minus"] = eps
+                    x = Spectral.q_power(m)
+                    exact = build_K(KOperatorSpec(
+                        variant, make_params(ectx, **raw), x), erep)
+                    num = build_K_unfactored(KOperatorSpec(
+                        variant, make_params(nctx, **raw), x), nrep)
+                    want = {(i, j): complex(exact.entry(i, j).evaluate(v))
+                            for i in range(n) for j in range(n)}
+                    top = max(abs(w) for w in want.values())
+                    for (i, j), w in want.items():
+                        err = abs(num.entry(i, j) - w)
+                        assert err <= 1e-12 * (abs(w) or top), (
+                            variant, n, raw, m, i, j, err / (abs(w) or top))
+                    signs.add(m * (raw["s0"] + raw["s1"]) < 0)
+    assert signs == {False, True}
 
 
 @pytest.mark.parametrize("variant", [v for v, fam in VARIANTS.items()
