@@ -12,6 +12,7 @@ from qreflect.koperators import (
     VARIANTS,
     KOperatorSpec,
     NonNilpotentError,
+    _bidiagonal_spectral_core,
     _det_one_plus,
     _frame,
     _polynomial_spectral_core,
@@ -436,6 +437,41 @@ def test_candidate_numeric_general():
     k = build_K_unfactored(
         KOperatorSpec("onsager_candidate", params, Spectral.q_power(1)), rep)
     assert k.max_abs() > 0
+
+
+@pytest.mark.parametrize("q", [1.4 + 0.3j, -1.1 + 2.3j])
+def test_triangular_function_is_the_matrix_polynomial(q):
+    """At x = q^m and t = m s >= 0 the spectral function telescopes to the
+    polynomial P(z) = prod_{j<t} (1 + q^(t-2j-1) z / eps): the closed-form
+    entries give P(M), formed by matrix products, for the bidiagonal
+    argument M of every triangular family (upper and lower), n = 1..6,
+    t from 0 to 12.  Needs no numpy."""
+    nctx = ScalarContext(q_value=q)
+    rng = seeded(71)
+    degrees = set()
+    for variant, fam in VARIANTS.items():
+        if not fam.triangular:
+            continue
+        for n in range(1, 7):
+            rep = make_irrep(nctx, n)
+            eye = Matrix.identity(nctx, n)
+            for m in range(-3, 4):
+                p = rand_params(nctx, rng, k_plus_zero=fam.k_plus_zero,
+                                k_minus_zero=fam.k_minus_zero, need_k=True,
+                                s_range=(-1, 1, 2))
+                spec = KOperatorSpec(variant, p, Spectral.q_power(m))
+                t = _telescoped_t(spec)
+                if t < 0:
+                    continue
+                arg = _spectral_argument(rep, spec)
+                _, eps, *_ = _frame(variant, p)
+                poly = eye
+                for j in range(t):
+                    poly = poly * (eye + arg.scaled(nctx.q(t - 2 * j - 1) / eps))
+                got = _bidiagonal_spectral_core(spec, arg)
+                assert mat_equals(got, poly), (variant, n, m, t)
+                degrees.add(t)
+    assert degrees >= set(range(5))
 
 
 def test_numeric_triangular_k_matches_pinned_exact():
