@@ -40,7 +40,6 @@ from .koperators import (
     RepeatedEigenvalueError,
     build_K,
     build_K0_diagonal,
-    build_K_unfactored,
     build_K_upper_split,
     candidate_intertwining_sides,
     kappa,

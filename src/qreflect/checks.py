@@ -213,7 +213,7 @@ def check_reflection(ctx: ScalarContext, level: str, variant: str | None,
     kop = build_K(KOperatorSpec(variant, params, x), rep)
     k2 = build_K_scalar(ctx, params, y)
     yield (f"reflection/operator/{variant}",
-           _params_dict(params, rep, x=x, y=y, form="factored"),
+           _params_dict(params, rep, x=x, y=y),
            *reflection_sides_operator(rep, params, x, y, kop, k2))
 
 
@@ -234,7 +234,7 @@ def variant_generator_exprs(ctx: ScalarContext, variant: str, params: ParamSet) 
     if not fam.triangular:
         raise ValueError(f"no intertwining generator set for variant {variant!r}")
     eps, eps_f, _, _, upper, lower, _ = _frame(variant, params)
-    k, _ = lower if fam.lower else upper  # as build_K reads it; 0 for diagonal
+    k, _ = lower if fam.lower else upper  # the surviving k; 0 for diagonal
     gens = triangular_onsager_generators(ctx, k, eps_f, eps, params.p_tilde)
     if fam.lower:
         gens = {name: expr_iota(ctx, g) for name, g in gens.items()}
@@ -249,7 +249,7 @@ def check_intertwining(ctx: ScalarContext, variant: str, rep: Irrep,
     """ev_{1/x}(a) K(x) = K(x) ev_x(a) for the variant's generator set."""
     kmat = build_K(KOperatorSpec(variant, params, x), rep)
     xinv = x.inverse()
-    pd = _params_dict(params, rep, x=x, form="factored")
+    pd = _params_dict(params, rep, x=x)
     for name, expr in variant_generator_exprs(ctx, variant, params).items():
         yield (f"intertwining/{variant}/{name}", pd,
                eval_affine_expr(rep, params, xinv, expr) * kmat,

@@ -1,7 +1,7 @@
 """Boundary K-operators on U_q(sl2) modules.
 
-Five families are built here, each pinned to one literal normalization (no
-overall-factor freedom is used):
+Five triangular families are built here, each pinned to one literal
+normalization (no overall-factor freedom is used); their factored forms are
 
 * diagonal       x^{s0 H} K0(x)
 * upper          x^{s0 H} exp^-1(a+ E q^H) K0(x) exp(a+ E q^H)
@@ -10,22 +10,20 @@ overall-factor freedom is used):
 * lower_alt      x^{-s1 H} exp(b+ E) K0+(x) exp^-1(b+ E)
 
 (which of k+ / k- each one needs to vanish is stated in VARIANTS), plus the
-q-Onsager candidate for k+ k- != 0 (spectral function of the
-evaluated W1 generator), which has no factored form.
+q-Onsager candidate for k+ k- != 0, which has no factored form.
 
-Every family also has an unfactored form: the spectral function
+`build_K` builds all six as the Cartan prefactor times the spectral function
 
     z -> (-q^-1 x^s  z / eps; q^-2)_inf / (-q^-1 x^-s z / eps; q^-2)_inf
 
-applied to a one-generator argument M.  With x = q^m the ratio telescopes to
-a matrix polynomial P in M (P^-1 when t = m s < 0), so the exact backend
-needs neither an infinite series nor an eigenvalue.  The poles of P^-1
-and the eigenvalue collisions are read off M's closed-form spectrum.
+of a one-generator argument M: one closed-form product per entry where M is
+bidiagonal (every triangular family), else a telescoped matrix polynomial
+(exact) or an eigendecomposition (numeric).  The factored and split forms
+stay as independent routes that the tests compare against.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .linalg import Matrix
@@ -181,24 +179,22 @@ def _frame(variant: str, params: ParamSet):
     return p.eps_minus, p.eps_plus, p.s0, -1, plus, minus, p.s0
 
 
-def build_K(spec: KOperatorSpec, rep: Irrep) -> Matrix:
-    """Factored K-operator: Cartan prefactor, conjugating q-exponentials,
-    diagonal Pochhammer core."""
+def build_K_factored(spec: KOperatorSpec, rep: Irrep) -> Matrix:
+    """Factored triangular K-operator (the forms listed above): the tests'
+    independent route to `build_K`.  Its numeric q-exponential conjugation
+    cancels badly at a small eps of the argument."""
     ctx = rep.ctx
     p = spec.params
     x = spec.x
     fam = VARIANTS[spec.variant]
     if not fam.triangular:
         raise ValueError("the q-Onsager candidate has no factored form; "
-                         "use build_K_unfactored")
+                         "use build_K")
     eps, _, s, h, upper, lower, prefix_exp = _frame(spec.variant, p)
     core = build_K0_diagonal(rep, p, x, h)
     prefix = spectral_cartan(rep, x, prefix_exp)
-    if fam.k_plus_zero and fam.k_minus_zero:
-        return prefix * core
-
     lam = ctx.q(1) - ctx.q(-1)
-    k, gen = lower if fam.lower else upper
+    k, gen = lower if fam.lower else upper  # k = 0: both exponentials are 1
     if fam.lower:
         arg = getattr(rep, gen).scaled(-(k * ctx.x_power(x, s)) / (lam * eps))
     else:
@@ -211,7 +207,7 @@ def build_K(spec: KOperatorSpec, rep: Irrep) -> Matrix:
     return prefix * exp_minus * core * exp_plus
 
 
-# -- unfactored (spectral-function) form --------------------------------------
+# -- the spectral-function form ------------------------------------------------
 
 def _spectral_argument(rep: Irrep, spec: KOperatorSpec) -> Matrix:
     """The evaluated T1 (W1 for the candidate) whose spectral function gives
@@ -234,8 +230,8 @@ def _spectral_argument(rep: Irrep, spec: KOperatorSpec) -> Matrix:
 
 
 def _bidiagonal_spectral_core(spec: KOperatorSpec, arg: Matrix) -> Matrix:
-    """f(M) for a numeric bidiagonal spectral argument M (A B = 0), one
-    closed-form product per entry (Opitz's formula; Higham, *Functions of
+    """f(M) for a bidiagonal spectral argument M (A B = 0), one closed-form
+    product per entry (Opitz's formula; Higham, *Functions of
     Matrices*, 2008, section 4.6): f(M)_{i,i+k} = mu_i .. mu_{i+k-1}
     f[l_i, .., l_{i+k}], with mu and l the off-diagonal and diagonal entries.
     The nodes l = eps' q^(hw) form a geometric progression with ratio
@@ -248,30 +244,46 @@ def _bidiagonal_spectral_core(spec: KOperatorSpec, arg: Matrix) -> Matrix:
     by induction from f(z) - f(pz) (Gasper and Rahman, 2004, ch. 1), z the
     end node of the window (l_{i+k} for h = -1, l_i for h = +1): no node
     difference is divided by.  A lower M fills the transposed entries.
+    Exact: every ratio telescopes, and a vanishing factor raises PoleError;
+    the diagonal has the poles of `build_K0_diagonal`, and an off-diagonal
+    entry's are among those of the diagonal entries of its window.
     """
     ctx, n = arg.ctx, arg.size
     x, s = spec.x, spec.params.s
     _, eps, _, h, *_ = _frame(spec.variant, spec.params)
-    lower = any(i > j for (i, j), v in arg.entries.items() if v != 0)
-    mu = [arg.entries.get((i + 1, i) if lower else (i, i + 1), 0j)
+    lower = any(arg.entry(i + 1, i) != 0 for i in range(n - 1))
+    mu = [arg.entry(i + 1, i) if lower else arg.entry(i, i + 1)
           for i in range(n - 1)]
+    nodes = [arg.entry(i, i) for i in range(n)]
     # beta - alpha p^j = beta (1 - x^2s q^-2j) with x's q-power folded into
     # one exponent, so at x = q^m the factor j = t = m s >= 0 is exactly 0
+    # and f(M) vanishes past its t-th off-diagonal
     beta = -(ctx.q(-1) * ctx.x_power(x, -s) / eps)
     x2s = 1 if x.value is None else x.value ** (2 * s)
     t = 0 if x.exp is None else x.exp * s
-    out, coeff = {}, ctx.one()
-    for k in range(n):
-        if k:
-            coeff = (coeff * beta * (1 - x2s * ctx.q(2 * (t - k + 1)))
-                     / (1 - ctx.q(-2 * k)))
-        for i in range(n - k):
-            c = math.prod(mu[i:i + k], start=coeff)
+    coeffs = [ctx.one()]
+    while len(coeffs) < n and coeffs[-1] != 0:
+        k = len(coeffs)
+        coeffs.append(coeffs[-1] * beta * (1 - x2s * ctx.q(2 * (t - k + 1)))
+                      / (1 - ctx.q(-2 * k)))
+    # f(M) is the entrywise product of the products and the ratios, so an
+    # exact entry takes no gcd of its two factors; they can share a factor
+    # only at eps' = +-eps, where the common denominator may not be the least
+    prods, ratios = {}, {}
+    for i in range(n):
+        mu_prod = ctx.one()
+        for k, coeff in enumerate(coeffs[:n - i]):
+            if k:
+                mu_prod = mu_prod * mu[i + k - 1]
+            c = coeff * mu_prod
             if c != 0:
-                z = arg.entries.get((i + k, i + k) if h < 0 else (i, i), 0j)
-                out[(i + k, i) if lower else (i, i + k)] = c * poch_ratio(
-                    ctx, -(ctx.q(-1 - k) * z / eps), x, s, -k)
-    return Matrix.from_scalar_entries(ctx, n, out)
+                z = nodes[i + k] if h < 0 else nodes[i]
+                key = (i + k, i) if lower else (i, i + k)
+                prods[key] = c
+                ratios[key] = poch_ratio(ctx, -(ctx.q(-1 - k) * z / eps),
+                                         x, s, -k)
+    return Matrix.from_scalar_entries(ctx, n, prods).entrywise(
+        Matrix.from_scalar_entries(ctx, n, ratios))
 
 
 def _spectral_function(ctx: ScalarContext, spec: KOperatorSpec, eps, z):
@@ -279,29 +291,28 @@ def _spectral_function(ctx: ScalarContext, spec: KOperatorSpec, eps, z):
     return poch_ratio(ctx, -(ctx.q(-1) * z / eps), spec.x, spec.params.s)
 
 
-def build_K_unfactored(spec: KOperatorSpec, rep: Irrep) -> Matrix:
-    """K-operator as the spectral function of its one-generator argument M.
+def build_K(spec: KOperatorSpec, rep: Irrep) -> Matrix:
+    """K-operator C f(M) of every family: the Cartan prefactor C (x^{s0 H},
+    x^{-s1 H} for the alternate families) times the spectral function of its
+    argument M, by the route read off `_spectrum`.
 
-    On the exact backend x = q^m and the telescoped spectral function is a
-    matrix polynomial P in M, for every family: at t = m s >= 0 the operator
-    is the finite product x^{s0 H} P (x^{-s1 H} P for the alternate
-    families).  At t < 0 it is x^{s0 H} P^-1, which is never formed: this
-    function raises ValueError, and the cleared relation K P = x^{s0 H} (or
-    `candidate_intertwining_sides` for the candidate) certifies it.  The
-    numeric backend applies f to M itself (`_numeric_spectral_core`: one
-    closed-form product per entry at A B = 0), an independent route.
+    At A B = 0 (every triangular family, and the candidate at k+ k- = 0)
+    `_bidiagonal_spectral_core`, on both backends and at every t = m s.
+    Otherwise exact: the telescoped matrix polynomial P at t >= 0; the
+    candidate C P^-1 at t < 0 is never formed (ValueError), and
+    `candidate_intertwining_sides` clears it.  Numeric: `_eig_spectral_core`.
     """
     ctx = rep.ctx
     *_, prefix_exp = _frame(spec.variant, spec.params)
-    if ctx.is_exact:
-        if spec.x.value is not None:
-            raise ValueError("exact backend needs x = q^m")
-        if _telescoped_t(spec) < 0:
-            raise ValueError("at t = m s < 0 the exact K-operator C P^-1 is "
-                             "never formed; certify the cleared K P = C")
+    if _spectrum(ctx, spec)[1] == 0:
+        core = _bidiagonal_spectral_core(spec, _spectral_argument(rep, spec))
+    elif ctx.is_exact:
+        if spec.x.value is not None or _telescoped_t(spec) < 0:
+            raise ValueError("the exact candidate needs x = q^m and t = m s "
+                             ">= 0; at t < 0 certify the cleared relations")
         core = _polynomial_spectral_core(spec, rep)
     else:
-        core = _numeric_spectral_core(spec, rep)
+        core = _eig_spectral_core(spec, rep)
     return spectral_cartan(rep, spec.x, prefix_exp) * core
 
 
@@ -335,12 +346,11 @@ def _det_one_plus(ctx: ScalarContext, spec: KOperatorSpec, n: int, c):
 def _polynomial_spectral_core(spec: KOperatorSpec, rep: Irrep) -> Matrix:
     """P = prod_{j<|t|} (1 + q^{|t|-2j-1} M / eps) for the spectral argument M.
 
-    This is the telescoped spectral function applied directly to M (no
-    eigenvalues are needed): f(M) = P for t >= 0 and P^-1 for t < 0.  For
-    t < 0, PoleError is raised exactly when P has no inverse, i.e. when the
-    scalar det(1 + c M) of one of its factors vanishes (`_det_one_plus`).
-    For a triangular M that is exactly when a factor of the telescoped
-    scalar ratio vanishes at an eigenvalue, as in `build_K0_diagonal`.
+    The telescoped spectral function applied to M: f(M) = P for t >= 0 and
+    P^-1 for t < 0.  For t < 0, PoleError is raised exactly when P has no
+    inverse, i.e. when det(1 + c M) of one of its factors vanishes
+    (`_det_one_plus`); for a triangular M, where a telescoped factor of
+    `build_K0_diagonal` vanishes.
     """
     ctx = rep.ctx
     arg = _spectral_argument(rep, spec)
@@ -357,23 +367,15 @@ def _polynomial_spectral_core(spec: KOperatorSpec, rep: Irrep) -> Matrix:
     return core
 
 
-def _numeric_spectral_core(spec: KOperatorSpec, rep: Irrep) -> Matrix:
-    """f(M) for the spectral argument M on the numeric backend, by the
-    route read off `_spectrum`.
+def _eig_spectral_core(spec: KOperatorSpec, rep: Irrep) -> Matrix:
+    """Numeric f(M) at A B != 0 (the candidate at k+ k- != 0): `_spectrum`
+    decides whether two eigenvalues collide (RepeatedEigenvalueError), and
+    f(M) = V f(D) V^-1 with V from `np.linalg.eig`."""
+    import numpy as np
 
-    At A B = 0 (every triangular family, and the candidate at k+ k- = 0) M is
-    bidiagonal, and `_bidiagonal_spectral_core` needs no eigenvector and no
-    numpy.  Otherwise the closed-form spectrum decides whether two
-    eigenvalues collide (RepeatedEigenvalueError), and f(M) = V f(D) V^-1
-    with V from `np.linalg.eig`.
-    """
     ctx = rep.ctx
     arg = _spectral_argument(rep, spec)
     e, ab = _spectrum(ctx, spec)
-    if ab == 0:
-        return _bidiagonal_spectral_core(spec, arg)
-    import numpy as np
-
     # Eigenvalues i != j of `_spectrum` coincide exactly when A q^k = B,
     # k = i + j, i.e. when d = e^2 q^k - A B (1 + q^k)^2 vanishes (e = A + B);
     # d(-k) = q^-2k d(k), so k = 0, 2, .., 2n-4 covers every pair.  Rounding,
@@ -410,31 +412,24 @@ def _numeric_spectral_core(spec: KOperatorSpec, rep: Irrep) -> Matrix:
 
 def candidate_intertwining_sides(rep: Irrep, params: ParamSet, x: Spectral,
                                  pairs) -> tuple:
-    """Both sides of ev_{1/x}(a) K = K ev_x(a) for the q-Onsager candidate K,
-    one (lhs, rhs) per (ev_{1/x}(a), ev_x(a)) pair; returns (sides, cleared).
-
-    The candidate is x^{s0 H} times the spectral function of the evaluated
-    W1 generator; it reduces to the upper family at k- = 0 and to the lower
-    family at k+ = 0.  It intertwines W1 identically but fails the W0
-    relation for generic spectral points; at x^s = q^{-1}, 1, q (where the
-    spectral function is constant or a single linear factor) it satisfies
-    both.
+    """Both sides of ev_{1/x}(a) K = K ev_x(a) for the q-Onsager candidate K
+    (`build_K`), one (lhs, rhs) per (ev_{1/x}(a), ev_x(a)) pair; returns
+    (sides, cleared).  K reduces to the upper family at k- = 0 and to the
+    lower one at k+ = 0.  It intertwines W1 identically but fails the W0
+    relation for generic x, except at x^s = q^{-1}, 1, q (where the spectral
+    function is constant or a single linear factor).
 
     Wherever K can be formed the sides are (left K, K right).  On the exact
     backend at t = m s < 0, K = C P^-1 with C = x^{s0 H} and P the
-    telescoped matrix polynomial; C and P are invertible, so the relation
-    holds exactly when
-
-        P (C^-1 left C) = right P,
-
-    which needs only products and the diagonal C^-1 = x^{-s0 H}.  Its
-    difference is P C^-1 D P for the difference D of the uncleared form;
-    `cleared` is True for these sides.  A singular P raises PoleError.
+    telescoped matrix polynomial, and the relation holds exactly when
+    P (C^-1 left C) = right P, which needs only products.  Its difference is
+    P C^-1 D P for the difference D of the uncleared form, and `cleared` is
+    True.  A singular P raises PoleError.
     """
     ctx = rep.ctx
     spec = KOperatorSpec("onsager_candidate", params, x)
     if not (ctx.is_exact and x.value is None and _telescoped_t(spec) < 0):
-        k = build_K_unfactored(spec, rep)
+        k = build_K(spec, rep)
         return [(left * k, k * right) for left, right in pairs], False
     *_, prefix_exp = _frame(spec.variant, params)
     p = _polynomial_spectral_core(spec, rep)

@@ -132,6 +132,13 @@ class Matrix:
             return NotImplemented
         return self + (-other)
 
+    def entrywise(self, other: "Matrix") -> "Matrix":
+        """The entrywise (Hadamard) product, over the product of the two
+        denominators: no gcd is taken."""
+        entries = {k: a * other.entries[k] for k, a in self.entries.items()
+                   if k in other.entries}
+        return Matrix(self.ctx, self.size, entries, self.den * other.den)
+
     def scaled(self, s) -> "Matrix":
         """Multiply by a field scalar."""
         if self.ctx.is_exact:

@@ -768,28 +768,31 @@ def poch_infinite_truncated(ctx: ScalarContext, a, step):
     """Truncated (a; step)_inf for |step| < 1 on the numeric backend."""
     if ctx.is_exact:
         raise ValueError("infinite products require the numeric backend")
-    a = complex(a)
-    step = complex(step)
-    if a == 0:
-        return 1 + 0j
+    return _truncated_ratio(complex(a), 0j, complex(step))
+
+
+def _truncated_ratio(num: complex, den: complex, step: complex) -> complex:
+    """(num; step)_inf / (den; step)_inf as one product of the factor ratios
+    (1 - num step^j) / (1 - den step^j), finite where each product alone
+    would overflow; it stops once both terms fall below TRUNCATION_TOL, and
+    a vanishing denominator factor raises PoleError."""
     acc = 1 + 0j
-    term = a
     for _ in range(MAX_TERMS):
-        acc *= 1 - term
-        if abs(term) < TRUNCATION_TOL:
+        factor = 1 - den
+        if factor == 0:
+            raise PoleError("denominator factor of the infinite product vanished")
+        acc *= (1 - num) / factor
+        if abs(num) < TRUNCATION_TOL and abs(den) < TRUNCATION_TOL:
             return acc
-        term *= step
+        num *= step
+        den *= step
     raise NonConvergenceError(
         f"product did not reach tol={TRUNCATION_TOL} within {MAX_TERMS} factors")
 
 
 def poch_ratio(ctx: ScalarContext, a, x: Spectral, s: int, shift: int = 0):
-    """(a x^s q^shift; q^-2)_inf / (a x^-s q^-shift; q^-2)_inf.
-
-    Exact: x = q^m and the ratio telescopes at t = m s + shift
-    (`poch_ratio_telescoped`).  Numeric: both products are truncated
-    (`poch_infinite_truncated`); a vanishing denominator raises PoleError.
-    """
+    """(a x^s q^shift; q^-2)_inf / (a x^-s q^-shift; q^-2)_inf: exact at
+    x = q^m, telescoped at t = m s + shift; numeric, `_truncated_ratio`."""
     if ctx.is_exact:
         if x.value is not None:
             raise ValueError("exact backend needs x = q^m")
@@ -797,9 +800,4 @@ def poch_ratio(ctx: ScalarContext, a, x: Spectral, s: int, shift: int = 0):
     up = ctx.x_power(x, s)
     if shift:
         up = up * ctx.q(shift)
-    step = ctx.q(-2)
-    num = poch_infinite_truncated(ctx, a * up, step)
-    den = poch_infinite_truncated(ctx, a * (1 / up), step)
-    if abs(den) < 1e-300:
-        raise PoleError("denominator infinite product vanished")
-    return num / den
+    return _truncated_ratio(complex(a * up), complex(a * (1 / up)), ctx.q(-2))

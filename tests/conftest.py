@@ -2,8 +2,7 @@ import random
 
 import pytest
 
-from qreflect.koperators import VARIANTS, _polynomial_spectral_core, build_K_unfactored
-from qreflect.representations import make_params, spectral_cartan
+from qreflect.representations import make_params
 from qreflect.scalars import ScalarContext
 
 
@@ -57,16 +56,3 @@ def mat_equals(a, b) -> bool:
     scale = max(a.max_abs(), b.max_abs(), 1e-300)
     return diff.max_abs() / scale < 1e-9
 
-
-def agrees_with_unfactored(k, spec, rep) -> bool:
-    """k is the unfactored K-operator of spec on the exact backend: C P at
-    t = m s >= 0, with C the Cartan prefactor (x^{s0 H}, or x^{-s1 H} for
-    the alternate families) and P the telescoped matrix polynomial.  At
-    t < 0 the operator C P^-1 is never formed; there the cleared equation
-    k P = C is checked instead, which is k = C P^-1 without the inverse."""
-    p = spec.params
-    if spec.x.exp * p.s >= 0:
-        return mat_equals(k, build_K_unfactored(spec, rep))
-    prefix_exp = -p.s1 if VARIANTS[spec.variant].alt else p.s0
-    prefix = spectral_cartan(rep, spec.x, prefix_exp)
-    return mat_equals(k * _polynomial_spectral_core(spec, rep), prefix)

@@ -4,7 +4,7 @@ with its runtime and asserting the stated budget and tolerance."""
 import time
 from fractions import Fraction
 
-from conftest import agrees_with_unfactored, mat_equals, rand_params, seeded
+from conftest import mat_equals, rand_params, seeded
 from qreflect import koperators
 from qreflect.checks import (
     check_appendix,
@@ -22,6 +22,7 @@ from qreflect.koperators import (
     KOperatorSpec,
     build_K,
     build_K0_diagonal,
+    build_K_factored,
     build_K_upper_split,
     kappa,
 )
@@ -192,8 +193,8 @@ def test_criterion_07_fundamental_k_reduction():
 
 
 def form_equivalence_draws(ctx, rng) -> int:
-    """factored = unfactored = split prefactor forms on n <= 4; at t < 0 the
-    unfactored form is checked cleared of P^-1.  Returns the draw count."""
+    """closed form (`build_K`) = factored = split prefactor forms on
+    n <= 4, at t = m s of both signs.  Returns the draw count."""
     draws = 0
     for n in (2, 3, 4):
         rep = make_irrep(ctx, n)
@@ -202,13 +203,14 @@ def form_equivalence_draws(ctx, rng) -> int:
             pu = rand_params(ctx, rng, k_minus_zero=True, need_k=True)
             spec = KOperatorSpec("upper", pu, x)
             a = build_K(spec, rep)
-            assert agrees_with_unfactored(a, spec, rep)
+            assert mat_equals(a, build_K_factored(spec, rep))
             assert mat_equals(a, build_K_upper_split(rep, pu, x))
             pl = rand_params(ctx, rng, k_plus_zero=True, need_k=True)
             for variant, par in (("lower", pl), ("upper_alt", pl),
                                  ("lower_alt", pu)):
                 s2 = KOperatorSpec(variant, par, x)
-                assert agrees_with_unfactored(build_K(s2, rep), s2, rep), variant
+                assert mat_equals(build_K(s2, rep),
+                                  build_K_factored(s2, rep)), variant
             draws += 1
     return draws
 
@@ -216,7 +218,7 @@ def form_equivalence_draws(ctx, rng) -> int:
 def test_criterion_08_form_equivalence():
     ctx = EXACT
     rng = seeded(1008)
-    with Criterion(8, 30, "factored = unfactored = split prefactor forms, "
+    with Criterion(8, 30, "closed form = factored = split prefactor forms, "
                           "n <= 4, 20 parameter sets"):
         assert form_equivalence_draws(ctx, rng) >= 20
         # k+ = k- = 0 degeneration reproduces the diagonal solution
@@ -231,14 +233,14 @@ def test_criterion_08_form_equivalence():
 
 
 def test_exact_k_operators_take_no_eigenvalue(monkeypatch):
-    """The exact backend reaches every unfactored K through the telescoped
-    matrix polynomial: with the eigenvalue helpers made to raise, the exact
-    onsager suite and the form-equivalence draws still run to the end."""
+    """The exact backend takes no eigenvalue: every K is the closed form at
+    A B = 0 or the telescoped matrix polynomial.  With the eigenvalue
+    helpers made to raise, the exact onsager suite and the form-equivalence
+    draws still run to the end."""
     def forbidden(*args, **kwargs):
         raise AssertionError("an exact K-operator took an eigenvalue")
 
-    for name in ("_bidiagonal_spectral_core", "_spectral_function",
-                 "_numeric_spectral_core"):
+    for name in ("_spectral_function", "_eig_spectral_core"):
         monkeypatch.setattr(koperators, name, forbidden)
     reports = run_suite(SuiteConfig(suite="onsager", dims=(2, 3), seed=7))
     assert reports and all(r.exact_zero is not None for r in reports)

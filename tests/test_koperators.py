@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from conftest import agrees_with_unfactored, mat_equals, rand_params, seeded
+from conftest import mat_equals, rand_params, seeded
 from qreflect.checks import variant_generator_exprs
 from qreflect.koperators import (
     VARIANTS,
@@ -21,7 +21,7 @@ from qreflect.koperators import (
     _telescoped_t,
     build_K,
     build_K0_diagonal,
-    build_K_unfactored,
+    build_K_factored,
     build_K_upper_split,
     candidate_intertwining_sides,
     kappa,
@@ -266,8 +266,9 @@ def test_fundamental_reduction_upper_lower(ctx):
 
 
 def test_factored_unfactored_split_agree(ctx):
-    """At t = m s < 0 (here s < 0) the unfactored form is checked cleared
-    of P^-1, as k P = C."""
+    """The closed form equals the factored and the split form at t = m s of
+    both signs (here s < 0 gives t < 0).  Only the exact candidate at
+    k+ k- != 0 refuses t < 0, where its C P^-1 is never formed."""
     rng = seeded(47)
     x = Spectral.q_power(1)
     signs = set()
@@ -275,30 +276,29 @@ def test_factored_unfactored_split_agree(ctx):
         rep = make_irrep(ctx, n)
         for _ in range(5):
             pu = upper_params(ctx, rng)
-            a = build_K(KOperatorSpec("upper", pu, x), rep)
-            c = build_K_upper_split(rep, pu, x)
-            assert agrees_with_unfactored(a, KOperatorSpec("upper", pu, x), rep)
-            assert mat_equals(a, c)
+            spec = KOperatorSpec("upper", pu, x)
+            a = build_K(spec, rep)
+            assert mat_equals(a, build_K_factored(spec, rep))
+            assert mat_equals(a, build_K_upper_split(rep, pu, x))
             pl = lower_params(ctx, rng)
-            for variant in ("lower", "upper_alt"):
-                spec = KOperatorSpec(variant, pl, x)
-                assert agrees_with_unfactored(build_K(spec, rep), spec, rep), variant
-            spec = KOperatorSpec("lower_alt", pu, x)
-            assert agrees_with_unfactored(build_K(spec, rep), spec, rep)
+            for variant, par in (("lower", pl), ("upper_alt", pl),
+                                 ("lower_alt", pu)):
+                spec = KOperatorSpec(variant, par, x)
+                assert mat_equals(build_K(spec, rep),
+                                  build_K_factored(spec, rep)), variant
             signs |= {pu.s < 0, pl.s < 0}
     assert signs == {False, True}
     with pytest.raises(ValueError):
-        build_K_unfactored(KOperatorSpec("upper", upper_params(
-            ctx, rng, s_range=(-1,)), x), make_irrep(ctx, 2))
+        build_K(KOperatorSpec("onsager_candidate", rand_params(
+            ctx, rng, need_k=True, s_range=(-1,)), x), make_irrep(ctx, 2))
 
 
 def test_numeric_triangular_forms_agree(nctx):
     """On the numeric backend at a random complex x the factored form of
-    every triangular family equals its unfactored form, which takes one
-    closed-form product per entry at A B = 0, filling the transposed entries
-    when the argument is lower.  The candidate at k- = 0 (k+ = 0) takes the
-    same route and equals the upper (lower) family.  The route needs no
-    numpy."""
+    every triangular family equals `build_K`, which takes one closed-form
+    product per entry at A B = 0, filling the transposed entries when the
+    argument is lower.  The candidate at k- = 0 (k+ = 0) takes the same
+    route and equals the upper (lower) family.  The route needs no numpy."""
     rng = seeded(67)
     for n in (2, 3, 4):
         rep = make_irrep(nctx, n)
@@ -310,12 +310,12 @@ def test_numeric_triangular_forms_agree(nctx):
                                 k_minus_zero=fam.k_minus_zero, need_k=True)
                 x = Spectral.of(cmath.rect(0.5 + 1.5 * rng.random(),
                                            2 * math.pi * rng.random()))
-                k = build_K(KOperatorSpec(variant, p, x), rep)
+                k = build_K_factored(KOperatorSpec(variant, p, x), rep)
                 forms = [variant]
                 if variant in ("upper", "lower"):
                     forms.append("onsager_candidate")
                 for form in forms:
-                    assert mat_equals(k, build_K_unfactored(
+                    assert mat_equals(k, build_K(
                         KOperatorSpec(form, p, x), rep)), (variant, form, n)
 
 
@@ -373,12 +373,11 @@ def test_candidate_degenerations_exact(ctx):
     rng = seeded(61)
     rep = make_irrep(ctx, 3)
     x = Spectral.q_power(1)
-    pu = upper_params(ctx, rng)
-    assert agrees_with_unfactored(build_K(KOperatorSpec("upper", pu, x), rep),
-                                  KOperatorSpec("onsager_candidate", pu, x), rep)
-    pl = lower_params(ctx, rng)
-    assert agrees_with_unfactored(build_K(KOperatorSpec("lower", pl, x), rep),
-                                  KOperatorSpec("onsager_candidate", pl, x), rep)
+    for family, params in (("upper", upper_params(ctx, rng)),
+                           ("lower", lower_params(ctx, rng))):
+        assert mat_equals(
+            build_K_factored(KOperatorSpec(family, params, x), rep),
+            build_K(KOperatorSpec("onsager_candidate", params, x), rep))
 
 
 def test_candidate_exact_polynomial_route(ctx):
@@ -399,13 +398,13 @@ def test_candidate_exact_polynomial_route(ctx):
                                       ("eps_plus", "eps_minus", "k_plus",
                                        "k_minus")),
                               s0=params.s0, s1=params.s1)
-        k_num = build_K_unfactored(
+        k_num = build_K(
             KOperatorSpec("onsager_candidate", nparams, x), make_irrep(nctx, 3))
         rep = make_irrep(ctx, 3)
         t = m * params.s
         negative_t.append(t < 0)
         if t >= 0:
-            k_exact = build_K_unfactored(
+            k_exact = build_K(
                 KOperatorSpec("onsager_candidate", params, x), rep)
             target, k_num_mat = k_exact, k_num
         else:
@@ -434,7 +433,7 @@ def test_candidate_numeric_general():
     params = make_params(nctx, "3/2", "-5/7", k_plus="2/3", k_minus="1/4",
                          s0=1, s1=1)
     rep = make_irrep(nctx, 2)
-    k = build_K_unfactored(
+    k = build_K(
         KOperatorSpec("onsager_candidate", params, Spectral.q_power(1)), rep)
     assert k.max_abs() > 0
 
@@ -475,8 +474,8 @@ def test_triangular_function_is_the_matrix_polynomial(q):
 
 
 def test_numeric_triangular_k_matches_pinned_exact():
-    """The numeric unfactored K of every triangular family at q = 36/25
-    equals the exact factored K at the pinned v = 6/5, entry by entry, for
+    """The numeric K of every triangular family at q = 36/25 equals the
+    exact factored K at the pinned v = 6/5, entry by entry, for
     n = 1..8, t = m s of both signs, and the eps of the spectral argument
     (eps-, or eps+ for the alternate families) drawn, 1e-11 and 1e-13: each
     nonzero entry within 1e-12 relative, each exact zero within 1e-12 of
@@ -501,9 +500,9 @@ def test_numeric_triangular_k_matches_pinned_exact():
                     if eps:
                         raw["eps_plus" if fam.alt else "eps_minus"] = eps
                     x = Spectral.q_power(m)
-                    exact = build_K(KOperatorSpec(
+                    exact = build_K_factored(KOperatorSpec(
                         variant, make_params(ectx, **raw), x), erep)
-                    num = build_K_unfactored(KOperatorSpec(
+                    num = build_K(KOperatorSpec(
                         variant, make_params(nctx, **raw), x), nrep)
                     want = {(i, j): complex(exact.entry(i, j).evaluate(v))
                             for i in range(n) for j in range(n)}
@@ -516,13 +515,46 @@ def test_numeric_triangular_k_matches_pinned_exact():
     assert signs == {False, True}
 
 
+@pytest.mark.parametrize("v", [None, "7/5"], ids=["symbolic", "7/5"])
+def test_exact_closed_form_equals_factored(v):
+    """On the exact backend the closed-form K (`build_K`: one product per
+    entry) equals the factored K (q-exponential conjugation of the diagonal
+    core) exactly, for every triangular family, n = 1..8, x = q^m with
+    m = -2..3 and t = m s of both signs, at symbolic v and at v = 7/5.  A
+    pole of one form is a pole of the other.  Needs no numpy."""
+    ctx = ScalarContext(v_value=v and rational(v))
+    rng = seeded(113)
+    signs = set()
+    for variant, fam in VARIANTS.items():
+        if not fam.triangular:
+            continue
+        for n in range(1, 9):
+            rep = make_irrep(ctx, n)
+            for m in range(-2, 4):
+                p = rand_params(ctx, rng, k_plus_zero=fam.k_plus_zero,
+                                k_minus_zero=fam.k_minus_zero, need_k=True,
+                                s_range=(-1, 1, 2))
+                spec = KOperatorSpec(variant, p, Spectral.q_power(m))
+                try:
+                    closed = build_K(spec, rep)
+                except PoleError:
+                    with pytest.raises(PoleError):
+                        build_K_factored(spec, rep)
+                    continue
+                assert mat_equals(closed, build_K_factored(spec, rep)), (
+                    variant, n, m, p.raw)
+                signs.add(_telescoped_t(spec) < 0)
+    assert signs == {False, True}
+
+
 @pytest.mark.parametrize("variant", [v for v, fam in VARIANTS.items()
                                      if fam.triangular])
 def test_pole_agreement_at_negative_t(ctx, variant):
     """eps+ = -eps- is the collision `Drawer.params` avoids.  On V_2 at
     t = -2 the factors of P are 1 + q^{+-1} M / eps, and one of them is
     singular exactly where a telescoping factor of a K0 entry vanishes, so
-    the cleared sides and the diagonal core both raise PoleError."""
+    the closed form, the cleared sides and the diagonal core all raise
+    PoleError."""
     fam = VARIANTS[variant]
     rep = make_irrep(ctx, 2)
     x = Spectral.q_power(-1)
@@ -533,6 +565,8 @@ def test_pole_agreement_at_negative_t(ctx, variant):
     assert _telescoped_t(spec) == -2
     with pytest.raises(PoleError):
         _polynomial_spectral_core(spec, rep)
+    with pytest.raises(PoleError):
+        build_K(spec, rep)
     with pytest.raises(PoleError):
         build_K0_diagonal(rep, params, x, 1 if fam.alt else -1)
     if not fam.alt:

@@ -140,6 +140,25 @@ def test_poch_infinite_truncated():
         poch_infinite_truncated(nctx, 0.5, 0.999)
 
 
+def test_numeric_poch_ratio_is_one_product_of_factor_ratios():
+    """The numeric ratio multiplies (1 - a u p^j) / (1 - a u^-1 p^j) in one
+    loop: at |a| = 1e14 each infinite product alone overflows to nan, but
+    the ratio at x = q^0 is exactly 1.  Where both products are finite it
+    is their quotient, and a vanishing denominator factor is a pole."""
+    nctx = ScalarContext(q_value=1.4 + 0.3j)
+    assert abs(poch_ratio(nctx, 1e14, Spectral.q_power(0), 2) - 1) < 1e-15
+    step = nctx.q(-2)
+    for a, m, s, shift in ((0.3, 1, 2, 0), (-2.5 + 1j, -1, 1, -1), (40, 2, -1, 1)):
+        u = nctx.q(m * s + shift)
+        quotient = (poch_infinite_truncated(nctx, a * u, step)
+                    / poch_infinite_truncated(nctx, a / u, step))
+        got = poch_ratio(nctx, a, Spectral.q_power(m), s, shift)
+        assert abs(got - quotient) <= 1e-13 * abs(quotient), (a, m, s, shift)
+    # q = 2: the factor j = 1 of the denominator is 1 - 4 * 2^-2 = 0 exactly
+    with pytest.raises(PoleError):
+        poch_ratio(ScalarContext(q_value=2 + 0j), 4, Spectral.q_power(0), 1)
+
+
 # -- the exact field -----------------------------------------------------------
 
 
