@@ -218,15 +218,15 @@ def _spectral_argument(rep: Irrep, spec: KOperatorSpec) -> Matrix:
     ctx = rep.ctx
     x = spec.x
     eps, _, s, h, upper, lower, _ = _frame(spec.variant, spec.params)
-    arg = weight_diagonal(rep, lambda w: eps * ctx.q(h * w))
+    terms = [(weight_diagonal(rep, lambda w: eps * ctx.q(h * w)), None)]
     k, gen = upper
     if k != 0:
-        arg = arg + getattr(rep, gen).scaled(k * ctx.x_power(x, -s))
+        terms.append((getattr(rep, gen), k * ctx.x_power(x, -s)))
     k, gen = lower
     if k != 0:
-        gen_qh = getattr(rep, gen) * cartan_power(rep, h)
-        arg = arg + gen_qh.scaled(k * ctx.q(1) * ctx.x_power(x, s))
-    return arg
+        terms.append((getattr(rep, gen) * cartan_power(rep, h),
+                      k * ctx.q(1) * ctx.x_power(x, s)))
+    return Matrix.combination(ctx, rep.dim, terms)
 
 
 def _bidiagonal_spectral_core(spec: KOperatorSpec, arg: Matrix) -> Matrix:

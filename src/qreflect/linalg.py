@@ -6,13 +6,18 @@ a sum of two matrices with different denominators takes one, to bring them
 to their lcm.  Reduced `RationalExpression` values appear only when an
 individual entry is requested.  Numeric matrices hold complex entries and
 carry no denominator: their `den` is 1 + 0j by construction.
+
+A linear combination sum c M is one pass of `Matrix.combination`: no
+intermediate matrix is built, an exact combination takes the lcm of its
+term denominators once and multiplies each term by its cofactor once, and a
+numeric one gives every entry the float operations, in the order, of the
+pairwise fold acc + M.scaled(c).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict
 
 from .scalars import (
     RationalExpression,
@@ -27,19 +32,16 @@ class Matrix:
     """Square matrix on a backend ring: exact entries over the common
     denominator `den`, numeric entries as they are (`den` stays 1 + 0j)."""
 
-    __slots__ = ("ctx", "size", "entries", "den")
+    __slots__ = ("ctx", "size", "entries", "den", "_rows")
 
     def __init__(self, ctx: ScalarContext, size: int, entries: dict, den=None):
         self.ctx = ctx
         self.size = size
         self.entries = entries
         self.den = (poly_one() if ctx.is_exact else 1 + 0j) if den is None else den
+        self._rows = None
 
     # -- constructors --------------------------------------------------------
-
-    @staticmethod
-    def zero(ctx: ScalarContext, size: int) -> "Matrix":
-        return Matrix(ctx, size, {})
 
     @staticmethod
     def identity(ctx: ScalarContext, size: int) -> "Matrix":
@@ -54,12 +56,9 @@ class Matrix:
                           {k: complex(v) for k, v in mapping.items() if v != 0})
         dens = []
         for v in mapping.values():
-            if not v.is_zero() and not v.den.is_one() and v.den not in dens:
+            if not v.is_zero() and v.den not in dens:
                 dens.append(v.den)
-        common = poly_one()
-        for d in dens:
-            g = poly_gcd(common, d)
-            common = common * poly_divexact(d, g)
+        common = _lcm(dens)
         entries = {}
         for k, v in mapping.items():
             if v.is_zero():
@@ -73,6 +72,74 @@ class Matrix:
         return Matrix.from_scalar_entries(
             ctx, len(values), {(i, i): v for i, v in enumerate(values)})
 
+    @staticmethod
+    def combination(ctx: ScalarContext, size: int, terms) -> "Matrix":
+        """sum c M over `terms`, pairs (M, c) of a size-`size` matrix and a
+        field scalar c, or None for an unscaled term, in one pass.
+
+        Numeric: each entry sees the float operations, in the order, of the
+        fold acc = acc + M.scaled(c) from the zero matrix: the product v * c
+        (v itself for an unscaled term), added to the sum so far.  A zero c
+        adds no key, and the keys keep the fold's insertion order.
+        Exact: the lcm of the term denominators is taken once, and each
+        term's entries are multiplied once, by its coefficient's numerator
+        times its cofactor; a zero sum leaves no key.
+        """
+        if not ctx.is_exact:
+            out = {}
+            for mat, c in terms:
+                if mat.size != size:
+                    raise ValueError("matrix size mismatch")
+                if c is not None:
+                    c = complex(c)
+                    if c == 0:
+                        continue
+                if not out:  # the keys, values and order a fold starts with
+                    out = (dict(mat.entries) if c is None
+                           else {k: v * c for k, v in mat.entries.items()})
+                elif c is None:
+                    for k, v in mat.entries.items():
+                        out[k] = out[k] + v if k in out else v
+                else:
+                    for k, v in mat.entries.items():
+                        v = v * c
+                        out[k] = out[k] + v if k in out else v
+            return _matrix(ctx, size, out, 1 + 0j)
+        parts = []
+        for mat, c in terms:
+            if mat.size != size:
+                raise ValueError("matrix size mismatch")
+            if c is None:
+                parts.append((mat.entries, None, mat.den))
+                continue
+            if not isinstance(c, RationalExpression):
+                c = ctx.scalar(c)
+            if not c.is_zero():
+                parts.append((mat.entries, c.num, mat.den * c.den))
+        dens = []
+        for _, _, d in parts:
+            if d not in dens:
+                dens.append(d)
+        common = _lcm(dens)
+        cofactors = [poly_one() if d is common or d == common
+                     else poly_divexact(common, d) for d in dens]
+        out = {}
+        for entries, num, den in parts:
+            f = cofactors[dens.index(den)]
+            if num is not None:
+                f = num * f
+            for k, v in entries.items():
+                p = v * f
+                if k in out:
+                    s = out[k] + p
+                    if s.is_zero():
+                        del out[k]
+                    else:
+                        out[k] = s
+                else:
+                    out[k] = p
+        return _matrix(ctx, size, out, common)
+
     # -- ring operations ------------------------------------------------------
 
     def __mul__(self, other):
@@ -80,79 +147,89 @@ class Matrix:
             return NotImplemented
         if self.size != other.size:
             raise ValueError("matrix size mismatch")
-        rows_b = defaultdict(list)
-        for (k, j), b in other.entries.items():
-            rows_b[k].append((j, b))
-        acc = {}
-        for (i, k), a in self.entries.items():
-            row = rows_b.get(k)
-            if not row:
-                continue
-            for j, b in row:
-                key = (i, j)
-                p = a * b
-                if key in acc:
-                    acc[key] = acc[key] + p
+        rows_b, distinct_columns = other._row_index()
+        if distinct_columns:  # no two products land on one key: no sums
+            acc = {}
+            for (i, k), a in self.entries.items():
+                row = rows_b.get(k)
+                if row is not None:
+                    for j, b in row:
+                        acc[(i, j)] = a * b
+        else:
+            # each output row sums in its own dict keyed by column; `order`
+            # keeps the keys in the order a flat dict would first meet them
+            sums, order = {}, []
+            for (i, k), a in self.entries.items():
+                row = rows_b.get(k)
+                if row is None:
+                    continue
+                row_sums = sums.get(i)
+                if row_sums is None:
+                    row_sums = sums[i] = {}
+                for j, b in row:
+                    p = a * b
+                    if j in row_sums:
+                        row_sums[j] = row_sums[j] + p
+                    else:
+                        row_sums[j] = p
+                        order.append((i, j))
+            acc = {key: sums[key[0]][key[1]] for key in order}
+            if self.ctx.is_exact:  # only a sum can vanish
+                acc = {k: v for k, v in acc.items() if not v.is_zero()}
+        return _matrix(self.ctx, self.size, acc, self.den * other.den)
+
+    def _row_index(self):
+        """(rows, distinct_columns): the entries as {row: [(column, value),
+        ...]} in entry order, and whether no column holds two entries.
+        Built on the first use as a right factor and kept, since a Matrix
+        is never mutated."""
+        index = self._rows
+        if index is None:
+            rows, columns = {}, set()
+            for (k, j), b in self.entries.items():
+                columns.add(j)
+                row = rows.get(k)
+                if row is None:
+                    rows[k] = [(j, b)]
                 else:
-                    acc[key] = p
-        if self.ctx.is_exact:
-            acc = {k: v for k, v in acc.items() if not v.is_zero()}
-        return Matrix(self.ctx, self.size, acc, self.den * other.den)
+                    row.append((j, b))
+            index = self._rows = (rows, len(columns) == len(self.entries))
+        return index
 
     def __add__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self.size != other.size:
-            raise ValueError("matrix size mismatch")
-        if self.den is other.den or self.den == other.den:
-            out, right, den = dict(self.entries), other.entries, self.den
-        else:  # exact only: bring both sides to the lcm of the denominators
-            g = poly_gcd(self.den, other.den)
-            fa, fb = poly_divexact(other.den, g), poly_divexact(self.den, g)
-            out = {k: v * fa for k, v in self.entries.items()}
-            right = {k: v * fb for k, v in other.entries.items()}
-            den = self.den * fa
-        for k, v in right.items():
-            if k in out:
-                s = out[k] + v
-                if self.ctx.is_exact and s.is_zero():
-                    del out[k]
-                else:
-                    out[k] = s
-            else:
-                out[k] = v
-        return Matrix(self.ctx, self.size, out, den)
+        return Matrix.combination(self.ctx, self.size,
+                                  ((self, None), (other, None)))
 
     def __neg__(self):
-        return Matrix(self.ctx, self.size,
-                      {k: -v for k, v in self.entries.items()}, self.den)
+        return _matrix(self.ctx, self.size,
+                       {k: -v for k, v in self.entries.items()}, self.den)
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self + (-other)
+        if self.ctx.is_exact:
+            return self + (-other)
+        if self.size != other.size:
+            raise ValueError("matrix size mismatch")
+        # the entries of self + (-other), without building -other: s + (-v)
+        # and -v keep the signed zeros of that sum
+        out = dict(self.entries)
+        for k, v in other.entries.items():
+            out[k] = out[k] + (-v) if k in out else -v
+        return _matrix(self.ctx, self.size, out, self.den)
 
     def entrywise(self, other: "Matrix") -> "Matrix":
         """The entrywise (Hadamard) product, over the product of the two
         denominators: no gcd is taken."""
         entries = {k: a * other.entries[k] for k, a in self.entries.items()
                    if k in other.entries}
-        return Matrix(self.ctx, self.size, entries, self.den * other.den)
+        return _matrix(self.ctx, self.size, entries, self.den * other.den)
 
     def scaled(self, s) -> "Matrix":
         """Multiply by a field scalar."""
-        if self.ctx.is_exact:
-            if not isinstance(s, RationalExpression):
-                s = self.ctx.scalar(s)
-            if s.is_zero():
-                return Matrix.zero(self.ctx, self.size)
-            entries = {k: v * s.num for k, v in self.entries.items()}
-            return Matrix(self.ctx, self.size, entries, self.den * s.den)
-        s = complex(s)
-        if s == 0:
-            return Matrix.zero(self.ctx, self.size)
-        return Matrix(self.ctx, self.size,
-                      {k: v * s for k, v in self.entries.items()}, self.den)
+        return Matrix.combination(self.ctx, self.size, ((self, s),))
 
     def divided(self, s) -> "Matrix":
         """Divide by a nonzero field scalar."""
@@ -161,11 +238,13 @@ class Matrix:
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product, row-major composite index (self is the major leg)."""
         n2 = other.size
+        right = other.entries.items()
         entries = {}
         for (i, j), a in self.entries.items():
-            for (k, l), b in other.entries.items():
-                entries[(i * n2 + k, j * n2 + l)] = a * b
-        return Matrix(self.ctx, self.size * n2, entries, self.den * other.den)
+            i, j = i * n2, j * n2
+            for (k, l), b in right:
+                entries[(i + k, j + l)] = a * b
+        return _matrix(self.ctx, self.size * n2, entries, self.den * other.den)
 
     # -- inspection -----------------------------------------------------------
 
@@ -179,17 +258,21 @@ class Matrix:
     def is_zero(self) -> bool:
         if self.ctx.is_exact:
             return not self.entries
-        return all(v == 0 for v in self.entries.values())
+        return not any(self.entries.values())  # a complex is false at 0 only
 
     def max_abs(self) -> float:
         """Numeric: largest entry magnitude."""
-        return max((abs(v) for v in self.entries.values()), default=0.0)
+        return max(map(abs, self.entries.values()), default=0.0)
 
     def worst_entry(self):
         """Locate the 'most nonzero' entry: (i, j) for diagnostics."""
         if self.ctx.is_exact:
             return min(self.entries, default=None)
-        return max(self.entries, key=lambda k: abs(self.entries[k]), default=None)
+        if not self.entries:
+            return None
+        # the first key of largest magnitude, as max(..., key=abs) picks it
+        mags = list(map(abs, self.entries.values()))
+        return list(self.entries)[mags.index(max(mags))]
 
     def transpose(self) -> "Matrix":
         return Matrix(self.ctx, self.size,
@@ -205,6 +288,34 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix(size={self.size}, nnz={len(self.entries)})"
+
+
+def _matrix(ctx: ScalarContext, size: int, entries: dict, den) -> Matrix:
+    """Wrap a result whose entries and denominator are already in final form."""
+    m = _new_matrix(Matrix)
+    m.ctx = ctx
+    m.size = size
+    m.entries = entries
+    m.den = den
+    m._rows = None
+    return m
+
+
+_new_matrix = object.__new__
+
+
+def _lcm(dens: list):
+    """The lcm of distinct exact denominators: one gcd for each one after
+    the first that is not 1."""
+    common = None
+    for d in dens:
+        if d.is_one():
+            continue
+        if common is None:
+            common = d
+        else:
+            common = common * poly_divexact(d, poly_gcd(common, d))
+    return poly_one() if common is None else common
 
 
 def lift(mat: Matrix, dims: tuple, legs: tuple) -> Matrix:

@@ -14,6 +14,8 @@ from .linalg import Matrix
 from .representations import Irrep, ParamSet, cartan_power
 from .scalars import ScalarContext, Spectral
 
+_HALF = Fraction(1, 2)
+
 
 def build_L(rep: Irrep, params: ParamSet, x: Spectral, bar: bool = False) -> Matrix:
     """The L-operator (or Lbar) evaluated on V_n, acting on V_n (x) C^2:
@@ -30,20 +32,21 @@ def build_L(rep: Irrep, params: ParamSet, x: Spectral, bar: bool = False) -> Mat
     x10 = ctx.x_power(x, params.s1 if not bar else -params.s0)
     lam = ctx.q(1) - ctx.q(-1)
     mqx = -(ctx.q(-1) * xs)
-    half = cartan_power(rep, Fraction(1, 2))
-    half_inv = cartan_power(rep, Fraction(-1, 2))
+    half = cartan_power(rep, _HALF)
+    half_inv = cartan_power(rep, -_HALF)
+    n = rep.dim
     blocks = {
-        (0, 0): half + half_inv.scaled(mqx),
+        (0, 0): Matrix.combination(ctx, n, ((half, None), (half_inv, mqx))),
         (0, 1): rep._memoized("F q^(-H/2)", lambda: rep.f_mat * half_inv)
                    .scaled(lam * x01),
         (1, 0): rep._memoized("E q^(H/2)", lambda: rep.e_mat * half)
                    .scaled(lam * x10),
-        (1, 1): half_inv + half.scaled(mqx),
+        (1, 1): Matrix.combination(ctx, n, ((half_inv, None), (half, mqx))),
     }
-    out = Matrix.zero(ctx, 2 * rep.dim)
-    for ij, block in blocks.items():
-        out = out + block.kron(Matrix.from_scalar_entries(ctx, 2, {ij: ctx.one()}))
-    return out
+    units = {ij: rep._memoized(("unit", ij), lambda: Matrix.from_scalar_entries(
+        ctx, 2, {ij: ctx.one()})) for ij in blocks}
+    return Matrix.combination(
+        ctx, 2 * n, [(block.kron(units[ij]), None) for ij, block in blocks.items()])
 
 
 def build_R(ctx: ScalarContext, params: ParamSet, x: Spectral,

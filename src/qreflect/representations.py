@@ -70,9 +70,11 @@ class Irrep:
     """An n-dimensional irreducible representation in the weight basis.
 
     `_memo` keeps the x-independent matrices built on first use: the Cartan
-    powers q^(xi H), the products F q^(-H/2) and E q^(H/2) of L, the iota
-    conjugators and the Casimir.  Handing out shared matrices is safe
-    because a `Matrix` is never mutated after construction.
+    powers q^(xi H), the products F q^(-H/2) and E q^(H/2) of L and the
+    C^2 matrix units they are tensored with, the iota conjugators (also
+    tensored with the identity of each size iota meets) and the Casimir.
+    Handing out shared matrices is safe because a `Matrix` is never mutated
+    after construction.
     """
 
     dim: int
@@ -200,14 +202,17 @@ def iota_conjugator(ctx: ScalarContext, n: int) -> Matrix:
 def iota_matrix(mat: Matrix, rep: Irrep) -> Matrix:
     """iota as a matrix map on V_n = `rep`, or on V_n (x) C^2 (x) ... with
     V_n the major leg: D mat^T D^-1 with D = iota_conjugator (x) 1, where D
-    and D^-1 are built once per irrep.  D = 1 on V_2, so iota on the
-    R-matrix is its transpose."""
+    and D^-1 are built once per irrep and size of `mat`.  D = 1 on V_2, so
+    iota on the R-matrix is its transpose."""
     ctx, n = rep.ctx, rep.dim
+    m = mat.size // n
     d = rep._memoized("iota D", lambda: iota_conjugator(ctx, n))
     dinv = rep._memoized("iota D^-1", lambda: Matrix.diagonal(
         ctx, [ctx.one() / d.entry(i, i) for i in range(n)]))
-    unit = Matrix.identity(ctx, mat.size // n)
-    return d.kron(unit) * mat.transpose() * dinv.kron(unit)
+    left = rep._memoized(("iota D", m), lambda: d.kron(Matrix.identity(ctx, m)))
+    right = rep._memoized(("iota D^-1", m),
+                          lambda: dinv.kron(Matrix.identity(ctx, m)))
+    return left * mat.transpose() * right
 
 
 # -- affine layer ------------------------------------------------------------
@@ -231,9 +236,24 @@ def hq_atom(i: int, xi) -> tuple:
     return ("h", i, xi)
 
 
-def eval_affine_word(rep: Irrep, params: ParamSet, x: Spectral, word) -> Matrix:
+def eval_affine_word(rep: Irrep, params: ParamSet, x: Spectral, word,
+                     words: dict | None = None) -> Matrix:
     """Evaluation map: e0 -> x^s0 F, f0 -> x^-s0 E, q^(xi h0) -> q^(-xi H),
-    e1 -> x^s1 E, f1 -> x^-s1 F, q^(xi h1) -> q^(xi H)."""
+    e1 -> x^s1 E, f1 -> x^-s1 F, q^(xi h1) -> q^(xi H).
+
+    `words`, a dict that a caller keeps over several evaluations on one
+    backend (a check keeps one for its own run), holds each word's matrix by
+    (dimension, gradation, x, word), so a word is evaluated once."""
+    if words is None:
+        return _eval_word(rep, params, x, word)
+    key = (rep.dim, params.s0, params.s1, x, word)
+    mat = words.get(key)
+    if mat is None:
+        mat = words[key] = _eval_word(rep, params, x, word)
+    return mat
+
+
+def _eval_word(rep: Irrep, params: ParamSet, x: Spectral, word) -> Matrix:
     ctx = rep.ctx
     out = None
     for atom in word:
@@ -253,11 +273,12 @@ def eval_affine_word(rep: Irrep, params: ParamSet, x: Spectral, word) -> Matrix:
     return Matrix.identity(ctx, rep.dim) if out is None else out
 
 
-def eval_affine_expr(rep: Irrep, params: ParamSet, x: Spectral, expr) -> Matrix:
-    out = Matrix.zero(rep.ctx, rep.dim)
-    for coeff, word in expr:
-        out = out + eval_affine_word(rep, params, x, word).scaled(coeff)
-    return out
+def eval_affine_expr(rep: Irrep, params: ParamSet, x: Spectral, expr,
+                     words: dict | None = None) -> Matrix:
+    """The evaluation of an expression; `words` as for `eval_affine_word`."""
+    return Matrix.combination(
+        rep.ctx, rep.dim, [(eval_affine_word(rep, params, x, word, words), coeff)
+                           for coeff, word in expr])
 
 
 def affine_sigma(word):
@@ -350,15 +371,15 @@ def delta_expr(ctx: ScalarContext, expr):
 
 
 def eval_tensor_expr(rep1: Irrep, rep2: Irrep, params: ParamSet,
-                     x: Spectral, y: Spectral, terms) -> Matrix:
-    """(ev_x (x) ev_y) of coproduct terms on rep1 (x) rep2."""
-    ctx = rep1.ctx
-    out = Matrix.zero(ctx, rep1.dim * rep2.dim)
-    for coeff, left, right in terms:
-        lm = eval_affine_word(rep1, params, x, left)
-        rm = eval_affine_word(rep2, params, y, right)
-        out = out + lm.kron(rm).scaled(coeff)
-    return out
+                     x: Spectral, y: Spectral, terms,
+                     words: dict | None = None) -> Matrix:
+    """(ev_x (x) ev_y) of coproduct terms on rep1 (x) rep2; `words` as for
+    `eval_affine_word`."""
+    return Matrix.combination(
+        rep1.ctx, rep1.dim * rep2.dim,
+        [(eval_affine_word(rep1, params, x, left, words).kron(
+            eval_affine_word(rep2, params, y, right, words)), coeff)
+         for coeff, left, right in terms])
 
 
 # -- realizations --------------------------------------------------------------

@@ -23,6 +23,7 @@ All scalar values are immutable; operations are pure functions.
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -45,8 +46,16 @@ class NonConvergenceError(ArithmeticError):
 def rational(p, r=1):
     """Build an exact rational number from ints, Fractions or 'p/r' strings."""
     if isinstance(p, str):
-        return Fraction(p.strip())
+        return _parse_rational(p)
     return Fraction(p, r) if r != 1 else Fraction(p)
+
+
+@functools.lru_cache(maxsize=1024)
+def _parse_rational(text: str) -> Fraction:
+    """The value of a rational string.  A suite run parses its drawn
+    parameter strings again at every draw and every check that reads them,
+    and draws them from a few hundred values, so the last 1024 are kept."""
+    return Fraction(text.strip())
 
 
 def _pair(p, r=1):

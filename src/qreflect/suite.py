@@ -225,8 +225,17 @@ def run_suite(config: SuiteConfig) -> list:
     for name in suites:
         for check, *args in _SUITE_RUNNERS[name](ctx, config, drawer, reps):
             reports.extend(_run(ctx, drawer, check, args))
-    reports.sort(key=lambda r: (r.name, json.dumps(r.params, sort_keys=True,
-                                                   default=str)))
+    # the reports of one check share their params dict: encode it once
+    texts = {}
+
+    def key(r):
+        text = texts.get(id(r.params))
+        if text is None:
+            text = texts[id(r.params)] = json.dumps(r.params, sort_keys=True,
+                                                    default=str)
+        return r.name, text
+
+    reports.sort(key=key)
     return reports
 
 

@@ -443,6 +443,59 @@ def test_appendix_paper_pinned_cases(ctx):
     assert r.exact_zero
 
 
+def test_appendix_draw_shares_its_q_exponentials(monkeypatch):
+    """The 13 identities of one draw on V_n build 4 q-exponentials (26
+    without the shared conjugators), the cache keeps the latest draw only,
+    and every report is the one that a cold cache gives."""
+    from qreflect import checks
+
+    built = []
+    real = checks.q_exp_nilpotent
+
+    def counting(*args, **kwargs):
+        built.append(args[1].size)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(checks, "q_exp_nilpotent", counting)
+    checks._conjugators.cache_clear()
+    for ctx in (ScalarContext(), ScalarContext(q_value=1.4 + 0.3j)):
+        rep = make_irrep(ctx, 4)
+        for a, b, c in (("3/7", Fraction(1, 2), 1), ("-5/2", -1, Fraction(3, 2))):
+            built.clear()
+            shared = [check_appendix(ctx, ident, rep, a, b, c)[0]
+                      for ident in range(1, 14)]
+            assert built == [4] * 4
+            assert checks._conjugators.cache_info().currsize <= 2
+            for ident, report in enumerate(shared, 1):
+                checks._conjugators.cache_clear()
+                cold, = check_appendix(ctx, ident, rep, a, b, c)
+                cold.elapsed_ms = report.elapsed_ms
+                assert cold == report
+
+
+def test_checks_evaluate_each_affine_word_once(ctx, monkeypatch):
+    from qreflect import representations
+
+    evaluated = []
+    real = representations._eval_word
+
+    def recording(rep, params, x, word):
+        evaluated.append((rep.dim, params.s0, params.s1, x, word))
+        return real(rep, params, x, word)
+
+    monkeypatch.setattr(representations, "_eval_word", recording)
+    rng = seeded(163)
+    rep2, rep3 = make_irrep(ctx, 2), make_irrep(ctx, 3)
+    params = rand_params(ctx, rng)
+    x, y = Spectral.q_power(1), Spectral.q_power(-2)
+    for check, args in ((check_coideal_algebras, (rep3, params, x)),
+                        (check_coideal_coproduct, (rep3, rep2, params, x, y)),
+                        (check_symmetries, (rep3, params, x))):
+        evaluated.clear()
+        assert all(r.exact_zero or r.is_finding for r in check(ctx, *args))
+        assert evaluated and len(set(evaluated)) == len(evaluated), check.__name__
+
+
 def test_appendix_rejects_bad_id(ctx):
     with pytest.raises(ValueError):
         check_appendix(ctx, 14, make_irrep(ctx, 2), 1, 1, 1)

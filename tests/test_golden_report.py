@@ -6,10 +6,11 @@ A change that alters a report on purpose updates the hash and says why.
 The numeric hash also depends on the platform's floating point and LAPACK
 (numpy.linalg.eig); the exact hash depends on nothing but the code.
 
-The exact golden config, and one seeded config at each of dims 4, 5 and 6,
-is also run with q pinned to rational squares, a second route to every
+The exact golden config, and one seeded config at each of dims 4, 5, 6 and
+8, is also run with q pinned to rational squares, a second route to every
 exact verdict: at a pinned q every scalar is a constant, so none of the
-polynomial multiply, division and gcd code runs.
+polynomial multiply, division and gcd code runs, nor the lcm of the
+denominators that an exact linear combination takes.
 
 The hash covers the parsed document, not its text.  The text layout
 (indent, separators, key order) is pinned by its own test against one
@@ -84,7 +85,7 @@ def verdicts(config: SuiteConfig) -> dict:
 
 # the golden config's cases keep the bare q as their id
 PINNED_CONFIGS = [GOLDEN[0][0], dict(seed=3, dims=(4,)), dict(seed=5, dims=(5,)),
-                  dict(seed=7, dims=(6,))]
+                  dict(seed=7, dims=(6,)), dict(seed=7, dims=(8,))]
 PINNED = [pytest.param(cfg, q, id=q if cfg is GOLDEN[0][0]
                        else f"dims{cfg['dims'][0]}-seed{cfg['seed']}-{q}")
           for cfg in PINNED_CONFIGS for q in ("49/25", "9/4", "121/49")]

@@ -62,7 +62,7 @@ def lower_params(ctx, rng, **kw):
 
 def test_q_exp_zero_and_order_two(ctx):
     rep = make_irrep(ctx, 2)
-    assert mat_equals(q_exp_nilpotent(ctx, Matrix.zero(ctx, 3)), Matrix.identity(ctx, 3))
+    assert mat_equals(q_exp_nilpotent(ctx, Matrix(ctx, 3, {})), Matrix.identity(ctx, 3))
     alpha = ctx.rational(5, 3)
     arg = (rep.e_mat * cartan_power(rep, 1)).scaled(alpha)
     # nilpotency order 2: the series is I + arg

@@ -1,5 +1,6 @@
 """Common-denominator matrix layer against a direct field-arithmetic oracle."""
 
+import struct
 from fractions import Fraction
 
 from conftest import mat_equals, seeded
@@ -145,6 +146,118 @@ def test_numeric_matrices_carry_no_denominator(nctx):
         assert all(m.entry(i, j) == m.entries.get((i, j), 0j)
                    for i in range(m.size) for j in range(m.size))
         assert m.max_abs() == max(map(abs, m.entries.values()), default=0.0)
+
+
+def bits(v: complex) -> bytes:
+    """A complex value bit for bit: signed zeros and nan payloads differ."""
+    return struct.pack("<dd", v.real, v.imag)
+
+
+def pairwise_fold(terms) -> dict:
+    """The entries of acc = acc + M.scaled(c) from the zero matrix, one
+    matrix per step, as the numeric sum and scaling computed them before
+    `Matrix.combination` replaced the fold."""
+    acc = {}
+    for mat, c in terms:
+        if c is None:
+            term = mat.entries
+        else:
+            c = complex(c)
+            term = {} if c == 0 else {k: v * c for k, v in mat.entries.items()}
+        out = dict(acc)
+        for k, v in term.items():
+            out[k] = out[k] + v if k in out else v
+        acc = out
+    return acc
+
+
+def test_numeric_combination_is_the_pairwise_fold_bit_for_bit(nctx):
+    rng = seeded(59)
+    special = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+               1e-300 + 0j, complex(1e300, -1e300)]
+
+    def rand_numeric(n):
+        keys = [(i, j) for i in range(n) for j in range(n)]
+        rng.shuffle(keys)  # an insertion order that is not row-major
+        return Matrix(nctx, n, {
+            k: rng.choice(special) if rng.random() < 0.3
+            else complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            for k in keys if rng.random() < 0.7})
+
+    coeffs = [None, None, 0, 0j, -0.0, 1, -1, 2.5, 1e-320 + 0j,
+              complex(0.0, -0.0), complex(-0.0, 3.0)]
+    # every branch meets signed zeros: first, later, unscaled, scaled, zero
+    zeros = Matrix(nctx, 2, {(1, 1): complex(0.0, -0.0), (0, 1): complex(-0.0, -0.0),
+                             (1, 0): complex(-0.0, 0.0)})
+    ones = Matrix(nctx, 2, {(0, 0): 1 + 1j})
+    fixed = [[(zeros, None)], [(ones, None), (zeros, None)], [(zeros, -1)],
+             [(zeros, None), (zeros, None)], [(zeros, 2), (zeros, None)],
+             [(ones, 1j), (zeros, complex(-0.0, 1.0))], [(zeros, 0), (ones, None)]]
+    for terms in fixed:
+        ours = Matrix.combination(nctx, 2, terms).entries
+        theirs = pairwise_fold(terms)
+        assert list(ours) == list(theirs)
+        assert [bits(v) for v in ours.values()] == [bits(v) for v in theirs.values()]
+    for a, b in ((ones, zeros), (zeros, zeros), (zeros, ones)):
+        assert_difference_is_a_plus_minus_b(a, b)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        terms = [(rand_numeric(n), rng.choice(coeffs))
+                 for _ in range(rng.randint(1, 6))]
+        ours = Matrix.combination(nctx, n, terms).entries
+        theirs = pairwise_fold(terms)
+        assert list(ours) == list(theirs)
+        assert [bits(v) for v in ours.values()] == [bits(v) for v in theirs.values()]
+    a, b = rand_numeric(3), rand_numeric(3)
+    # the sum and the scaling are the same fold
+    assert [bits(v) for v in (a + b).entries.values()] == \
+        [bits(v) for v in pairwise_fold([(a, None), (b, None)]).values()]
+    assert [bits(v) for v in a.scaled(-0.0 + 1j).entries.values()] == \
+        [bits(v) for v in pairwise_fold([(a, -0.0 + 1j)]).values()]
+    assert_difference_is_a_plus_minus_b(a, b)
+
+
+def assert_difference_is_a_plus_minus_b(a, b):
+    """a - b has the keys and bits of a + (-b), the negated copy built."""
+    minus_b = {k: -v for k, v in b.entries.items()}
+    out = dict(a.entries)
+    for k, v in minus_b.items():
+        out[k] = out[k] + v if k in out else v
+    assert list((a - b).entries) == list(out)
+    assert [bits(v) for v in (a - b).entries.values()] == [bits(v) for v in out.values()]
+
+
+def test_exact_combination_equals_the_fold_over_different_denominators(ctx):
+    rng = seeded(61)
+    zero = RationalExpression.constant(0)
+    for _ in range(8):
+        n = rng.randint(1, 3)
+        terms = []
+        for _ in range(rng.randint(1, 4)):
+            m, _ = rand_matrix(ctx, rng, n, density=0.6)
+            c = rng.choice([None, zero, rand_expr(rng), rng.randint(-3, 3)])
+            terms.append((m, c))
+        # a term and its negation cancel: a zero sum leaves no key
+        m, _ = rand_matrix(ctx, rng, n)
+        s = rand_expr(rng)
+        terms += [(m, s), (m.scaled(s), -1)]
+        assert len({m.den for m, _ in terms}) > 1
+        total = Matrix.combination(ctx, n, terms)
+        for i in range(n):
+            for j in range(n):
+                expected = zero
+                for mat, c in terms:
+                    c = ctx.one() if c is None else ctx.scalar(c)
+                    expected = expected + c * mat.entry(i, j)
+                assert total.entry(i, j) == expected
+                assert ((i, j) in total.entries) == (not expected.is_zero())
+    one, v = ctx.one(), ctx.v(1)
+    f1, f2, f3 = one + v, one + 2 * v, one + 3 * v
+    a = Matrix.diagonal(ctx, [one / (f1 * f2), one])
+    b = Matrix.from_scalar_entries(ctx, 2, {(0, 1): one / (f1 * f3)})
+    # the lcm of the term denominators, taken once
+    total = Matrix.combination(ctx, 2, [(a, None), (b, v), (a, one / f3)])
+    assert total.den.max_exp() - total.den.min_exp() == 3
 
 
 def test_entry_is_reduced(ctx):
