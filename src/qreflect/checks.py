@@ -565,6 +565,9 @@ def check_appendix(ctx: ScalarContext, ident: int, rep: Irrep, a, b, c):
     The 13 identities of one draw (a, b, c) share G q^{bH}, a G q^{bH} and
     both q-exponentials of it: `_conjugators` keeps them for the E and the
     F family of the latest draw, so a draw builds 4 q-exponentials, not 26.
+    The three series identities of one (G, inverse_first) family share
+    their series variable, its powers and their denominators:
+    `_series_powers` builds them once, 4 sequences a draw, not 12.
     """
     if ident not in _APPENDIX:
         raise ValueError("appendix identity index must be 1..13")
@@ -572,8 +575,7 @@ def check_appendix(ctx: ScalarContext, ident: int, rep: Irrep, a, b, c):
     b = Fraction(b)
     c = Fraction(c)
     pd = {"id": ident, "n": rep.dim, "a": str(a), "b": str(b), "c": str(c)}
-    word, arg, exp_plus, exp_minus = _conjugators(rep, g, a, b)
-    a = ctx.scalar(a)
+    _, arg, exp_plus, exp_minus = _conjugators(rep, g, a, b)
     qcH = cartan_power(rep, c)
     exp_a, exp_b = (exp_minus, exp_plus) if inverse_first else (exp_plus, exp_minus)
     middle = qcH if m == "1" else {"E": rep.e_mat, "F": rep.f_mat}[m] * qcH
@@ -583,8 +585,8 @@ def check_appendix(ctx: ScalarContext, ident: int, rep: Irrep, a, b, c):
         rhs = _hadamard_series(ctx, rep, arg, middle)
         floor = 0.0
     else:
-        rhs, floor = _appendix_series(ctx, rep, g, m, inverse_first, word,
-                                      middle, a, b, c)
+        rhs, floor = _appendix_series(ctx, rep, g, m, inverse_first, middle,
+                                      a, b, c)
     yield f"appendix/A{ident}", pd, lhs, rhs, "", floor
 
 
@@ -601,6 +603,32 @@ def _conjugators(rep: Irrep, g: str, a, b: Fraction) -> tuple:
             q_exp_nilpotent(ctx, arg, inverse=True))
 
 
+@functools.lru_cache(maxsize=2)
+def _series_powers(rep: Irrep, g: str, inverse_first: bool, a,
+                   b: Fraction) -> tuple:
+    """(zc, step, (Z^0, ..., Z^J), (d_0, ..., d_{J+1})) for the series
+    variable Z = zc G q^{bH} of the family (g, inverse_first) of the draw
+    (a, b): zc = a (1 - q^-2) and step q^-2 (direct conjugation), or
+    zc = -a (1 - q^2) and step q^2 (inverse first); Z^(J+1) = 0 and
+    d_j = (step; step)_j.  What the three identities of the family share;
+    two entries hold two families."""
+    ctx = rep.ctx
+    word = _conjugators(rep, g, a, b)[0]
+    one = ctx.one()
+    a = ctx.scalar(a)
+    zc = -(a * (one - ctx.q(2))) if inverse_first else a * (one - ctx.q(-2))
+    z = word.scaled(zc)
+    step = ctx.q(2) if inverse_first else ctx.q(-2)
+    powers = [Matrix.identity(ctx, rep.dim)]
+    while True:
+        zj = powers[-1] * z
+        if zj.is_zero():
+            break
+        powers.append(zj)
+    denoms = tuple(poch_finite(ctx, step, step, j) for j in range(len(powers) + 1))
+    return zc, step, tuple(powers), denoms
+
+
 def _hadamard_series(ctx, rep, arg, middle):
     """sum_k B_k / (k)_{q^-2}! with B_0 = B and B_{k+1} = [A, B_k]_{q^{-2k}}."""
     terms = [(middle, None)]
@@ -615,18 +643,13 @@ def _hadamard_series(ctx, rep, arg, middle):
     return Matrix.combination(ctx, rep.dim, terms)
 
 
-def _appendix_series(ctx, rep, g, m, inverse_first, word, middle, a, b, c):
-    """The closed-form side of identity (g, m, inverse_first); `word` is
-    G q^{bH} and `middle` is M q^{cH}."""
-    one = ctx.one()
+def _appendix_series(ctx, rep, g, m, inverse_first, middle, a, b, c):
+    """The closed-form side of identity (g, m, inverse_first) of the draw
+    (a, b, c); `middle` is M q^{cH}."""
     lam = ctx.q(1) - ctx.q(-1)
     lam2 = lam * lam
     sgn = 1 if g == "E" else -1
-    # series variable: Z = a (1 - q^-2) G q^{bH}  (direct conjugation)  or
-    #                  Z = -a (1 - q^2) G q^{bH} (inverse-first conjugation)
-    zc = -(a * (one - ctx.q(2))) if inverse_first else a * (one - ctx.q(-2))
-    z = word.scaled(zc)
-    step = ctx.q(2) if inverse_first else ctx.q(-2)
+    zc, step, powers, denoms = _series_powers(rep, g, inverse_first, a, b)
 
     def qpow(e):
         # q^e for a (half-)integral exponent e
@@ -635,17 +658,8 @@ def _appendix_series(ctx, rep, g, m, inverse_first, word, middle, a, b, c):
     if m in ("1", g):
         # base exponent +-2(c - b [M = G]), + for G = E
         base = qpow(sgn * 2 * (c - b if m == g else c))
-        terms = []
-        zj = Matrix.identity(ctx, rep.dim)
-        j = 0
-        while True:
-            coeff = poch_finite(ctx, base, step, j)
-            denom = poch_finite(ctx, step, step, j)
-            terms.append((zj * middle, coeff / denom))
-            zj = zj * z
-            if zj.is_zero():
-                break
-            j += 1
+        terms = [(zj * middle, poch_finite(ctx, base, step, j) / denoms[j])
+                 for j, zj in enumerate(powers)]
         return Matrix.combination(ctx, rep.dim, terms), 0.0
 
     # the two mixed conjugations per family, whose expansions carry the
@@ -655,12 +669,10 @@ def _appendix_series(ctx, rep, g, m, inverse_first, word, middle, a, b, c):
     front = zc * qpow(-sgn * 2 * b)
     terms = [(middle, None)]
     floor = 0.0 if ctx.is_exact else middle.max_abs()
-    zjm1 = Matrix.identity(ctx, rep.dim)
-    j = 1
     bc = b + c
     cas_h = cas * cartan_power(rep, bc)
-    while True:
-        denom = poch_finite(ctx, step, step, j)
+    for j, zjm1 in enumerate(powers, 1):
+        denom = denoms[j]
         p0 = poch_finite(ctx, qpow(sgn * 2 * bc), step, j)
         p_plus = poch_finite(ctx, qpow(sgn * 2 * (bc + 1)), step, j)
         p_minus = poch_finite(ctx, qpow(sgn * 2 * (bc - 1)), step, j)
@@ -676,10 +688,6 @@ def _appendix_series(ctx, rep, g, m, inverse_first, word, middle, a, b, c):
                               shift_plus.max_abs() / abs(lam2),
                               shift_minus.max_abs() / abs(lam2))
             floor = max(floor, weight * ingredients)
-        zjm1 = zjm1 * z
-        if zjm1.is_zero():
-            break
-        j += 1
     return Matrix.combination(ctx, rep.dim, terms), floor
 
 

@@ -12,6 +12,12 @@ intermediate matrix is built, an exact combination takes the lcm of its
 term denominators once and multiplies each term by its cofactor once, and a
 numeric one gives every entry the float operations, in the order, of the
 pairwise fold acc + M.scaled(c).
+
+The exact 1 (`poly_one()`) costs nothing: products, Kronecker products,
+combinations and `from_scalar_entries` skip a factor that is that object,
+and a denominator that is it multiplies nothing.  Numeric loops are kept
+apart, so no complex entry is tested.  `residual` certifies equal exact
+sides before any subtraction.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import math
 from .scalars import (
     RationalExpression,
     ScalarContext,
+    _unit_mul,
     poly_divexact,
     poly_gcd,
     poly_one,
@@ -63,7 +70,12 @@ class Matrix:
         for k, v in mapping.items():
             if v.is_zero():
                 continue
-            entries[k] = v.num * poly_divexact(common, v.den)
+            d = v.den
+            if d is common:
+                entries[k] = v.num
+            else:
+                f = common if d is _ONE else poly_divexact(common, d)
+                entries[k] = f if v.num is _ONE else v.num * f
         return Matrix(ctx, size, entries, common)
 
     @staticmethod
@@ -115,21 +127,21 @@ class Matrix:
             if not isinstance(c, RationalExpression):
                 c = ctx.scalar(c)
             if not c.is_zero():
-                parts.append((mat.entries, c.num, mat.den * c.den))
+                parts.append((mat.entries, c.num, _unit_mul(mat.den, c.den)))
         dens = []
         for _, _, d in parts:
             if d not in dens:
                 dens.append(d)
         common = _lcm(dens)
-        cofactors = [poly_one() if d is common or d == common
+        cofactors = [_ONE if d is common or d == common
                      else poly_divexact(common, d) for d in dens]
         out = {}
         for entries, num, den in parts:
             f = cofactors[dens.index(den)]
             if num is not None:
-                f = num * f
+                f = _unit_mul(num, f)
             for k, v in entries.items():
-                p = v * f
+                p = f if v is _ONE else v if f is _ONE else v * f
                 if k in out:
                     s = out[k] + p
                     if s.is_zero():
@@ -148,7 +160,14 @@ class Matrix:
         if self.size != other.size:
             raise ValueError("matrix size mismatch")
         rows_b, distinct_columns = other._row_index()
-        if distinct_columns:  # no two products land on one key: no sums
+        if distinct_columns and self.ctx.is_exact:  # as below, `_ONE` skipped
+            acc = {}
+            for (i, k), a in self.entries.items():
+                row = rows_b.get(k)
+                if row is not None:
+                    for j, b in row:
+                        acc[(i, j)] = b if a is _ONE else a if b is _ONE else a * b
+        elif distinct_columns:  # no two products land on one key: no sums
             acc = {}
             for (i, k), a in self.entries.items():
                 row = rows_b.get(k)
@@ -176,7 +195,7 @@ class Matrix:
             acc = {key: sums[key[0]][key[1]] for key in order}
             if self.ctx.is_exact:  # only a sum can vanish
                 acc = {k: v for k, v in acc.items() if not v.is_zero()}
-        return _matrix(self.ctx, self.size, acc, self.den * other.den)
+        return _matrix(self.ctx, self.size, acc, _unit_mul(self.den, other.den))
 
     def _row_index(self):
         """(rows, distinct_columns): the entries as {row: [(column, value),
@@ -225,7 +244,7 @@ class Matrix:
         denominators: no gcd is taken."""
         entries = {k: a * other.entries[k] for k, a in self.entries.items()
                    if k in other.entries}
-        return _matrix(self.ctx, self.size, entries, self.den * other.den)
+        return _matrix(self.ctx, self.size, entries, _unit_mul(self.den, other.den))
 
     def scaled(self, s) -> "Matrix":
         """Multiply by a field scalar."""
@@ -240,11 +259,19 @@ class Matrix:
         n2 = other.size
         right = other.entries.items()
         entries = {}
-        for (i, j), a in self.entries.items():
-            i, j = i * n2, j * n2
-            for (k, l), b in right:
-                entries[(i + k, j + l)] = a * b
-        return _matrix(self.ctx, self.size * n2, entries, self.den * other.den)
+        if self.ctx.is_exact:
+            for (i, j), a in self.entries.items():
+                i, j = i * n2, j * n2
+                for (k, l), b in right:
+                    entries[(i + k, j + l)] = (b if a is _ONE else a if b is _ONE
+                                               else a * b)
+        else:
+            for (i, j), a in self.entries.items():
+                i, j = i * n2, j * n2
+                for (k, l), b in right:
+                    entries[(i + k, j + l)] = a * b
+        return _matrix(self.ctx, self.size * n2, entries,
+                       _unit_mul(self.den, other.den))
 
     # -- inspection -----------------------------------------------------------
 
@@ -303,19 +330,22 @@ def _matrix(ctx: ScalarContext, size: int, entries: dict, den) -> Matrix:
 
 _new_matrix = object.__new__
 
+# the exact unit: a product skips a factor that is it (`_unit_mul`)
+_ONE = poly_one()
+
 
 def _lcm(dens: list):
     """The lcm of distinct exact denominators: one gcd for each one after
     the first that is not 1."""
     common = None
     for d in dens:
-        if d.is_one():
+        if d is _ONE or d.is_one():
             continue
         if common is None:
             common = d
         else:
             common = common * poly_divexact(d, poly_gcd(common, d))
-    return poly_one() if common is None else common
+    return _ONE if common is None else common
 
 
 def lift(mat: Matrix, dims: tuple, legs: tuple) -> Matrix:
@@ -348,11 +378,17 @@ def lift(mat: Matrix, dims: tuple, legs: tuple) -> Matrix:
 def residual(lhs: Matrix, rhs: Matrix):
     """Compare two matrices: (exact_zero, residual, worst, lhs - rhs).
 
-    Exact backend: residual is None and exact_zero is the verdict.  Numeric:
+    Exact backend: residual is None and exact_zero is the verdict.  Two
+    sides with the same denominator and the same entries are certified
+    before any subtraction, with an empty zero matrix as the difference;
+    this is sufficient only, and any other pair is subtracted.  Numeric:
     exact_zero is None and residual is the max-entry difference normalized by
     the larger max-entry magnitude of the two sides.  worst locates the
     diagnostic entry of the difference (None when it is exactly zero).
     """
+    if (lhs.ctx.is_exact and lhs.size == rhs.size
+            and lhs.den == rhs.den and lhs.entries == rhs.entries):
+        return True, None, None, _matrix(lhs.ctx, lhs.size, {}, lhs.den)
     diff = lhs - rhs
     if lhs.ctx.is_exact:
         ok = diff.is_zero()

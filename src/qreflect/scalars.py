@@ -7,7 +7,12 @@ Two backends share one API:
              Laurent polynomials in v with rational coefficients).  Each
              polynomial is a rational content, held as a reduced pair of
              ints, times a primitive map of Python ints, so products, sums,
-             exact divisions and gcds run on ints only.  The
+             exact divisions and gcds run on ints only.  The exact 1 is
+             one object, `_POLY_ONE` (`poly_one()`): every unit
+             denominator is stored as it, a product with a factor that is
+             it returns the other factor without a call (`_unit_mul`), and
+             a fraction with a one-term numerator or denominator takes no
+             gcd.  Exact powers of v are shared (`ScalarContext.v`).  The
              spectral parameter is always an integer power of q, so every
              infinite q-Pochhammer ratio telescopes to a finite product.
              Optionally v may be pinned to an exact rational value, in which
@@ -118,7 +123,8 @@ class LaurentPolynomial:
     @staticmethod
     def v_power(k: int, coeff=1) -> "LaurentPolynomial":
         n, d = _pair(coeff)
-        return _poly(n, d, {int(k): 1}) if n else _POLY_ZERO
+        k = int(k)
+        return _poly(n, d, {k: 1}) if n and k else _constant(n, d)
 
     @property
     def coeffs(self):
@@ -220,7 +226,9 @@ class LaurentPolynomial:
             for eb, cb in b.items():
                 e = ea + eb
                 out[e] = get(e, 0) + ca * cb
-        return _poly(n, d, {e: c for e, c in out.items() if c})
+        # only a sum of products can cancel to 0
+        return _poly(n, d, {e: c for e, c in out.items() if c}
+                     if 0 in out.values() else out)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -277,7 +285,10 @@ def _poly(cn, cd, prim) -> LaurentPolynomial:
 
 
 def _constant(n, d) -> LaurentPolynomial:
-    """The constant n/d, from a pair in lowest terms with d > 0."""
+    """The constant n/d, from a pair in lowest terms with d > 0; 1 is the
+    one `_POLY_ONE`."""
+    if n == 1 and d == 1:
+        return _POLY_ONE
     return _poly(n, d, _ONE_PRIM) if n else _POLY_ZERO
 
 
@@ -297,6 +308,12 @@ _POLY_ONE = _poly(1, 1, _ONE_PRIM)
 
 def poly_one() -> LaurentPolynomial:
     return _POLY_ONE
+
+
+def _unit_mul(a, b):
+    """a * b; a factor that is `_POLY_ONE` returns the other, with no call.
+    Any other unit takes the general product, which is also right."""
+    return b if a is _POLY_ONE else a if b is _POLY_ONE else a * b
 
 
 def poly_divexact(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
@@ -415,7 +432,11 @@ class RationalExpression:
 
     Invariants: the denominator is nonzero, monic, has lowest exponent 0 and
     shares no nonconstant factor with the numerator.  Equality of canonical
-    forms therefore coincides with mathematical equality.
+    forms therefore coincides with mathematical equality.  A unit
+    denominator is the shared `_POLY_ONE`.  A monomial is a unit of
+    Q[v, 1/v], so a fraction whose numerator or denominator has one term
+    is reduced without a gcd: the denominator's normalization alone makes
+    it canonical.
     """
 
     __slots__ = ("num", "den")
@@ -432,15 +453,19 @@ class RationalExpression:
             self.num = _POLY_ZERO
             self.den = _POLY_ONE
             return
-        if not den.is_one():
-            g = poly_gcd(num, den)
-            if not g.is_one():
-                num = poly_divexact(num, g)
-                den = poly_divexact(den, g)
+        if den is not _POLY_ONE:
+            # a monomial is a unit of Q[v, 1/v]: its gcd with anything is 1
+            if len(num.prim) > 1 and len(den.prim) > 1:
+                g = poly_gcd(num, den)
+                if not g.is_one():
+                    num = poly_divexact(num, g)
+                    den = poly_divexact(den, g)
             den, s, c = _normalize_den(den)
             if s or c != (1, 1):
                 num = _poly(*_times(num.cn, num.cd, c[1], c[0]),
                             {e - s: a for e, a in num.prim.items()} if s else num.prim)
+            if len(den.prim) == 1:  # the normalized unit
+                den = _POLY_ONE
         self.num = num
         self.den = den
 
@@ -462,7 +487,7 @@ class RationalExpression:
         other = _coerce(other)
         if other is NotImplemented:
             return other
-        if self.den == other.den:
+        if self.den is other.den or self.den == other.den:
             return RationalExpression(self.num + other.num, self.den)
         return RationalExpression(self.num * other.den + other.num * self.den,
                                   self.den * other.den)
@@ -488,7 +513,11 @@ class RationalExpression:
         other = _coerce(other)
         if other is NotImplemented:
             return other
-        return RationalExpression(self.num * other.num, self.den * other.den)
+        num = _unit_mul(self.num, other.num)
+        a, b = self.den, other.den
+        if a is _POLY_ONE and b is _POLY_ONE:  # a polynomial is reduced
+            return RationalExpression(num, _POLY_ONE, _reduced=True)
+        return RationalExpression(num, _unit_mul(a, b))
 
     __rmul__ = __mul__
 
@@ -500,7 +529,8 @@ class RationalExpression:
             raise ZeroDivisionError("division by zero rational expression")
         if self is _RE_ONE:
             return other.inverse()
-        return RationalExpression(self.num * other.den, self.den * other.num)
+        return RationalExpression(_unit_mul(self.num, other.den),
+                                  _unit_mul(self.den, other.num))
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -676,14 +706,9 @@ class ScalarContext:
         return self.rational(value)
 
     def v(self, k: int = 1):
-        """v^k = q^(k/2)."""
+        """v^k = q^(k/2); exact ones are shared (`_exact_v_power`)."""
         if self.is_exact:
-            if self.v_pair is not None:
-                n, d = self.v_pair
-                if k < 0:
-                    n, d, k = d, n, -k
-                return _re_constant(*_pair(n ** k, d ** k))
-            return RationalExpression.v_power(k)
+            return _exact_v_power(self.v_pair, k)
         return _principal_sqrt(self.q_value) ** k
 
     def q(self, k: int = 1):
@@ -699,6 +724,19 @@ class ScalarContext:
         qm = None if x.exp is None else self.q_value ** x.exp
         base = x.value if qm is None else qm if x.value is None else qm * x.value
         return base ** k
+
+
+@functools.lru_cache(maxsize=1024)
+def _exact_v_power(v_pair, k: int) -> RationalExpression:
+    """v^k, symbolic (`v_pair` None) or at the pinned v = n/d.  A run asks
+    for the same few hundred powers again and again and scalars are
+    immutable, so the last 1024 are kept."""
+    if v_pair is None:
+        return RationalExpression.v_power(k)
+    n, d = v_pair
+    if k < 0:
+        n, d, k = d, n, -k
+    return _re_constant(*_pair(n ** k, d ** k))
 
 
 def has_finite_modulus(z) -> bool:

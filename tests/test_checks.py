@@ -473,6 +473,29 @@ def test_appendix_draw_shares_its_q_exponentials(monkeypatch):
                 assert cold == report
 
 
+def test_appendix_family_shares_its_series_powers():
+    """The series identities of one draw on V_n build 4 power sequences of
+    their series variable, one per (G, inverse_first) family (12 without
+    the shared cache), and every report, numeric residual bits included,
+    is the one that cleared caches give."""
+    from qreflect import checks
+
+    for ctx in (ScalarContext(), ScalarContext(q_value=1.4 + 0.3j)):
+        rep = make_irrep(ctx, 4)
+        for a, b, c in (("3/7", Fraction(1, 2), 1), ("-5/2", -1, Fraction(3, 2))):
+            checks._series_powers.cache_clear()
+            shared = [check_appendix(ctx, ident, rep, a, b, c)[0]
+                      for ident in range(1, 14)]
+            assert checks._series_powers.cache_info().misses == 4
+            assert checks._series_powers.cache_info().currsize <= 2
+            for ident, report in enumerate(shared, 1):
+                checks._conjugators.cache_clear()
+                checks._series_powers.cache_clear()
+                cold, = check_appendix(ctx, ident, rep, a, b, c)
+                cold.elapsed_ms = report.elapsed_ms
+                assert repr(cold) == repr(report)
+
+
 def test_checks_evaluate_each_affine_word_once(ctx, monkeypatch):
     from qreflect import representations
 

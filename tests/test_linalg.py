@@ -6,8 +6,15 @@ from fractions import Fraction
 from conftest import mat_equals, seeded
 from qreflect.linalg import Matrix, lift, residual
 from qreflect.representations import cartan_power, make_irrep
-from qreflect.scalars import RationalExpression, ScalarContext
-from test_scalars import rand_expr, sympy_qq, to_sympy
+from qreflect.scalars import RationalExpression, ScalarContext, poly_one
+from test_scalars import (
+    disguised,
+    other_one,
+    rand_expr,
+    rand_poly,
+    sympy_qq,
+    to_sympy,
+)
 
 
 def rand_matrix(ctx, rng, n, density=0.7):
@@ -103,6 +110,52 @@ def test_transpose_and_residual(ctx):
     ok, res, worst, diff = residual(m, shifted)
     assert ok is False and worst is not None
     assert mat_equals(diff, -Matrix.identity(ctx, 3))
+
+
+def count_subtractions(monkeypatch) -> list:
+    """Record every Matrix subtraction from now on."""
+    calls = []
+    real = Matrix.__sub__
+
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(Matrix, "__sub__", counting)
+    return calls
+
+
+def test_residual_certifies_equal_sides_before_subtracting(ctx, monkeypatch):
+    rng = seeded(73)
+    m, _ = rand_matrix(ctx, rng, 3)
+    subtractions = count_subtractions(monkeypatch)
+    # equal, not identical: the shortcut's difference is the empty zero matrix
+    ok, res, worst, diff = residual(m, Matrix(ctx, 3, dict(m.entries), m.den))
+    assert (ok, res, worst) == (True, None, None) and not subtractions
+    assert diff.entries == {} and diff.is_zero() and diff.size == 3
+    # unequal sides over one denominator: what the subtraction gives
+    other = Matrix(ctx, 3, {**m.entries, (0, 0): rand_poly(rng) + m.den}, m.den)
+    ok, res, worst, diff = residual(m, other)
+    assert len(subtractions) == 1
+    route = m - other
+    assert (ok, res, worst) == (route.is_zero(), None, route.worst_entry())
+    assert ok is False and list(diff.entries.items()) == list(route.entries.items())
+    assert diff.den == route.den
+    # equal over different, unreduced denominators: certified by subtraction
+    w = poly_one() + rand_poly(rng) * rand_poly(rng)
+    while len(w.prim) < 2:
+        w = poly_one() + rand_poly(rng) * rand_poly(rng)
+    blown = Matrix(ctx, 3, {k: v * w for k, v in m.entries.items()}, m.den * w)
+    subtractions.clear()
+    ok, res, worst, diff = residual(m, blown)
+    assert (ok, res, worst) == (True, None, None) and len(subtractions) == 1
+    assert diff.is_zero()
+    # numeric sides are always subtracted
+    nctx = ScalarContext(q_value=1.4 + 0.3j)
+    nm = Matrix(nctx, 2, {(0, 1): 2 + 1j})
+    subtractions.clear()
+    assert residual(nm, Matrix(nctx, 2, dict(nm.entries)))[:3] == (None, 0.0, (0, 1))
+    assert len(subtractions) == 1
 
 
 def test_numeric_residual_normalization():
@@ -258,6 +311,55 @@ def test_exact_combination_equals_the_fold_over_different_denominators(ctx):
     # the lcm of the term denominators, taken once
     total = Matrix.combination(ctx, 2, [(a, None), (b, v), (a, one / f3)])
     assert total.den.max_exp() - total.den.min_exp() == 3
+
+
+def disguised_matrix(m):
+    """m with each entry and denominator that is the shared unit replaced by
+    `other_one()`, so that its products take the general route."""
+    one = poly_one()
+    return Matrix(m.ctx, m.size, {k: other_one() if v is one else v
+                                  for k, v in m.entries.items()},
+                  other_one() if m.den is one else m.den)
+
+
+def assert_identical(a, b):
+    """Equal keys in equal order, equal entries, equal denominators."""
+    assert list(a.entries) == list(b.entries)
+    assert list(a.entries.values()) == list(b.entries.values())
+    assert a.den == b.den
+
+
+def test_unit_factors_equal_the_general_route(ctx):
+    rng = seeded(67)
+    one = poly_one()
+    for _ in range(6):
+        n = rng.randint(1, 4)
+        ident = Matrix.identity(ctx, n)
+        m, _ = rand_matrix(ctx, rng, n)
+        # a polynomial matrix, one entry in three the unit
+        entries = {(i, j): one if rng.random() < 0.3 else rand_poly(rng)
+                   for i in range(n) for j in range(n) if rng.random() < 0.7}
+        poly = Matrix(ctx, n, {k: v for k, v in entries.items() if not v.is_zero()})
+        perm = Matrix(ctx, n, {(i, (i + 1) % n): one for i in range(n)})
+        mats = (ident, m, poly, perm)
+        for a in mats:
+            for b in mats:
+                assert_identical(a * b, disguised_matrix(a) * disguised_matrix(b))
+                assert_identical(a.kron(b), disguised_matrix(a).kron(disguised_matrix(b)))
+        coeffs = [None, ctx.one(), ctx.v(0), rand_expr(rng),
+                  RationalExpression(rand_poly(rng)), 3]
+        terms = [(rng.choice(mats), rng.choice(coeffs)) for _ in range(4)]
+        general = [(disguised_matrix(mat),
+                    c if c is None or isinstance(c, int) else disguised(c))
+                   for mat, c in terms]
+        assert_identical(Matrix.combination(ctx, n, terms),
+                    Matrix.combination(ctx, n, general))
+        values = [ctx.one(), RationalExpression(rand_poly(rng)), rand_expr(rng),
+                  rand_expr(rng), ctx.zero()]
+        mapping = {(i, j): rng.choice(values) for i in range(n) for j in range(n)}
+        assert_identical(Matrix.from_scalar_entries(ctx, n, mapping),
+                    Matrix.from_scalar_entries(
+                        ctx, n, {k: disguised(v) for k, v in mapping.items()}))
 
 
 def test_entry_is_reduced(ctx):

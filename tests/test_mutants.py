@@ -4,6 +4,12 @@ Every mutant copies the package under tmp_path, changes one line and runs
 `verify --suite all --dims 2,3 --seed 7` on the copy.  A mutant that exits 0
 means some identity no longer checks what it claims to: fix the check that
 should have caught it, never this list.
+
+A core mutant weakens the certifier itself, so that it calls nonzero
+residuals zero.  Every check then passes, and only a finding, a residual
+expected to be nonzero, can show it: the run must report more of its
+findings "unexpectedly zero" than the unmutated copy does, which at this
+seed already reports two.
 """
 
 import os
@@ -43,13 +49,23 @@ MUTANTS = {
         "(params.k_minus * q1, (f_atom(1),)),"),
 }
 
+# (module, original text, mutated text, the finding that must turn zero)
+CORE_MUTANTS = {
+    # equal denominators alone taken as equal sides
+    "residual-equal-sides": (
+        "linalg.py",
+        "lhs.den == rhs.den and lhs.entries == rhs.entries",
+        "lhs.den == rhs.den",
+        "onsager/int_W0"),
+}
+
 
 def run_copy(tmp_path, mutant=None):
     """Run the command on a copy of the package, with `mutant` applied."""
     shutil.copytree(PACKAGE, tmp_path / "qreflect",
                     ignore=shutil.ignore_patterns("__pycache__"))
     if mutant is not None:
-        module, old, new = MUTANTS[mutant]
+        module, old, new = (MUTANTS.get(mutant) or CORE_MUTANTS[mutant])[:3]
         path = tmp_path / "qreflect" / module
         text = path.read_text()
         assert text.count(old) == 1, f"{mutant}: the original text is not unique"
@@ -71,3 +87,19 @@ def test_mutant_is_caught(tmp_path, mutant):
     done = run_copy(tmp_path, mutant)
     assert done.returncode == 1, done.stderr
     assert " FAIL " in done.stdout
+
+
+def unexpected_zeros(stdout: str, finding: str) -> int:
+    """How many report lines of `finding` read "unexpectedly zero"."""
+    return sum(line.split()[:1] == [finding] and "unexpectedly zero" in line
+               for line in stdout.splitlines())
+
+
+@pytest.mark.parametrize("mutant", sorted(CORE_MUTANTS))
+def test_core_mutant_turns_a_finding_zero(tmp_path, mutant):
+    finding = CORE_MUTANTS[mutant][3]
+    base = run_copy(tmp_path / "unmutated")
+    done = run_copy(tmp_path / "mutated", mutant)
+    assert done.returncode in (0, 1), done.stderr
+    assert (unexpected_zeros(done.stdout, finding)
+            > unexpected_zeros(base.stdout, finding)), done.stdout[-2000:]

@@ -17,8 +17,10 @@ from qreflect.scalars import (
     poch_infinite_truncated,
     poch_ratio,
     poch_ratio_telescoped,
+    _constant,
     poly_divexact,
     poly_gcd,
+    poly_one,
     q_factorial,
     q_integer,
     rational,
@@ -186,6 +188,90 @@ def test_canonical_form_is_reduced():
         # denominator normalization: monic, lowest exponent 0
         assert a.den.min_exp() == 0
         assert a.den.coeffs[a.den.max_exp()] == rational(1)
+
+
+# -- the unit ------------------------------------------------------------------
+
+
+def other_one():
+    """1 built by the constructor: equal to the unit, but not the shared
+    object, so every kernel takes its general route on it."""
+    return LaurentPolynomial({0: 1})
+
+
+def disguised(x):
+    """x with each slot that is the shared unit replaced by `other_one()`."""
+    one = poly_one()
+    return RationalExpression(other_one() if x.num is one else x.num,
+                              other_one() if x.den is one else x.den,
+                              _reduced=True)
+
+
+def test_the_unit_is_one_object():
+    one, v = poly_one(), vpow(1)
+    assert _constant(1, 1) is one and const(1) is one and vpow(0) is one
+    assert RationalExpression.constant(1).num is one
+    assert ScalarContext().one().num is one and ScalarContext().one().den is one
+    assert other_one() == one and other_one() is not one
+    # a unit denominator is stored as the shared unit on every route
+    for num, den in ((v + one, v + one), (v * v + one, vpow(3, "2/5")),
+                     (v, other_one()), (v - one, one), (v - one, other_one())):
+        assert RationalExpression(num, den).den is one
+
+
+def test_exact_v_powers_are_shared():
+    pinned = rational(6, 5)
+    for ctx in (ScalarContext(), ScalarContext(v_value=pinned)):
+        for k in range(-6, 7):
+            vk = ctx.v(k)
+            assert ctx.v(k) is vk
+            expected = RationalExpression.v_power(k)
+            if ctx.v_pair is not None:
+                expected = RationalExpression.constant(expected.evaluate(pinned))
+            assert vk == expected and vk.den is poly_one()
+        assert ctx.v(0).num is poly_one()
+
+
+def test_unit_routes_equal_the_general_route(monkeypatch):
+    """Products and quotients with unit slots, and expressions with a
+    one-term numerator or denominator, equal what the general route (a
+    disguised unit, or a common factor that forces the gcd) gives, and a
+    monomial takes no gcd."""
+    from qreflect import scalars
+
+    rng = seeded(71)
+    one = poly_one()
+    w = const(1) + vpow(1, 2)  # not a unit: its multiples take the gcd route
+    gcds = []
+
+    def counting(a, b):
+        gcds.append((a, b))
+        return poly_gcd(a, b)
+
+    monkeypatch.setattr(scalars, "poly_gcd", counting)
+    for _ in range(30):
+        xs = [rand_expr(rng), RationalExpression(rand_poly(rng)),
+              RationalExpression(vpow(rng.randint(-4, 4), rng.randint(-5, 5))),
+              RationalExpression.constant(1), RationalExpression.constant(0)]
+        for x in xs:
+            for y in xs:
+                routes = [(x * y, disguised(x) * disguised(y))]
+                if not y.is_zero():
+                    routes.append((x / y, disguised(x) / disguised(y)))
+                for fast, slow in routes:
+                    assert fast == slow
+                    assert (fast.den is one) == fast.den.is_one()
+        mono = vpow(rng.randint(-5, 5), rational(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                                rng.randint(1, 9)))
+        p = nonzero(rng, rand_poly)
+        for num, den in ((mono, p), (p, mono), (mono, mono)):
+            assert poly_gcd(num, den).is_one()
+            gcds.clear()
+            fast = RationalExpression(num, den)
+            assert not gcds
+            slow = RationalExpression(num * w, den * w)
+            assert gcds and fast == slow
+            assert (fast.den is one) == fast.den.is_one()
 
 
 def test_zero_denominator_rejected():
