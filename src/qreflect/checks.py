@@ -566,8 +566,8 @@ def check_appendix(ctx: ScalarContext, ident: int, rep: Irrep, a, b, c):
     both q-exponentials of it: `_conjugators` keeps them for the E and the
     F family of the latest draw, so a draw builds 4 q-exponentials, not 26.
     The three series identities of one (G, inverse_first) family share
-    their series variable, its powers and their denominators:
-    `_series_powers` builds them once, 4 sequences a draw, not 12.
+    their series variable, its powers and their denominators, which
+    `_conjugators` builds with them: 4 sequences a draw, not 12.
     """
     if ident not in _APPENDIX:
         raise ValueError("appendix identity index must be 1..13")
@@ -575,7 +575,7 @@ def check_appendix(ctx: ScalarContext, ident: int, rep: Irrep, a, b, c):
     b = Fraction(b)
     c = Fraction(c)
     pd = {"id": ident, "n": rep.dim, "a": str(a), "b": str(b), "c": str(c)}
-    _, arg, exp_plus, exp_minus = _conjugators(rep, g, a, b)
+    arg, exp_plus, exp_minus, series = _conjugators(rep, g, a, b)
     qcH = cartan_power(rep, c)
     exp_a, exp_b = (exp_minus, exp_plus) if inverse_first else (exp_plus, exp_minus)
     middle = qcH if m == "1" else {"E": rep.e_mat, "F": rep.f_mat}[m] * qcH
@@ -585,41 +585,39 @@ def check_appendix(ctx: ScalarContext, ident: int, rep: Irrep, a, b, c):
         rhs = _hadamard_series(ctx, rep, arg, middle)
         floor = 0.0
     else:
-        rhs, floor = _appendix_series(ctx, rep, g, m, inverse_first, middle,
-                                      a, b, c)
+        rhs, floor = _appendix_series(ctx, rep, g, m, series[inverse_first],
+                                      middle, b, c)
     yield f"appendix/A{ident}", pd, lhs, rhs, "", floor
 
 
 @functools.lru_cache(maxsize=2)
 def _conjugators(rep: Irrep, g: str, a, b: Fraction) -> tuple:
-    """(G q^{bH}, a G q^{bH}, exp(a G q^{bH}), exp^-1(a G q^{bH})) for G = g,
-    the q-exponentials in base q^-2: what the appendix identities of the
-    draw (a, b) with conjugating generator g share.  Two entries hold the
-    E and the F family of one draw."""
+    """(a G q^{bH}, exp(a G q^{bH}), exp^-1(a G q^{bH}), series) for G = g,
+    the q-exponentials in base q^-2, and `series[inverse_first]` the
+    `_series_powers` of either conjugation: what the appendix identities of
+    the draw (a, b) with conjugating generator g share.  Two entries hold
+    the E and the F family of one draw."""
     ctx = rep.ctx
     word = (rep.e_mat if g == "E" else rep.f_mat) * cartan_power(rep, b)
-    arg = word.scaled(ctx.scalar(a))
-    return (word, arg, q_exp_nilpotent(ctx, arg),
-            q_exp_nilpotent(ctx, arg, inverse=True))
-
-
-@functools.lru_cache(maxsize=2)
-def _series_powers(rep: Irrep, g: str, inverse_first: bool, a,
-                   b: Fraction) -> tuple:
-    """(zc, step, (Z^0, ..., Z^J), (d_0, ..., d_{J+1})) for the series
-    variable Z = zc G q^{bH} of the family (g, inverse_first) of the draw
-    (a, b): zc = a (1 - q^-2) and step q^-2 (direct conjugation), or
-    zc = -a (1 - q^2) and step q^2 (inverse first); Z^(J+1) = 0 and
-    d_j = (step; step)_j.  What the three identities of the family share;
-    two entries hold two families."""
-    ctx = rep.ctx
-    word = _conjugators(rep, g, a, b)[0]
-    one = ctx.one()
     a = ctx.scalar(a)
+    arg = word.scaled(a)
+    return (arg, q_exp_nilpotent(ctx, arg),
+            q_exp_nilpotent(ctx, arg, inverse=True),
+            tuple(_series_powers(ctx, word, a, inverse_first)
+                  for inverse_first in (False, True)))
+
+
+def _series_powers(ctx, word: Matrix, a, inverse_first: bool) -> tuple:
+    """(zc, step, (Z^0, ..., Z^J), (d_0, ..., d_{J+1})) for the series
+    variable Z = zc G q^{bH}, `word` G q^{bH}: zc = a (1 - q^-2) and step
+    q^-2 (direct conjugation), or zc = -a (1 - q^2) and step q^2 (inverse
+    first); Z^(J+1) = 0 and d_j = (step; step)_j.  What the three series
+    identities of the family (G, inverse_first) share."""
+    one = ctx.one()
     zc = -(a * (one - ctx.q(2))) if inverse_first else a * (one - ctx.q(-2))
     z = word.scaled(zc)
     step = ctx.q(2) if inverse_first else ctx.q(-2)
-    powers = [Matrix.identity(ctx, rep.dim)]
+    powers = [Matrix.identity(ctx, word.size)]
     while True:
         zj = powers[-1] * z
         if zj.is_zero():
@@ -643,13 +641,14 @@ def _hadamard_series(ctx, rep, arg, middle):
     return Matrix.combination(ctx, rep.dim, terms)
 
 
-def _appendix_series(ctx, rep, g, m, inverse_first, middle, a, b, c):
+def _appendix_series(ctx, rep, g, m, series, middle, b, c):
     """The closed-form side of identity (g, m, inverse_first) of the draw
-    (a, b, c); `middle` is M q^{cH}."""
+    (a, b, c); `series` is the family's `_series_powers` and `middle` is
+    M q^{cH}."""
     lam = ctx.q(1) - ctx.q(-1)
     lam2 = lam * lam
     sgn = 1 if g == "E" else -1
-    zc, step, powers, denoms = _series_powers(rep, g, inverse_first, a, b)
+    zc, step, powers, denoms = series
 
     def qpow(e):
         # q^e for a (half-)integral exponent e

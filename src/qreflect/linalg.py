@@ -15,9 +15,9 @@ pairwise fold acc + M.scaled(c).
 
 The exact 1 (`poly_one()`) costs nothing: products, Kronecker products,
 combinations and `from_scalar_entries` skip a factor that is that object,
-and a denominator that is it multiplies nothing.  Numeric loops are kept
-apart, so no complex entry is tested.  `residual` certifies equal exact
-sides before any subtraction.
+and a denominator that is it multiplies nothing.  A complex entry is never
+that object, so numeric entries get the same float operations.  `residual`
+certifies equal exact sides before any subtraction.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ import math
 from .scalars import (
     RationalExpression,
     ScalarContext,
-    _unit_mul,
     poly_divexact,
     poly_gcd,
     poly_one,
+    poly_product,
 )
 
 
@@ -71,11 +71,8 @@ class Matrix:
             if v.is_zero():
                 continue
             d = v.den
-            if d is common:
-                entries[k] = v.num
-            else:
-                f = common if d is _ONE else poly_divexact(common, d)
-                entries[k] = f if v.num is _ONE else v.num * f
+            entries[k] = v.num if d is common else poly_product(
+                v.num, common if d is _ONE else poly_divexact(common, d))
         return Matrix(ctx, size, entries, common)
 
     @staticmethod
@@ -127,7 +124,7 @@ class Matrix:
             if not isinstance(c, RationalExpression):
                 c = ctx.scalar(c)
             if not c.is_zero():
-                parts.append((mat.entries, c.num, _unit_mul(mat.den, c.den)))
+                parts.append((mat.entries, c.num, poly_product(mat.den, c.den)))
         dens = []
         for _, _, d in parts:
             if d not in dens:
@@ -139,7 +136,7 @@ class Matrix:
         for entries, num, den in parts:
             f = cofactors[dens.index(den)]
             if num is not None:
-                f = _unit_mul(num, f)
+                f = poly_product(num, f)
             for k, v in entries.items():
                 p = f if v is _ONE else v if f is _ONE else v * f
                 if k in out:
@@ -160,20 +157,13 @@ class Matrix:
         if self.size != other.size:
             raise ValueError("matrix size mismatch")
         rows_b, distinct_columns = other._row_index()
-        if distinct_columns and self.ctx.is_exact:  # as below, `_ONE` skipped
+        if distinct_columns:  # no two products land on one key: no sums
             acc = {}
             for (i, k), a in self.entries.items():
                 row = rows_b.get(k)
                 if row is not None:
                     for j, b in row:
                         acc[(i, j)] = b if a is _ONE else a if b is _ONE else a * b
-        elif distinct_columns:  # no two products land on one key: no sums
-            acc = {}
-            for (i, k), a in self.entries.items():
-                row = rows_b.get(k)
-                if row is not None:
-                    for j, b in row:
-                        acc[(i, j)] = a * b
         else:
             # each output row sums in its own dict keyed by column; `order`
             # keeps the keys in the order a flat dict would first meet them
@@ -195,7 +185,7 @@ class Matrix:
             acc = {key: sums[key[0]][key[1]] for key in order}
             if self.ctx.is_exact:  # only a sum can vanish
                 acc = {k: v for k, v in acc.items() if not v.is_zero()}
-        return _matrix(self.ctx, self.size, acc, _unit_mul(self.den, other.den))
+        return _matrix(self.ctx, self.size, acc, poly_product(self.den, other.den))
 
     def _row_index(self):
         """(rows, distinct_columns): the entries as {row: [(column, value),
@@ -244,7 +234,7 @@ class Matrix:
         denominators: no gcd is taken."""
         entries = {k: a * other.entries[k] for k, a in self.entries.items()
                    if k in other.entries}
-        return _matrix(self.ctx, self.size, entries, _unit_mul(self.den, other.den))
+        return _matrix(self.ctx, self.size, entries, poly_product(self.den, other.den))
 
     def scaled(self, s) -> "Matrix":
         """Multiply by a field scalar."""
@@ -259,19 +249,12 @@ class Matrix:
         n2 = other.size
         right = other.entries.items()
         entries = {}
-        if self.ctx.is_exact:
-            for (i, j), a in self.entries.items():
-                i, j = i * n2, j * n2
-                for (k, l), b in right:
-                    entries[(i + k, j + l)] = (b if a is _ONE else a if b is _ONE
-                                               else a * b)
-        else:
-            for (i, j), a in self.entries.items():
-                i, j = i * n2, j * n2
-                for (k, l), b in right:
-                    entries[(i + k, j + l)] = a * b
+        for (i, j), a in self.entries.items():
+            i, j = i * n2, j * n2
+            for (k, l), b in right:
+                entries[(i + k, j + l)] = b if a is _ONE else a if b is _ONE else a * b
         return _matrix(self.ctx, self.size * n2, entries,
-                       _unit_mul(self.den, other.den))
+                       poly_product(self.den, other.den))
 
     # -- inspection -----------------------------------------------------------
 
@@ -330,7 +313,7 @@ def _matrix(ctx: ScalarContext, size: int, entries: dict, den) -> Matrix:
 
 _new_matrix = object.__new__
 
-# the exact unit: a product skips a factor that is it (`_unit_mul`)
+# the exact unit, `poly_one()`: a product skips a factor that is it
 _ONE = poly_one()
 
 
@@ -339,7 +322,7 @@ def _lcm(dens: list):
     the first that is not 1."""
     common = None
     for d in dens:
-        if d is _ONE or d.is_one():
+        if d.is_one():
             continue
         if common is None:
             common = d

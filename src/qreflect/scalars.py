@@ -10,7 +10,7 @@ Two backends share one API:
              exact divisions and gcds run on ints only.  The exact 1 is
              one object, `_POLY_ONE` (`poly_one()`): every unit
              denominator is stored as it, a product with a factor that is
-             it returns the other factor without a call (`_unit_mul`), and
+             it returns the other factor without a call (`poly_product`), and
              a fraction with a one-term numerator or denominator takes no
              gcd.  Exact powers of v are shared (`ScalarContext.v`).  The
              spectral parameter is always an integer power of q, so every
@@ -310,8 +310,8 @@ def poly_one() -> LaurentPolynomial:
     return _POLY_ONE
 
 
-def _unit_mul(a, b):
-    """a * b; a factor that is `_POLY_ONE` returns the other, with no call.
+def poly_product(a, b):
+    """a * b; a factor that is `poly_one()` returns the other, with no call.
     Any other unit takes the general product, which is also right."""
     return b if a is _POLY_ONE else a if b is _POLY_ONE else a * b
 
@@ -513,11 +513,11 @@ class RationalExpression:
         other = _coerce(other)
         if other is NotImplemented:
             return other
-        num = _unit_mul(self.num, other.num)
+        num = poly_product(self.num, other.num)
         a, b = self.den, other.den
         if a is _POLY_ONE and b is _POLY_ONE:  # a polynomial is reduced
             return RationalExpression(num, _POLY_ONE, _reduced=True)
-        return RationalExpression(num, _unit_mul(a, b))
+        return RationalExpression(num, poly_product(a, b))
 
     __rmul__ = __mul__
 
@@ -529,8 +529,8 @@ class RationalExpression:
             raise ZeroDivisionError("division by zero rational expression")
         if self is _RE_ONE:
             return other.inverse()
-        return RationalExpression(_unit_mul(self.num, other.den),
-                                  _unit_mul(self.den, other.num))
+        return RationalExpression(poly_product(self.num, other.den),
+                                  poly_product(self.den, other.num))
 
     def __rtruediv__(self, other):
         other = _coerce(other)

@@ -473,24 +473,31 @@ def test_appendix_draw_shares_its_q_exponentials(monkeypatch):
                 assert cold == report
 
 
-def test_appendix_family_shares_its_series_powers():
+def test_appendix_family_shares_its_series_powers(monkeypatch):
     """The series identities of one draw on V_n build 4 power sequences of
     their series variable, one per (G, inverse_first) family (12 without
-    the shared cache), and every report, numeric residual bits included,
-    is the one that cleared caches give."""
+    the shared conjugators), and every report, numeric residual bits
+    included, is the one that a cleared cache gives."""
     from qreflect import checks
 
+    built = []
+    real = checks._series_powers
+
+    def counting(*args):
+        built.append(args[3])
+        return real(*args)
+
+    monkeypatch.setattr(checks, "_series_powers", counting)
     for ctx in (ScalarContext(), ScalarContext(q_value=1.4 + 0.3j)):
         rep = make_irrep(ctx, 4)
         for a, b, c in (("3/7", Fraction(1, 2), 1), ("-5/2", -1, Fraction(3, 2))):
-            checks._series_powers.cache_clear()
+            checks._conjugators.cache_clear()
+            built.clear()
             shared = [check_appendix(ctx, ident, rep, a, b, c)[0]
                       for ident in range(1, 14)]
-            assert checks._series_powers.cache_info().misses == 4
-            assert checks._series_powers.cache_info().currsize <= 2
+            assert built == [False, True] * 2
             for ident, report in enumerate(shared, 1):
                 checks._conjugators.cache_clear()
-                checks._series_powers.cache_clear()
                 cold, = check_appendix(ctx, ident, rep, a, b, c)
                 cold.elapsed_ms = report.elapsed_ms
                 assert repr(cold) == repr(report)

@@ -76,10 +76,15 @@ def run_copy(tmp_path, mutant=None):
         text=True, timeout=300)
 
 
-def test_unmutated_copy_passes(tmp_path):
-    done = run_copy(tmp_path)
-    assert done.returncode == 0, done.stderr
-    assert "failed 0" in done.stdout
+@pytest.fixture(scope="module")
+def unmutated(tmp_path_factory):
+    """The command's run on an unmutated copy, made once for this module."""
+    return run_copy(tmp_path_factory.mktemp("unmutated"))
+
+
+def test_unmutated_copy_passes(unmutated):
+    assert unmutated.returncode == 0, unmutated.stderr
+    assert "failed 0" in unmutated.stdout
 
 
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
@@ -96,10 +101,9 @@ def unexpected_zeros(stdout: str, finding: str) -> int:
 
 
 @pytest.mark.parametrize("mutant", sorted(CORE_MUTANTS))
-def test_core_mutant_turns_a_finding_zero(tmp_path, mutant):
+def test_core_mutant_turns_a_finding_zero(tmp_path, unmutated, mutant):
     finding = CORE_MUTANTS[mutant][3]
-    base = run_copy(tmp_path / "unmutated")
-    done = run_copy(tmp_path / "mutated", mutant)
+    done = run_copy(tmp_path, mutant)
     assert done.returncode in (0, 1), done.stderr
     assert (unexpected_zeros(done.stdout, finding)
-            > unexpected_zeros(base.stdout, finding)), done.stdout[-2000:]
+            > unexpected_zeros(unmutated.stdout, finding)), done.stdout[-2000:]
