@@ -54,7 +54,7 @@ from .representations import (
     triangular_onsager_generators,
     weight_diagonal,
 )
-from .scalars import ScalarContext, Spectral, poch_finite, q_factorial
+from .scalars import ScalarContext, Spectral, poch_sequence, q_factorial
 
 
 @dataclass
@@ -428,15 +428,15 @@ def check_coideal_algebras(ctx: ScalarContext, rep: Irrep, params: ParamSet,
     q-Onsager generators."""
     p = params
     pd = _params_dict(params, rep, x=x)
-    words = {}
     gens = triangular_onsager_generators(ctx, p.k_plus, p.eps_plus,
                                          p.eps_minus, p.p_tilde)
-    t0 = eval_affine_expr(rep, params, x, gens["T0"], words)
-    t1 = eval_affine_expr(rep, params, x, gens["T1"], words)
-    p1 = eval_affine_expr(rep, params, x, gens["P1t"], words)
+    t0 = eval_affine_expr(rep, params, x, gens["T0"])
+    t1 = eval_affine_expr(rep, params, x, gens["T1"])
+    p1 = eval_affine_expr(rep, params, x, gens["P1t"])
     q1 = ctx.q(1)
     plus2 = (q1 + ctx.q(-1)) ** 2
-    comm01 = t0 * t1 - t1 * t0
+    t01, t10 = t0 * t1, t1 * t0
+    comm01 = t01 - t10
     # [T1, [T1, P1]_{q^2}] = k+ q (q + q^-1)^2 [T0, T1]; the outer plain
     # commutator is split across the two sides for a scale-free residual.
     inner1 = _qcomm(t1, p1, ctx.q(2))
@@ -445,18 +445,20 @@ def check_coideal_algebras(ctx: ScalarContext, rep: Irrep, params: ParamSet,
     inner0 = _qcomm(t0, p1, ctx.q(-2))
     yield ("coideal/triangular_T0", pd, t0 * inner0,
            inner0 * t0 + comm01.scaled(p.k_plus * ctx.q(-1) * plus2))
-    yield ("coideal/triangular_T1T0", pd, t1 * t0,
-           (t0 * t1).scaled(ctx.q(-2)) + Matrix.identity(ctx, rep.dim).scaled(
+    yield ("coideal/triangular_T1T0", pd, t10,
+           t01.scaled(ctx.q(-2)) + Matrix.identity(ctx, rep.dim).scaled(
                p.eps_plus * p.eps_minus * (ctx.one() - ctx.q(-2))))
 
     wgens = onsager_generators(ctx, params)
-    w0 = eval_affine_expr(rep, params, x, wgens["W0"], words)
-    w1 = eval_affine_expr(rep, params, x, wgens["W1"], words)
+    w0 = eval_affine_expr(rep, params, x, wgens["W0"])
+    w1 = eval_affine_expr(rep, params, x, wgens["W1"])
     dg_coef = plus2 * p.k_plus * p.k_minus
-    for name, a, b in (("W0", w0, w1), ("W1", w1, w0)):
-        inner2 = _qcomm(a, _qcomm(a, b, ctx.q(-2)), ctx.q(2))
+    # both relations read the products W0 W1 and W1 W0, each built once
+    w01, w10 = w0 * w1, w1 * w0
+    for name, a, ab, ba in (("W0", w0, w01, w10), ("W1", w1, w10, w01)):
+        inner2 = _qcomm(a, ab - ba.scaled(ctx.q(-2)), ctx.q(2))
         yield (f"coideal/dolan_grady_{name}", pd, a * inner2,
-               inner2 * a + (a * b - b * a).scaled(dg_coef))
+               inner2 * a + (ab - ba).scaled(dg_coef))
 
 
 @_check
@@ -472,18 +474,17 @@ def check_coideal_coproduct(ctx: ScalarContext, rep1: Irrep, rep2: Irrep,
     idn = Matrix.identity(ctx, rep1.dim)
     idm = Matrix.identity(ctx, rep2.dim)
     q1 = ctx.q(1)
-    words = {}
 
     def ev1(expr):
-        return eval_affine_expr(rep1, params, x, expr, words)
+        return eval_affine_expr(rep1, params, x, expr)
 
     def ev2w(word, scale=None):
-        m = eval_affine_word(rep2, params, y, word, words)
+        m = eval_affine_word(rep2, params, y, word)
         return m if scale is None else m.scaled(scale)
 
     def delta(name):
         return eval_tensor_expr(rep1, rep2, params, x, y,
-                                delta_expr(ctx, gens[name]), words)
+                                delta_expr(ctx, gens[name]))
 
     yield ("coideal/coproduct_T0", pd, delta("T0"),
            ev1(gens["T0"]).kron(ev2w((hq_atom(1, 1),)))
@@ -497,8 +498,7 @@ def check_coideal_coproduct(ctx: ScalarContext, rep1: Irrep, rep2: Irrep,
     ff = expr_qcomm(((one, (f_atom(1),)),), ((one, (f_atom(0),)),), ctx.q(2))
     ee = expr_qcomm(((one, (e_atom(1),)),), ((one, (e_atom(0),)),), ctx.q(2))
     tail = eval_affine_expr(rep2, params, y,
-                            expr_scale(expr_add(ff, ee), p.k_plus * ctx.q(-1)),
-                            words)
+                            expr_scale(expr_add(ff, ee), p.k_plus * ctx.q(-1)))
     rhs = (ev1(gens["P1t"]).kron(idm)
            - (ev1(gens["T1"]).kron(ev2w((f_atom(1), hq_atom(0, 1)), q1))
               + ev1(gens["T0"]).kron(ev2w((e_atom(0),))))
@@ -623,7 +623,7 @@ def _series_powers(ctx, word: Matrix, a, inverse_first: bool) -> tuple:
         if zj.is_zero():
             break
         powers.append(zj)
-    denoms = tuple(poch_finite(ctx, step, step, j) for j in range(len(powers) + 1))
+    denoms = tuple(poch_sequence(ctx, step, step, len(powers)))
     return zc, step, tuple(powers), denoms
 
 
@@ -657,7 +657,8 @@ def _appendix_series(ctx, rep, g, m, series, middle, b, c):
     if m in ("1", g):
         # base exponent +-2(c - b [M = G]), + for G = E
         base = qpow(sgn * 2 * (c - b if m == g else c))
-        terms = [(zj * middle, poch_finite(ctx, base, step, j) / denoms[j])
+        nums = poch_sequence(ctx, base, step, len(powers) - 1)
+        terms = [(zj * middle, nums[j] / denoms[j])
                  for j, zj in enumerate(powers)]
         return Matrix.combination(ctx, rep.dim, terms), 0.0
 
@@ -670,14 +671,13 @@ def _appendix_series(ctx, rep, g, m, series, middle, b, c):
     floor = 0.0 if ctx.is_exact else middle.max_abs()
     bc = b + c
     cas_h = cas * cartan_power(rep, bc)
+    p0, p_plus, p_minus = (poch_sequence(ctx, qpow(sgn * 2 * e), step, len(powers))
+                           for e in (bc, bc + 1, bc - 1))
     for j, zjm1 in enumerate(powers, 1):
         denom = denoms[j]
-        p0 = poch_finite(ctx, qpow(sgn * 2 * bc), step, j)
-        p_plus = poch_finite(ctx, qpow(sgn * 2 * (bc + 1)), step, j)
-        p_minus = poch_finite(ctx, qpow(sgn * 2 * (bc - 1)), step, j)
-        cterm = cas_h.scaled(p0)
-        shift_plus = cartan_power(rep, bc + 1).scaled(p_plus * ctx.q(-sgn))
-        shift_minus = cartan_power(rep, bc - 1).scaled(p_minus * ctx.q(sgn))
+        cterm = cas_h.scaled(p0[j])
+        shift_plus = cartan_power(rep, bc + 1).scaled(p_plus[j] * ctx.q(-sgn))
+        shift_minus = cartan_power(rep, bc - 1).scaled(p_minus[j] * ctx.q(sgn))
         shifts = (shift_plus + shift_minus).divided(lam2)
         brace = cterm - shifts
         terms.append((zjm1 * brace, front / denom))
@@ -725,32 +725,28 @@ def check_symmetries(ctx: ScalarContext, rep: Irrep, params: ParamSet,
     # iota . ev_x = ev_{1/x} . iota
     gens = [(e_atom(0),), (f_atom(0),), (e_atom(1),), (f_atom(1),),
             (hq_atom(0, 1),), (hq_atom(1, 1),)]
-    words = {}
     for g in gens:
         yield (f"symmetry/ev_sigma_{g[0][0]}{g[0][1]}", pd,
-               sigma_matrix(eval_affine_word(rep, params, x, g, words)),
-               eval_affine_word(rep, swapped, x, affine_sigma(g), words))
+               sigma_matrix(eval_affine_word(rep, params, x, g)),
+               eval_affine_word(rep, swapped, x, affine_sigma(g)))
         coeff, word = affine_iota(ctx, g)
         yield (f"symmetry/ev_iota_{g[0][0]}{g[0][1]}", pd,
-               iota_matrix(eval_affine_word(rep, params, x, g, words), rep),
-               eval_affine_word(rep, params, xinv, word, words).scaled(coeff))
+               iota_matrix(eval_affine_word(rep, params, x, g), rep),
+               eval_affine_word(rep, params, xinv, word).scaled(coeff))
 
-    yield from _serre(ctx, rep, params, x, words)
+    yield from _serre(ctx, rep, params, x)
 
 
-def _serre(ctx: ScalarContext, rep: Irrep, params: ParamSet, x: Spectral,
-           words: dict | None = None):
+def _serre(ctx: ScalarContext, rep: Irrep, params: ParamSet, x: Spectral):
     """Affine Serre relations under the evaluation map:
     [e_i, [e_i, [e_i, e_j]_{q^2}]]_{q^-2} = 0 and the f-counterpart.
-    The outermost q-commutator is split across the two sides.  `words` is
-    the caller's word memo (`eval_affine_word`)."""
+    The outermost q-commutator is split across the two sides."""
     pd = _params_dict(params, rep, x=x)
-    words = {} if words is None else words
     for i, j in ((0, 1), (1, 0)):
-        ei = eval_affine_word(rep, params, x, (e_atom(i),), words)
-        ej = eval_affine_word(rep, params, x, (e_atom(j),), words)
-        fi = eval_affine_word(rep, params, x, (f_atom(i),), words)
-        fj = eval_affine_word(rep, params, x, (f_atom(j),), words)
+        ei = eval_affine_word(rep, params, x, (e_atom(i),))
+        ej = eval_affine_word(rep, params, x, (e_atom(j),))
+        fi = eval_affine_word(rep, params, x, (f_atom(i),))
+        fj = eval_affine_word(rep, params, x, (f_atom(j),))
         inner_e = _qcomm(ei, _qcomm(ei, ej, ctx.q(2)), ctx.one())
         inner_f = _qcomm(fi, _qcomm(fi, fj, ctx.q(-2)), ctx.one())
         yield (f"symmetry/serre_e{i}{j}", pd,

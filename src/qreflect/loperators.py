@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .linalg import Matrix
-from .representations import Irrep, ParamSet, cartan_power
+from .representations import Irrep, ParamSet, _point_operator, cartan_power
 from .scalars import ScalarContext, Spectral
 
 _HALF = Fraction(1, 2)
@@ -24,7 +24,12 @@ def build_L(rep: Irrep, params: ParamSet, x: Spectral, bar: bool = False) -> Mat
     L(x)    = [[q^(H/2) - q^-1 x^s q^(-H/2),   (q-q^-1) x^s0  F q^(-H/2)],
                [(q-q^-1) x^s1  E q^(H/2),      q^(-H/2) - q^-1 x^s q^(H/2)]]
     Lbar(x) swaps the spectral exponents: x^-s, x^-s1 F, x^-s0 E.
+    Built once while its spectral point is cached (`_point_operator`).
     """
+    return _point_operator(_build_L, rep, params, x, bar)
+
+
+def _build_L(rep: Irrep, params: ParamSet, x: Spectral, bar: bool) -> Matrix:
     ctx = rep.ctx
     sgn = -1 if bar else 1
     xs = ctx.x_power(x, sgn * params.s)

@@ -6,10 +6,17 @@ upper triangular and F strictly lower triangular:
     H v_k = (n-1-2k) v_k,   E v_k = [k]_q v_{k-1},   F v_k = [n-1-k]_q v_{k+1},
 
 with [m]_q = (q^m - q^-m)/(q - q^-1).
+
+The operators that a spectral point decides -- the evaluated affine words
+and the L-operators of an irrep at the gradation (s0, s1) and the point x --
+are built once while the point stays in a small bounded cache
+(`_point_operator`).  Checks on one irrep at a pinned point share them; a
+drawn complex point never repeats, and there the cache costs one lookup.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .linalg import Matrix
@@ -83,6 +90,13 @@ class Irrep:
     f_mat: Matrix
     ctx: ScalarContext
     _memo: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def __hash__(self):
+        # equal irreps hold the same E object (a Matrix compares by
+        # identity), so its identity hash serves; every point-cache lookup
+        # takes it, and the generated hash of all five fields costs three
+        # times as much
+        return hash(self.e_mat)
 
     def _memoized(self, key, build) -> Matrix:
         """The matrix stored under `key`, made by `build()` on first use."""
@@ -236,21 +250,43 @@ def hq_atom(i: int, xi) -> tuple:
     return ("h", i, xi)
 
 
-def eval_affine_word(rep: Irrep, params: ParamSet, x: Spectral, word,
-                     words: dict | None = None) -> Matrix:
+# The most spectral points that one check touches: check_symmetries reads
+# x, 1/x and x at the swapped gradation, an operator reflection check the
+# four L points y/x, xy, 1/(xy) and x/y.  So a check never evicts its own
+# operators, and a run's next check on the same irrep and points finds them.
+_POINTS = 4
+
+
+@functools.lru_cache(maxsize=_POINTS)
+def _point_memo(rep: Irrep, s0: int, s1: int, x: Spectral) -> dict:
+    return {}
+
+
+def _point_operator(build, rep: Irrep, params: ParamSet, x: Spectral,
+                    key) -> Matrix:
+    """build(rep, params, x, key), made once while the spectral point
+    (rep, s0, s1, x) is cached: `_eval_word` is keyed by its word (a
+    tuple), `loperators._build_L` by `bar` (a bool).  The point holds the
+    whole `Spectral` (q-exponent and complex value) and both gradations,
+    which is all that these builders read of the params, and the last
+    `_POINTS` points are kept.  A kept operator is the object its first
+    build made, so numeric bits do not move; a `Matrix` is never mutated
+    after construction."""
+    ops = _point_memo(rep, params.s0, params.s1, x)
+    mat = ops.get(key)
+    if mat is None:
+        mat = ops[key] = build(rep, params, x, key)
+    return mat
+
+
+def eval_affine_word(rep: Irrep, params: ParamSet, x: Spectral, word) -> Matrix:
     """Evaluation map: e0 -> x^s0 F, f0 -> x^-s0 E, q^(xi h0) -> q^(-xi H),
     e1 -> x^s1 E, f1 -> x^-s1 F, q^(xi h1) -> q^(xi H).
 
-    `words`, a dict that a caller keeps over several evaluations on one
-    backend (a check keeps one for its own run), holds each word's matrix by
-    (dimension, gradation, x, word), so a word is evaluated once."""
-    if words is None:
-        return _eval_word(rep, params, x, word)
-    key = (rep.dim, params.s0, params.s1, x, word)
-    mat = words.get(key)
-    if mat is None:
-        mat = words[key] = _eval_word(rep, params, x, word)
-    return mat
+    The matrix is kept with the operators of its spectral point
+    (`_point_operator`), so a word is evaluated once while its point is
+    cached."""
+    return _point_operator(_eval_word, rep, params, x, word)
 
 
 def _eval_word(rep: Irrep, params: ParamSet, x: Spectral, word) -> Matrix:
@@ -273,11 +309,10 @@ def _eval_word(rep: Irrep, params: ParamSet, x: Spectral, word) -> Matrix:
     return Matrix.identity(ctx, rep.dim) if out is None else out
 
 
-def eval_affine_expr(rep: Irrep, params: ParamSet, x: Spectral, expr,
-                     words: dict | None = None) -> Matrix:
-    """The evaluation of an expression; `words` as for `eval_affine_word`."""
+def eval_affine_expr(rep: Irrep, params: ParamSet, x: Spectral, expr) -> Matrix:
+    """The evaluation of an expression, its words from `eval_affine_word`."""
     return Matrix.combination(
-        rep.ctx, rep.dim, [(eval_affine_word(rep, params, x, word, words), coeff)
+        rep.ctx, rep.dim, [(eval_affine_word(rep, params, x, word), coeff)
                            for coeff, word in expr])
 
 
@@ -371,14 +406,12 @@ def delta_expr(ctx: ScalarContext, expr):
 
 
 def eval_tensor_expr(rep1: Irrep, rep2: Irrep, params: ParamSet,
-                     x: Spectral, y: Spectral, terms,
-                     words: dict | None = None) -> Matrix:
-    """(ev_x (x) ev_y) of coproduct terms on rep1 (x) rep2; `words` as for
-    `eval_affine_word`."""
+                     x: Spectral, y: Spectral, terms) -> Matrix:
+    """(ev_x (x) ev_y) of coproduct terms on rep1 (x) rep2."""
     return Matrix.combination(
         rep1.ctx, rep1.dim * rep2.dim,
-        [(eval_affine_word(rep1, params, x, left, words).kron(
-            eval_affine_word(rep2, params, y, right, words)), coeff)
+        [(eval_affine_word(rep1, params, x, left).kron(
+            eval_affine_word(rep2, params, y, right)), coeff)
          for coeff, left, right in terms])
 
 

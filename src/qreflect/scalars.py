@@ -12,7 +12,8 @@ Two backends share one API:
              denominator is stored as it, a product with a factor that is
              it returns the other factor without a call (`poly_product`), and
              a fraction with a one-term numerator or denominator takes no
-             gcd.  Exact powers of v are shared (`ScalarContext.v`).  The
+             gcd, nor does a product with a factor c v^k of unit
+             denominator.  Exact powers of v are shared (`ScalarContext.v`).  The
              spectral parameter is always an integer power of q, so every
              infinite q-Pochhammer ratio telescopes to a finite product.
              Optionally v may be pinned to an exact rational value, in which
@@ -210,6 +211,8 @@ class LaurentPolynomial:
             if a == _ONE_PRIM:
                 return other
             n, d = bn, bd
+        elif ad == 1 and bd == 1:  # integer contents: no gcd to take
+            n, d = an * bn, 1
         else:
             n, d = _times(an, ad, bn, bd)
         if len(a) > len(b):
@@ -436,7 +439,8 @@ class RationalExpression:
     denominator is the shared `_POLY_ONE`.  A monomial is a unit of
     Q[v, 1/v], so a fraction whose numerator or denominator has one term
     is reduced without a gcd: the denominator's normalization alone makes
-    it canonical.
+    it canonical.  A product with a factor c v^k of unit denominator leaves
+    the other fraction reduced, so it is stored as it comes.
     """
 
     __slots__ = ("num", "den")
@@ -515,9 +519,16 @@ class RationalExpression:
             return other
         num = poly_product(self.num, other.num)
         a, b = self.den, other.den
-        if a is _POLY_ONE and b is _POLY_ONE:  # a polynomial is reduced
-            return RationalExpression(num, _POLY_ONE, _reduced=True)
-        return RationalExpression(num, poly_product(a, b))
+        # a product of polynomials is reduced, and so is a product with a
+        # factor c v^k (unit denominator, one-term numerator), a unit of
+        # Q[v, 1/v]: the other fraction stays reduced
+        if a is _POLY_ONE and (b is _POLY_ONE or len(self.num.prim) == 1):
+            den = b
+        elif b is _POLY_ONE and len(other.num.prim) == 1:
+            den = a
+        else:
+            return RationalExpression(num, poly_product(a, b))
+        return RationalExpression(num, den, _reduced=True) if num.prim else _RE_ZERO
 
     __rmul__ = __mul__
 
@@ -782,33 +793,73 @@ def poch_finite(ctx: ScalarContext, a, step, k: int):
     """Finite q-Pochhammer (a; step)_k = prod_{j<k} (1 - a*step^j)."""
     if k < 0:
         raise ValueError("poch_finite needs k >= 0")
+    return poch_sequence(ctx, a, step, k)[k]
+
+
+def poch_sequence(ctx: ScalarContext, a, step, k: int) -> list:
+    """[(a; step)_0, ..., (a; step)_k] in one pass: each entry is the one
+    before it times 1 - a*step^j.  `poch_finite` is its last entry."""
     one = ctx.one()
-    acc = one
+    out = [one]
     term = a
     for _ in range(k):
-        acc = acc * (one - term)
+        out.append(out[-1] * (one - term))
         term = term * step
-    return acc
+    return out
 
 
 def poch_ratio_telescoped(ctx: ScalarContext, a, t: int):
     """(a q^t; q^-2)_inf / (a q^-t; q^-2)_inf as the telescoped finite product.
 
-    For t >= 0 this is prod_{j<t} (1 - a q^(t-2j)); for t < 0 the reciprocal
-    of the product for |t|.  Raises PoleError when a reciprocal factor
-    vanishes.
+    For t >= 0 this is prod_{j<t} (1 - m_j), m_j = a q^(t-2j); for t < 0 the
+    reciprocal of the product for |t|.  Raises PoleError when a reciprocal
+    factor vanishes.
+
+    Exact backend only, for a = c q^e (a rational times a power of q, which
+    is what every caller passes): each m_j, read off the context's own
+    scalars, is one term n_j/d_j v^k_j, so 1 - m_j = (d_j - n_j v^k_j)/d_j.
+    The binomials multiply as one int map over the common denominator
+    prod d_j, normalized once at the end.
     """
+    if not ctx.is_exact:
+        raise ValueError("the telescoped product needs the exact backend")
+    if not a.den.is_one() or len(a.num.prim) > 1:
+        raise ValueError(f"the telescoped product needs a = c q^e (got {a})")
     t = int(t)
-    one = ctx.one()
     invert = t < 0
     t = abs(t)
-    acc = one
+    if a.is_zero():
+        return _RE_ONE
+    # a monomial's primitive part is v^k with coefficient 1
+    (ak, _), = a.num.prim.items()
+    an, ad = a.num.cn, a.num.cd
+    ints, den = {0: 1}, 1
     for j in range(t):
-        factor = one - a * ctx.q(t - 2 * j)
-        if invert and factor == 0:
-            raise PoleError(f"factor 1 - a*q^{t - 2 * j} vanishes (a collides with q^{2 * j - t})")
-        acc = acc * factor
-    return one / acc if invert else acc
+        qe = ctx.q(t - 2 * j).num
+        (qk, _), = qe.prim.items()
+        n, d, k = an * qe.cn, ad * qe.cd, ak + qk  # m_j = n/d v^k
+        den *= d
+        if k:
+            out = {e: d * c for e, c in ints.items()}
+            for e, c in ints.items():
+                out[e + k] = out.get(e + k, 0) - n * c
+            ints = out
+        elif n == d:
+            if invert:
+                raise PoleError(f"factor 1 - a*q^{t - 2 * j} vanishes "
+                                f"(a collides with q^{2 * j - t})")
+            return _RE_ZERO
+        else:
+            ints = {e: (d - n) * c for e, c in ints.items()}
+    h, prim = _split_content({e: c for e, c in ints.items() if c})
+    g = gcd(h, den)
+    n, d = h // g, den // g
+    acc = _constant(n, d) if prim == _ONE_PRIM else _poly(n, d, prim)
+    if acc is _POLY_ONE:
+        return _RE_ONE
+    if invert:
+        return RationalExpression(_POLY_ONE, acc)
+    return RationalExpression(acc, _POLY_ONE, _reduced=True)
 
 
 def poch_infinite_truncated(ctx: ScalarContext, a, step):

@@ -9,11 +9,11 @@ report content exactly.
 from __future__ import annotations
 
 import cmath
-import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .checks import (  # the check_* names are called through _run
     CheckReport,
@@ -418,31 +418,103 @@ def report_to_dict(r: CheckReport) -> dict:
     return out
 
 
-_EMIT_BATCH = 4096  # encoder chunks per joined piece of the JSON text
+class _Rendered:
+    """A value's JSON text, rendered already: `_json_text` emits it as it is."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """The text json.dumps(value, indent=2, default=str) gives `value` when
+    it sits on a line that starts with `indent` (a newline and the line's
+    indentation).  Strings go through json's own ASCII escaping, floats
+    through float.__repr__ with json's spelling of the non-finite ones, and
+    the types are tested in the encoder's order."""
+    if type(value) is _Rendered:
+        return value.text
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        return "-Infinity" if value == -math.inf else float.__repr__(value)
+    inner = indent + "  "
+    sep = "," + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "".join(("[", inner, sep.join([_json_text(v, inner) for v in value]),
+                        indent, "]"))
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        parts = ["{"]
+        for k, v in value.items():
+            parts += (sep if len(parts) > 1 else inner, encode_basestring_ascii(k),
+                      ": ", _json_text(v, inner))
+        parts += (indent, "}")
+        return "".join(parts)
+    return encode_basestring_ascii(str(value))
+
+
+_EMIT_BATCH = 64  # report texts per joined piece of the checks list
+
+
+def _checks_text(reports) -> str:
+    """The text of the nonempty "checks" list of the JSON report.  Each
+    report's dict is built and rendered in turn, the params dict that the
+    reports of one check share is rendered once, and the report texts are
+    joined a batch at a time: a list of all of them would take several
+    times the text's size."""
+    inner = "\n    "  # the line start of a report in the list
+    sep = "," + inner
+    params_texts = {}
+    pieces, batch = ["[", inner], []
+    for i, r in enumerate(reports, 1):
+        doc = report_to_dict(r)
+        text = params_texts.get(id(r.params))
+        if text is None:
+            text = params_texts[id(r.params)] = _Rendered(
+                _json_text(r.params, inner + "  "))
+        doc["params"] = text
+        batch.append(_json_text(doc, inner))
+        if len(batch) == _EMIT_BATCH or i == len(reports):
+            pieces += (sep.join(batch), sep)
+            batch = []
+    pieces[-1] = "\n  ]"  # the separator after the last batch closes the list
+    return "".join(pieces)
 
 
 def emit_report(reports, fmt: str, config: SuiteConfig) -> str:
     """The report of a run of `config` as "json" or "text"; statuses are
-    judged at `config.tol`."""
+    judged at `config.tol`.  The JSON text is json.dumps(doc, indent=2,
+    default=str) of the document {suite, config, checks, summary}, rendered
+    by `_json_text` (the checks by `_checks_text`)."""
     tol = config.tol
     summary = summarize(reports, tol)
     if fmt == "json":
-        doc = {
+        # the document is dropped before the newline is appended, so at
+        # most two copies of the text are alive at once
+        text = _json_text({
             "suite": config.suite,
             "config": {**asdict(config), "dims": list(config.dims)},
-            "checks": [report_to_dict(r) for r in reports],
+            "checks": _Rendered(_checks_text(reports)) if reports else [],
             "summary": summary,
-        }
-        # the text of json.dumps(doc, indent=2, default=str), joined a
-        # batch of encoder chunks at a time: with indent set the encoder is
-        # pure Python and yields hundreds of thousands of chunks, and a list
-        # of them all would take several times the text's size
-        chunks = json.JSONEncoder(indent=2, default=str).iterencode(doc)
-        parts = []
-        while batch := "".join(itertools.islice(chunks, _EMIT_BATCH)):
-            parts.append(batch)
-        parts.append("\n")
-        return "".join(parts)
+        })
+        return text + "\n"
     if fmt != "text":
         raise ConfigError(f"unknown report format {fmt!r}")
     lines = []

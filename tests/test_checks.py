@@ -514,16 +514,43 @@ def test_checks_evaluate_each_affine_word_once(ctx, monkeypatch):
         return real(rep, params, x, word)
 
     monkeypatch.setattr(representations, "_eval_word", recording)
+    representations._point_memo.cache_clear()
     rng = seeded(163)
     rep2, rep3 = make_irrep(ctx, 2), make_irrep(ctx, 3)
     params = rand_params(ctx, rng)
     x, y = Spectral.q_power(1), Spectral.q_power(-2)
+    # the three checks share the points (rep3, x) and (rep2, y): no word is
+    # evaluated twice across them
     for check, args in ((check_coideal_algebras, (rep3, params, x)),
                         (check_coideal_coproduct, (rep3, rep2, params, x, y)),
                         (check_symmetries, (rep3, params, x))):
-        evaluated.clear()
+        before = len(evaluated)
         assert all(r.exact_zero or r.is_finding for r in check(ctx, *args))
-        assert evaluated and len(set(evaluated)) == len(evaluated), check.__name__
+        assert len(evaluated) > before, check.__name__
+    assert len(set(evaluated)) == len(evaluated)
+
+
+@pytest.mark.parametrize("backend", ["exact", "numeric"])
+def test_point_cache_is_bounded_and_changes_no_report(backend, monkeypatch):
+    """After a --suite all run the point cache holds no more than its bound,
+    and a run that builds every operator afresh gives the same reports, so
+    the same numeric bits."""
+    from qreflect import representations, suite
+
+    kwargs = dict(suite="all", dims=(2, 3), seed=7, draws=1)
+    if backend == "numeric":
+        pytest.importorskip("numpy")
+        kwargs.update(backend="numeric", q="1.4+0.3i")
+    representations._point_memo.cache_clear()
+    cached = suite.run_suite(suite.SuiteConfig(**kwargs))
+    info = representations._point_memo.cache_info()
+    assert info.maxsize == representations._POINTS
+    assert info.currsize <= representations._POINTS
+    monkeypatch.setattr(representations, "_point_memo", lambda *point: {})
+    fresh = suite.run_suite(suite.SuiteConfig(**kwargs))
+    for r in cached + fresh:
+        r.elapsed_ms = 0
+    assert [repr(r) for r in fresh] == [repr(r) for r in cached]
 
 
 def test_appendix_rejects_bad_id(ctx):

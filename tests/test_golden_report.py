@@ -23,9 +23,11 @@ import hashlib
 import json
 import tracemalloc
 from dataclasses import asdict
+from fractions import Fraction
 
 import pytest
 
+from qreflect.checks import CheckReport
 from qreflect.suite import (
     SuiteConfig,
     emit_report,
@@ -125,11 +127,35 @@ def one_shot_json(reports: list, config: SuiteConfig) -> str:
     return json.dumps(doc, indent=2, default=str) + "\n"
 
 
-@pytest.mark.parametrize("kwargs", [GOLDEN[0][0], GOLDEN[1][0], None],
-                         ids=["exact", "numeric", "empty"])
+def crafted_reports() -> list:
+    """Reports whose values a run seldom or never emits: non-ASCII text,
+    nested containers, a Fraction (encoded through default=str), exponent
+    and non-finite floats; two of them share one params dict, as the
+    reports of one check do."""
+    shared = {
+        "name \u00e9\"q\"": "x \u2192 y \u2713\n\ttab",
+        "nested": {"list": [1, [2.5, []], {}, None], "pair": (3, "a"),
+                   "flags": [True, False], "empty": {}},
+        "a": Fraction(-3, 7), "big": 2.5e+20, "tiny": 5e-324, "neg": -1.0e-7,
+        "inf": float("inf"), "-inf": float("-inf"), "nan": float("nan"),
+        "n": -12, "raw": "\u00fc\U0001d11e",
+    }
+    return [
+        CheckReport(name="crafted/\u00fc", params=shared, residual=1.5e-300,
+                    detail="worst \u2260 0", is_finding=True, elapsed_ms=3),
+        CheckReport(name="crafted/second", params=shared, exact_zero=False,
+                    detail="d"),
+        CheckReport(name="crafted/third", params={}, residual=0.0),
+    ]
+
+
+@pytest.mark.parametrize("kwargs", [GOLDEN[0][0], GOLDEN[1][0], None, "crafted"],
+                         ids=["exact", "numeric", "empty", "crafted"])
 def test_json_report_layout_is_one_shot_dumps(kwargs):
     if kwargs is None:
         config, reports = SuiteConfig(suite="ybe", dims=(2,)), []
+    elif kwargs == "crafted":
+        config, reports = SuiteConfig(suite="ybe", dims=(2,)), crafted_reports()
     else:
         if kwargs.get("backend") == "numeric":
             pytest.importorskip("numpy")

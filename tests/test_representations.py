@@ -23,7 +23,7 @@ from qreflect.representations import (
     sigma_matrix,
     weight_diagonal,
 )
-from qreflect.scalars import Spectral
+from qreflect.scalars import ScalarContext, Spectral, rational
 
 
 def test_fundamental_matches_convention(ctx):
@@ -225,6 +225,44 @@ class SnapshotMemo(dict):
     def __setitem__(self, key, mat):
         self.snapshots[key] = snapshot(mat)
         super().__setitem__(key, mat)
+
+
+@pytest.mark.parametrize("setting", ["symbolic", "pinned", "numeric-drawn",
+                                     "numeric-q-power"])
+def test_point_operators_equal_fresh_builds(setting):
+    """A cached word or L-operator is the object its first build made and
+    equals a fresh build.  The points differ in one part each (the gradation,
+    the q-exponent or the complex value), so a key that dropped a part
+    would hand one point's operators to another."""
+    from qreflect import loperators, representations
+    from qreflect.loperators import build_L
+
+    if setting.startswith("numeric"):
+        ctx = ScalarContext(q_value=1.4 + 0.3j)
+    else:
+        ctx = ScalarContext(v_value=None if setting == "symbolic" else rational(6, 5))
+    if setting == "numeric-drawn":
+        z = Spectral.of(0.7 - 1.3j)
+        points = [z, z.inverse(), Spectral(exp=2, value=z.value)]
+    else:
+        points = [Spectral.q_power(2), Spectral.q_power(-1), Spectral.q_power(0)]
+    words = [(), (e_atom(0),), (f_atom(1),), (hq_atom(0, Fraction(1, 2)),),
+             (e_atom(1), hq_atom(1, 1), f_atom(0))]
+    rep = make_irrep(ctx, 3)
+    representations._point_memo.cache_clear()
+    for s0, s1 in ((2, -1), (-1, 2)):
+        params = make_params(ctx, "2/3", "-5/4", "1/2", "3", s0=s0, s1=s1)
+        for x in points:
+            for word in words:
+                first = eval_affine_word(rep, params, x, word)
+                assert eval_affine_word(rep, params, x, word) is first
+                fresh = representations._eval_word(rep, params, x, word)
+                assert same_matrix(first, fresh), (s0, s1, x, word)
+            for bar in (False, True):
+                first = build_L(rep, params, x, bar)
+                assert build_L(rep, params, x, bar) is first
+                fresh = loperators._build_L(rep, params, x, bar)
+                assert same_matrix(first, fresh), (s0, s1, x, bar)
 
 
 def snapshot(mat):

@@ -113,6 +113,53 @@ def test_poch_ratio_inverse_property(ctx):
             assert prod == ctx.one()
 
 
+def telescoped_by_fractions(ctx, a, t):
+    """The reference route: the telescoped product in field arithmetic."""
+    one = ctx.one()
+    acc = one
+    for j in range(abs(t)):
+        factor = one - a * ctx.q(abs(t) - 2 * j)
+        if t < 0 and factor == 0:
+            raise PoleError("reciprocal factor vanishes")
+        acc = acc * factor
+    return one / acc if t < 0 else acc
+
+
+@pytest.mark.parametrize("v_value", [None, rational(6, 5)], ids=["symbolic", "pinned"])
+def test_poch_ratio_telescoped_is_the_field_product(v_value):
+    """The int route of every monomial a = c v^k and t in -6..6 equals the
+    product of the binomials in field arithmetic, and raises PoleError at
+    the same (a, t)."""
+    ctx = ScalarContext(v_value=v_value)
+    rng = seeded(89)
+    poles = 0
+    cs = [rational(1), rational(-1)] + [
+        rational(rng.choice((-1, 1)) * rng.randint(1, 40), rng.randint(1, 40))
+        for _ in range(6)]
+    if v_value is not None:
+        cs.append(1 / v_value ** 4)  # collides with q^2 at the pinned v
+    for c in cs:
+        for k in range(-5, 6):
+            a = ctx.rational(c) * ctx.v(k)
+            for t in range(-6, 7):
+                try:
+                    expected = telescoped_by_fractions(ctx, a, t)
+                except PoleError:
+                    poles += 1
+                    with pytest.raises(PoleError):
+                        poch_ratio_telescoped(ctx, a, t)
+                    continue
+                got = poch_ratio_telescoped(ctx, a, t)
+                assert got == expected, (c, k, t)
+                assert (got.den is poly_one()) == got.den.is_one()
+    assert poles
+    if v_value is None:  # at a pinned v every scalar is a monomial
+        with pytest.raises(ValueError):
+            poch_ratio_telescoped(ctx, ctx.one() + ctx.q(1), 2)
+    with pytest.raises(ValueError):
+        poch_ratio_telescoped(ScalarContext(q_value=1.4 + 0.3j), 0.5, 2)
+
+
 def test_poch_finite_recursion(ctx):
     rng = seeded(5)
     a = ctx.rational(rng.randint(1, 9), rng.randint(1, 9))
@@ -272,6 +319,31 @@ def test_unit_routes_equal_the_general_route(monkeypatch):
             slow = RationalExpression(num * w, den * w)
             assert gcds and fast == slow
             assert (fast.den is one) == fast.den.is_one()
+        # a factor c v^k leaves the other fraction reduced: no gcd, and the
+        # product of the general route (a disguised unit denominator)
+        r = RationalExpression(nonzero(rng, rand_poly) * w, nonzero(rng, rand_poly))
+        m = RationalExpression(mono)
+        for x in (r, RationalExpression(p), RationalExpression.constant(0)):
+            gcds.clear()
+            fast = [m * x, x * m]
+            assert not gcds
+            for got in fast:
+                assert got == disguised(m) * disguised(x)
+                assert (got.den is one) == got.den.is_one()
+        # a two-term factor is no unit: it cancels against the denominator
+        gcds.clear()
+        assert RationalExpression(w) * RationalExpression(p, w) == RationalExpression(p)
+        assert gcds
+        # integer contents multiply with no gcd: the product is the
+        # convolution of the rational coefficients
+        a = nonzero(rng, rand_poly) * const(rng.choice((-1, 1)) * rng.randint(1, 12))
+        for b in (nonzero(rng, rand_poly), mono * const(mono.cd), const(-6), a):
+            assert a.cd == 1 and b.cd == 1
+            conv = {}
+            for ea, ca in a.coeffs.items():
+                for eb, cb in b.coeffs.items():
+                    conv[ea + eb] = conv.get(ea + eb, 0) + ca * cb
+            assert a * b == LaurentPolynomial(conv) == b * a
 
 
 def test_zero_denominator_rejected():
