@@ -18,12 +18,14 @@ q-Onsager candidate for k+ k- != 0, which has no factored form.
 
 of a one-generator argument M: one closed-form product per entry where M is
 bidiagonal (every triangular family), else a telescoped matrix polynomial
-(exact) or an eigendecomposition (numeric).  The factored and split forms
-stay as independent routes that the tests compare against.
+(exact) or the sum of its spectral projectors at the closed-form
+eigenvalues (numeric).  The factored and split forms stay as independent
+routes that the tests compare against.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 from .linalg import Matrix
@@ -77,7 +79,7 @@ class NonNilpotentError(ValueError):
 
 class RepeatedEigenvalueError(ValueError):
     """Two eigenvalues of a numeric spectral-function argument coincide by
-    its closed-form spectrum (A B != 0, the eig route)."""
+    its closed-form spectrum (A B != 0, the spectral-projector route)."""
 
 
 @dataclass(frozen=True)
@@ -300,7 +302,9 @@ def build_K(spec: KOperatorSpec, rep: Irrep) -> Matrix:
     `_bidiagonal_spectral_core`, on both backends and at every t = m s.
     Otherwise exact: the telescoped matrix polynomial P at t >= 0; the
     candidate C P^-1 at t < 0 is never formed (ValueError), and
-    `candidate_intertwining_sides` clears it.  Numeric: `_eig_spectral_core`.
+    `candidate_intertwining_sides` clears it.  Numeric:
+    `_tridiagonal_spectral_core`, the spectral projectors of the tridiagonal
+    M at its closed-form eigenvalues.
     """
     ctx = rep.ctx
     *_, prefix_exp = _frame(spec.variant, spec.params)
@@ -312,7 +316,7 @@ def build_K(spec: KOperatorSpec, rep: Irrep) -> Matrix:
                              ">= 0; at t < 0 certify the cleared relations")
         core = _polynomial_spectral_core(spec, rep)
     else:
-        core = _eig_spectral_core(spec, rep)
+        core = _tridiagonal_spectral_core(spec, rep)
     return spectral_cartan(rep, spec.x, prefix_exp) * core
 
 
@@ -367,12 +371,27 @@ def _polynomial_spectral_core(spec: KOperatorSpec, rep: Irrep) -> Matrix:
     return core
 
 
-def _eig_spectral_core(spec: KOperatorSpec, rep: Irrep) -> Matrix:
-    """Numeric f(M) at A B != 0 (the candidate at k+ k- != 0): `_spectrum`
-    decides whether two eigenvalues collide (RepeatedEigenvalueError), and
-    f(M) = V f(D) V^-1 with V from `np.linalg.eig`."""
-    import numpy as np
+def _tridiagonal_spectral_core(spec: KOperatorSpec, rep: Irrep) -> Matrix:
+    """Numeric f(M) at A B != 0 (the candidate at k+ k- != 0), with no
+    general inverse: `_spectrum` decides whether two eigenvalues collide
+    (RepeatedEigenvalueError), and otherwise
 
+        f(M) = sum_j f(lam_j) r_j l_j^T / (l_j^T r_j)
+
+    over the closed-form eigenvalues lam_j = A q^j + B q^-j, with A and B the
+    roots of z^2 - eps z + A B (swapping them only permutes the nodes), r_j
+    the right eigenvector of the tridiagonal M at lam_j
+    (`_twisted_eigenvectors`) and l_j = W r_j the left one.  W is the
+    diagonal with W^-1 M^T W = M: w_0 = 1, w_{i+1} = w_i b_i / c_i for the
+    super- and subdiagonal entries b and c, all nonzero at k+ k- != 0.
+
+    The projectors P_j = r_j l_j^T / (l_j^T r_j) sum to 1, so with f0 the
+    f(lam_j) of least modulus, f(M) = f0 + sum_j (f(lam_j) - f0) P_j over the
+    other nodes: one eigenvector fewer, a constant f exact, and each
+    projector's error weighed by at most 2 |f(lam_j)|.  That sum is S W, with
+    S = sum_j (f(lam_j) - f0) r_j r_j^T / (l_j^T r_j) symmetric, so one
+    triangle of S is accumulated.
+    """
     ctx = rep.ctx
     arg = _spectral_argument(rep, spec)
     e, ab = _spectrum(ctx, spec)
@@ -400,14 +419,86 @@ def _eig_spectral_core(spec: KOperatorSpec, rep: Irrep) -> Matrix:
             raise RepeatedEigenvalueError(
                 f"eigenvalues of the spectral argument coincide (A q^{k} = B)")
         qk *= q2
-    eigvals, vecs = np.linalg.eig(arg.to_numpy())
+    # the root of larger modulus by the quadratic formula, the other as
+    # A B / A, so neither is the difference of two near-equal terms
+    root = cmath.sqrt(e * e - 4 * ab)
+    a = (e + root if abs(e + root) >= abs(e - root) else e - root) / 2
+    b = ab / a
+    get = arg.entries.get
+    diag = [get((i, i), 0j) for i in range(n)]
+    upper = [get((i, i + 1), 0j) for i in range(n - 1)]
+    lower = [get((i + 1, i), 0j) for i in range(n - 1)]
+    w = [1 + 0j]
+    for bi, ci in zip(upper, lower):
+        w.append(w[-1] * bi / ci)
     _, eps, *_ = _frame(spec.variant, spec.params)
-    fv = np.array([_spectral_function(ctx, spec, eps, complex(z))
-                   for z in eigvals])
-    core = vecs @ np.diag(fv) @ np.linalg.inv(vecs)
-    entries = {(i, j): complex(core[i, j]) for i in range(n) for j in range(n)
-               if core[i, j] != 0}
+    lams = [a * q ** j + b * q ** -j for j in range(n - 1, -n, -2)]
+    fs = [_spectral_function(ctx, spec, eps, lam) for lam in lams]
+    mags = list(map(abs, fs))
+    least = mags.index(min(mags))
+    f0 = fs.pop(least)
+    del lams[least]
+    rows = [[0j] * (n - i) for i in range(n)]  # rows[i][k - i] = S_ik
+    for f, r in zip(fs, _twisted_eigenvectors(diag, upper, lower, lams)):
+        c = (f - f0) / sum([wi * ri * ri for wi, ri in zip(w, r)])
+        for i, ri in enumerate(r):
+            ci = c * ri
+            rows[i] = [v + ci * rk for v, rk in zip(rows[i], r[i:])]
+    entries = {}
+    for i in range(n):
+        for k in range(n):
+            v = (rows[i][k - i] if i <= k else rows[k][i - k]) * w[k]
+            if i == k:
+                v += f0
+            if v != 0:
+                entries[i, k] = v
     return Matrix(ctx, n, entries)
+
+
+def _twisted_eigenvectors(diag, upper, lower, lams):
+    """Yield the right eigenvector of the tridiagonal T (its diagonal, super-
+    and subdiagonal) at each of its eigenvalues lam in `lams`, in O(n) by
+    one twisted factorization of T - lam (Fernando, "On computing an
+    eigenvector of a tridiagonal matrix", SIAM J. Matrix Anal. Appl. 18,
+    1997; Dhillon and Parlett, "Multiple representations to compute
+    orthogonal eigenvectors of symmetric tridiagonal matrices", 2004).
+
+    With the pivots of the top-down and bottom-up factorizations,
+    D+_i = (d_i - lam) - b_{i-1} c_{i-1} / D+_{i-1} and
+    D-_i = (d_i - lam) - b_i c_i / D-_{i+1}, take the twist k of least
+    |gamma_k|, gamma_k = D+_k + D-_k - (d_k - lam).  The vector with z_k = 1,
+    z_i = -b_i z_{i+1} / D+_i above k and z_i = -c_{i-1} z_{i-1} / D-_i
+    below it solves every row of (T - lam) z = 0 but row k, where it leaves
+    gamma_k: the least residual that a twist gives.  A zero pivot (lam meets
+    an eigenvalue of a leading or trailing principal submatrix) is moved
+    off zero by the unit roundoff at the matrix's scale.
+    """
+    n = len(diag)
+    prods = [bi * ci for bi, ci in zip(upper, lower)]
+    tiny = 2.0 ** -53 * max(map(abs, diag + upper + lower))
+    for lam in lams:
+        shifted = [di - lam for di in diag]
+        t = shifted[0] or tiny
+        top = [t]
+        for si, p in zip(shifted[1:], prods):
+            t = si - p / t or tiny
+            top.append(t)
+        t = shifted[-1] or tiny
+        bottom = [t]
+        for si, p in zip(shifted[-2::-1], prods[::-1]):
+            t = si - p / t or tiny
+            bottom.append(t)
+        bottom.reverse()
+        gammas = [abs(t + u - s) for t, u, s in zip(top, bottom, shifted)]
+        k = gammas.index(min(gammas))
+        z = [0j] * n
+        x = z[k] = 1 + 0j
+        for i in range(k - 1, -1, -1):
+            x = z[i] = -upper[i] * x / top[i]
+        x = 1 + 0j
+        for i in range(k + 1, n):
+            x = z[i] = -lower[i - 1] * x / bottom[i]
+        yield z
 
 
 def candidate_intertwining_sides(rep: Irrep, params: ParamSet, x: Spectral,

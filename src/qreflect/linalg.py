@@ -288,14 +288,6 @@ class Matrix:
         return Matrix(self.ctx, self.size,
                       {(j, i): v for (i, j), v in self.entries.items()}, self.den)
 
-    def to_numpy(self):
-        import numpy as np
-
-        out = np.zeros((self.size, self.size), dtype=complex)
-        for (i, j), v in self.entries.items():
-            out[i, j] = v
-        return out
-
     def __repr__(self):
         return f"Matrix(size={self.size}, nnz={len(self.entries)})"
 

@@ -240,7 +240,7 @@ def test_exact_k_operators_take_no_eigenvalue(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("an exact K-operator took an eigenvalue")
 
-    for name in ("_spectral_function", "_eig_spectral_core"):
+    for name in ("_spectral_function", "_tridiagonal_spectral_core"):
         monkeypatch.setattr(koperators, name, forbidden)
     reports = run_suite(SuiteConfig(suite="onsager", dims=(2, 3), seed=7))
     assert reports and all(r.exact_zero is not None for r in reports)

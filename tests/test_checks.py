@@ -539,7 +539,6 @@ def test_point_cache_is_bounded_and_changes_no_report(backend, monkeypatch):
 
     kwargs = dict(suite="all", dims=(2, 3), seed=7, draws=1)
     if backend == "numeric":
-        pytest.importorskip("numpy")
         kwargs.update(backend="numeric", q="1.4+0.3i")
     representations._point_memo.cache_clear()
     cached = suite.run_suite(suite.SuiteConfig(**kwargs))

@@ -3,8 +3,11 @@ report round-trips, exit codes."""
 
 import itertools
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from collections import Counter
 from pathlib import Path
@@ -242,8 +245,9 @@ def test_cli_onsager_findings_do_not_fail(tmp_path, capsys):
 @pytest.mark.parametrize("q,k_minus", [("2", "-9"), ("3", "-256/9")])
 def test_cli_pinned_repeated_eigenvalue_is_a_config_error(q, k_minus, capsys):
     # eps- = 4, k+ = 1 and these k- give A B = 4 = eps-^2 / 4, so A = B and
-    # ev_x(W1) on V_2 has a double eigenvalue; the eigenvalues of
-    # np.linalg.eig raised an uncaught RepeatedEigenvalueError at q = 2 and
+    # ev_x(W1) on V_2 has a double eigenvalue, which the closed-form
+    # spectrum finds before any eigenvector is taken; a test of computed
+    # eigenvalues raised an uncaught RepeatedEigenvalueError at q = 2 and
     # missed the collision at q = 3, where onsager/int_W1 failed at 3e-9
     code = main(["--suite", "onsager", "--dims", "2", "--backend", "numeric",
                  f"--q={q}", "--eps-minus", "4", "--k-plus", "1",
@@ -252,6 +256,27 @@ def test_cli_pinned_repeated_eigenvalue_is_a_config_error(q, k_minus, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "telescoping factor" in err and "repeated eigenvalue" in err
+
+
+@pytest.mark.parametrize("backend", ["exact", "numeric"])
+def test_onsager_suite_runs_without_numpy(backend, tmp_path):
+    """With numpy unimportable (sys.modules["numpy"] = None) `verify --suite
+    onsager` runs to the end on both backends, the numeric one through the
+    candidate at k+ k- != 0, so the package needs no numpy."""
+    out = tmp_path / "report.json"
+    argv = ["--suite", "onsager", "--dims", "2,3", "--seed", "7",
+            "--backend", backend, "--report", "json", "--out", str(out)]
+    if backend == "numeric":
+        argv += ["--q", "1.4+0.3i"]
+    code = ('import sys; sys.modules["numpy"] = None; '
+            'from qreflect.cli import main; sys.exit(main(sys.argv[1:]))')
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    checks = json.loads(out.read_text())["checks"]
+    assert any(c["params"]["k_plus"] != "0" and c["params"]["k_minus"] != "0"
+               for c in checks if c["name"] == "onsager/int_W1")
 
 
 @pytest.mark.parametrize("args,key", [

@@ -17,8 +17,10 @@ from qreflect.koperators import (
     _frame,
     _polynomial_spectral_core,
     _spectral_argument,
+    _spectral_function,
     _spectrum,
     _telescoped_t,
+    _twisted_eigenvectors,
     build_K,
     build_K0_diagonal,
     build_K_factored,
@@ -43,6 +45,7 @@ from qreflect.representations import (
 from qreflect.scalars import (
     PoleError,
     ScalarContext,
+    TRUNCATION_TOL,
     Spectral,
     poch_infinite_truncated,
     rational,
@@ -513,6 +516,120 @@ def test_numeric_triangular_k_matches_pinned_exact():
                             variant, n, raw, m, i, j, err / (abs(w) or top))
                     signs.add(m * (raw["s0"] + raw["s1"]) < 0)
     assert signs == {False, True}
+
+
+def test_twisted_eigenvector_survives_a_zero_pivot():
+    """T = tridiag(1; 1, 1, 1; 1) at its eigenvalue 1 has d_0 - 1 = d_2 - 1
+    = 0 exactly, so the first pivot of each factorization is zero: it is
+    moved off zero, not divided by, and the vector is still (1, 0, -1)."""
+    one = 1 + 0j
+    (z,) = _twisted_eigenvectors([one] * 3, [one] * 2, [one] * 2, [one])
+    assert max(abs(zi - want) for zi, want in zip(z, (1, 0, -1))) < 1e-15
+
+
+def _candidate_error_bound(nctx, spec, rep):
+    """First-order bound on the entries of f(M), the numeric candidate's
+    spectral function of its argument M, as `build_K` assembles it: from
+    the spectral projectors P_j = r_j l_j^T / (l_j^T r_j) at the
+    closed-form eigenvalues lam_j, f(M) = f0 + sum_j (f(lam_j) - f0) P_j
+    over every node but the one of f0, the f(lam_j) of least modulus.  With
+    u = 2^-53:
+
+    * ||P_j|| is kappa_j, the condition number of lam_j.  An eigenvector
+      with residual u ||M|| leans toward each other r_i by
+      u ||M|| kappa_i / |lam_j - lam_i|, and P_j then errs by kappa_j times
+      that, for r_j and for l_j;
+    * f(lam_j) is a product of N_j factor ratios (1 - a p^k) / (1 - b p^k),
+      p = q^-2, taken until both terms fall below TRUNCATION_TOL, and errs
+      by 4u per ratio (two subtractions, a quotient and a product); through
+      f0 P_0 or (f(lam_j) - f0) P_j that error meets kappa_j;
+    * summing the rank-one terms adds n u relative.
+
+    So every entry of f(M) errs by at most
+
+        u sum_j (4 N_j |f(lam_j)| kappa_j
+                 + |f(lam_j) - f0| kappa_j (n + sum_{i != j} 2 kappa_i ||M||
+                                                     / |lam_j - lam_i|))
+
+    Each kappa_j is read off Sylvester's formula, P_j = prod_{i != j}
+    (M - lam_i) / (lam_j - lam_i), which takes no eigenvector, in the
+    Frobenius norm (an upper bound on the 2-norm)."""
+    n = rep.dim
+    u = 2.0 ** -53
+    eye = Matrix.identity(nctx, n)
+    arg = _spectral_argument(rep, spec)
+    e, ab = _spectrum(nctx, spec)
+    root = cmath.sqrt(e * e - 4 * ab)
+    q = nctx.q_value
+    lams = [(e + root) / 2 * q ** j + (e - root) / 2 * q ** -j
+            for j in range(n - 1, -n, -2)]
+    _, eps, *_ = _frame(spec.variant, spec.params)
+    fs = [_spectral_function(nctx, spec, eps, lam) for lam in lams]
+    f0 = min(fs, key=abs)
+
+    def fro(m):
+        return math.sqrt(sum(abs(v) ** 2 for v in m.entries.values()))
+
+    kappas = []
+    for j, lam in enumerate(lams):
+        proj = eye
+        for i, other in enumerate(lams):
+            if i != j:
+                proj = proj * (arg - eye.scaled(other)).scaled(1 / (lam - other))
+        kappas.append(fro(proj))
+    norm = fro(arg)
+    xs = abs(nctx.x_power(spec.x, spec.params.s))
+    total = 0.0
+    for j, (lam, f) in enumerate(zip(lams, fs)):
+        start = max(xs, 1 / xs) * abs(lam / (q * eps))
+        factors = max(1, math.ceil(math.log(TRUNCATION_TOL / start)
+                                   / math.log(abs(q) ** -2)))
+        lean = sum(2 * kappas[i] * norm / abs(lam - other)
+                   for i, other in enumerate(lams) if i != j)
+        total += kappas[j] * (4 * factors * abs(f) + abs(f - f0) * (n + lean))
+    return u * total
+
+
+def test_numeric_candidate_k_matches_pinned_exact():
+    """The numeric candidate K at k+ k- != 0 (`build_K`: spectral projectors
+    at the closed-form eigenvalues) at q = v^2 equals the exact telescoped
+    K = C P(M) at the pinned v, entry by entry, for v = 6/5 and 11/10,
+    n = 2..6 and x = q^m with t = m s >= 0: row i of K = C f(M) within |C_ii|
+    times `_candidate_error_bound`, which stays below 1e-7 of the largest
+    entry of f(M) on these draws and grows with the eigenvalue condition
+    numbers, so a draw near a collision is held to what its conditioning
+    allows."""
+    rng = seeded(131)
+    degrees = set()
+    for v_text in ("6/5", "11/10"):
+        v = rational(v_text)
+        ectx = ScalarContext(v_value=v)
+        nctx = ScalarContext(q_value=complex(v * v))
+        for n in range(2, 7):
+            erep, nrep = make_irrep(ectx, n), make_irrep(nctx, n)
+            for m in range(-3, 4):
+                for _ in range(4):
+                    raw = rand_params(ectx, rng, need_k=True,
+                                      s_range=(-1, 0, 1, 2)).raw
+                    x = Spectral.q_power(m)
+                    spec = KOperatorSpec("onsager_candidate",
+                                         make_params(nctx, **raw), x)
+                    t = _telescoped_t(spec)
+                    if t < 0:
+                        continue
+                    exact = build_K(KOperatorSpec(
+                        "onsager_candidate", make_params(ectx, **raw), x), erep)
+                    num = build_K(spec, nrep)
+                    bound = _candidate_error_bound(nctx, spec, nrep)
+                    prefix = spectral_cartan(nrep, x, spec.params.s0)
+                    for i in range(n):
+                        for j in range(n):
+                            want = complex(exact.entry(i, j).evaluate(v))
+                            err = abs(num.entry(i, j) - want)
+                            assert err <= abs(prefix.entry(i, i)) * bound, (
+                                v_text, n, raw, m, i, j, err, bound)
+                    degrees.add(t)
+    assert degrees >= set(range(5))
 
 
 @pytest.mark.parametrize("v", [None, "7/5"], ids=["symbolic", "7/5"])
