@@ -434,8 +434,7 @@ def _tridiagonal_spectral_core(spec: KOperatorSpec, rep: Irrep) -> Matrix:
     _, eps, *_ = _frame(spec.variant, spec.params)
     lams = [a * q ** j + b * q ** -j for j in range(n - 1, -n, -2)]
     fs = [_spectral_function(ctx, spec, eps, lam) for lam in lams]
-    mags = list(map(abs, fs))
-    least = mags.index(min(mags))
+    least = min(range(n), key=lambda j: abs(fs[j]))
     f0 = fs.pop(least)
     del lams[least]
     rows = [[0j] * (n - i) for i in range(n)]  # rows[i][k - i] = S_ik

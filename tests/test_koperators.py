@@ -301,7 +301,7 @@ def test_numeric_triangular_forms_agree(nctx):
     every triangular family equals `build_K`, which takes one closed-form
     product per entry at A B = 0, filling the transposed entries when the
     argument is lower.  The candidate at k- = 0 (k+ = 0) takes the same
-    route and equals the upper (lower) family.  The route needs no numpy."""
+    route and equals the upper (lower) family."""
     rng = seeded(67)
     for n in (2, 3, 4):
         rep = make_irrep(nctx, n)
@@ -447,7 +447,7 @@ def test_triangular_function_is_the_matrix_polynomial(q):
     polynomial P(z) = prod_{j<t} (1 + q^(t-2j-1) z / eps): the closed-form
     entries give P(M), formed by matrix products, for the bidiagonal
     argument M of every triangular family (upper and lower), n = 1..6,
-    t from 0 to 12.  Needs no numpy."""
+    t from 0 to 12."""
     nctx = ScalarContext(q_value=q)
     rng = seeded(71)
     degrees = set()
@@ -484,7 +484,7 @@ def test_numeric_triangular_k_matches_pinned_exact():
     nonzero entry within 1e-12 relative, each exact zero within 1e-12 of
     the largest entry.  Its nodes eps q^(hw) then differ by about eps, but
     the closed-form entries divide by no difference of nodes, and at t >= 0
-    they vanish exactly past the t-th off-diagonal.  Needs no numpy."""
+    they vanish exactly past the t-th off-diagonal."""
     v = rational("6/5")
     ectx = ScalarContext(v_value=v)
     nctx = ScalarContext(q_value=complex(v * v))
@@ -638,7 +638,7 @@ def test_exact_closed_form_equals_factored(v):
     entry) equals the factored K (q-exponential conjugation of the diagonal
     core) exactly, for every triangular family, n = 1..8, x = q^m with
     m = -2..3 and t = m s of both signs, at symbolic v and at v = 7/5.  A
-    pole of one form is a pole of the other.  Needs no numpy."""
+    pole of one form is a pole of the other."""
     ctx = ScalarContext(v_value=v and rational(v))
     rng = seeded(113)
     signs = set()
@@ -714,7 +714,7 @@ def test_closed_form_spectrum_annihilates_w1(ctx):
     """M = ev_x(W1) on V_n has the eigenvalues A q^j + B q^-j of `_spectrum`
     (A + B = eps-, A B = -k+ k- / (q - q^-1)^2, for every x): the annihilator
     vanishes, and with A B q^2 in place of A B it does not (n >= 2).  Matrix
-    operations only, so it runs without numpy or sympy."""
+    operations only, so it runs without sympy."""
     for raw in (("3/2", "-5/7", "2/3", "1/4"), ("-4/3", "7/2", "-5/2", "3/8")):
         params = make_params(ctx, *raw, s0=1, s1=1)
         w1 = onsager_generators(ctx, params)["W1"]
