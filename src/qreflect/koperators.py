@@ -388,9 +388,7 @@ def _tridiagonal_spectral_core(spec: KOperatorSpec, rep: Irrep) -> Matrix:
     The projectors P_j = r_j l_j^T / (l_j^T r_j) sum to 1, so with f0 the
     f(lam_j) of least modulus, f(M) = f0 + sum_j (f(lam_j) - f0) P_j over the
     other nodes: one eigenvector fewer, a constant f exact, and each
-    projector's error weighed by at most 2 |f(lam_j)|.  That sum is S W, with
-    S = sum_j (f(lam_j) - f0) r_j r_j^T / (l_j^T r_j) symmetric, so one
-    triangle of S is accumulated.
+    projector's error weighed by at most 2 |f(lam_j)|.
     """
     ctx = rep.ctx
     arg = _spectral_argument(rep, spec)
@@ -437,21 +435,17 @@ def _tridiagonal_spectral_core(spec: KOperatorSpec, rep: Irrep) -> Matrix:
     least = min(range(n), key=lambda j: abs(fs[j]))
     f0 = fs.pop(least)
     del lams[least]
-    rows = [[0j] * (n - i) for i in range(n)]  # rows[i][k - i] = S_ik
+    rows = [[0j] * n for _ in range(n)]
     for f, r in zip(fs, _twisted_eigenvectors(diag, upper, lower, lams)):
-        c = (f - f0) / sum([wi * ri * ri for wi, ri in zip(w, r)])
+        left = [wi * ri for wi, ri in zip(w, r)]
+        c = (f - f0) / sum([li * ri for li, ri in zip(left, r)])
         for i, ri in enumerate(r):
             ci = c * ri
-            rows[i] = [v + ci * rk for v, rk in zip(rows[i], r[i:])]
-    entries = {}
+            rows[i] = [v + ci * lk for v, lk in zip(rows[i], left)]
     for i in range(n):
-        for k in range(n):
-            v = (rows[i][k - i] if i <= k else rows[k][i - k]) * w[k]
-            if i == k:
-                v += f0
-            if v != 0:
-                entries[i, k] = v
-    return Matrix(ctx, n, entries)
+        rows[i][i] += f0
+    return Matrix(ctx, n, {(i, k): v for i, row in enumerate(rows)
+                           for k, v in enumerate(row) if v != 0})
 
 
 def _twisted_eigenvectors(diag, upper, lower, lams):

@@ -440,8 +440,7 @@ class RationalExpression:
     Q[v, 1/v], so a fraction whose numerator or denominator has one term
     is reduced without a gcd: the denominator's normalization alone makes
     it canonical.  A product with a factor c v^k of unit denominator leaves
-    the other fraction reduced, so it is stored as it comes; a quotient by
-    one is the product with its reciprocal.
+    the other fraction reduced, so it is stored as it comes.
     """
 
     __slots__ = ("num", "den")
@@ -541,10 +540,6 @@ class RationalExpression:
             raise ZeroDivisionError("division by zero rational expression")
         if self is _RE_ONE:
             return other.inverse()
-        if other.den is _POLY_ONE and len(other.num.prim) == 1:
-            # the reciprocal of a unit c v^k is one: the product with it
-            # takes no gcd
-            return self * RationalExpression(_POLY_ONE, other.num)
         return RationalExpression(poly_product(self.num, other.den),
                                   poly_product(self.den, other.num))
 

@@ -70,7 +70,7 @@ GOLDEN = [
     # 12 onsager/int_W0 and int_W1 reports move, and no verdict or summary
     # count.  The hash is the same on CPython 3.10, 3.11, 3.12 and 3.13
     (dict(seed=7, dims=(2, 3), backend="numeric", q="1.4+0.3i"),
-     "bc683b1d465d4e7d371b8b940b85e210c19eadca036cd4eb57227557f336ae77"),
+     "020eac1505bf3610ee4076ef6d633d3aac1c22ea10b7640b248c971d9c9e9bc7"),
 ]
 
 
