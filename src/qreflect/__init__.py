@@ -17,7 +17,6 @@ from .scalars import (
     poch_infinite_truncated,
     poch_ratio,
     poch_ratio_telescoped,
-    q_factorial,
     q_integer,
     rational,
 )

@@ -27,6 +27,7 @@ from .koperators import (
     build_K0_diagonal,
     candidate_intertwining_sides,
     q_exp_nilpotent,
+    q_exp_terms,
 )
 from .representations import (
     Irrep,
@@ -54,7 +55,7 @@ from .representations import (
     triangular_onsager_generators,
     weight_diagonal,
 )
-from .scalars import ScalarContext, Spectral, poch_sequence, q_factorial
+from .scalars import ScalarContext, Spectral, poch_sequence
 
 
 @dataclass
@@ -300,13 +301,13 @@ def check_aux_lemmas(ctx: ScalarContext, rep: Irrep, params: ParamSet,
     eqh = rep.e_mat * cartan_power(rep, 1)
     arg = eqh.scaled(alpha)
     exp_p = q_exp_nilpotent(ctx, arg)
-    exp_m = q_exp_nilpotent(ctx, arg, inverse=True)
     em_qmh = weight_diagonal(rep, lambda h: p.eps_minus * ctx.q(-h))
     t1 = eval_affine_expr(rep, p, x, variant_generator_exprs(ctx, "upper", p)["T1"])
     pd = _params_dict(params, rep, x=x)
 
-    # (a) the similarity transform turning ev_x(T1) into a Cartan element
-    yield "aux/similarity_to_cartan", pd, exp_p * t1 * exp_m, em_qmh
+    # (a) the similarity transform turning ev_x(T1) into a Cartan element,
+    # exp_p T1 exp_p^-1 = e- q^-H, multiplied through by the unipotent exp_p
+    yield "aux/similarity_to_cartan", pd, exp_p * t1, em_qmh * exp_p
 
     # (b) exchange rule of E past the diagonal core
     k0 = build_K0_diagonal(rep, p, x)
@@ -322,16 +323,18 @@ def check_aux_lemmas(ctx: ScalarContext, rep: Irrep, params: ParamSet,
     yield ("aux/reflection_extra_E", pd, *_int_re2(ctx, rep, p, x, kop))
 
     # (d) the long bracket collapses once EF/FE are written with the Casimir
-    yield ("aux/long_bracket", pd, *_long_bracket(ctx, rep, p, x))
+    yield ("aux/long_bracket", pd, *_long_bracket(ctx, rep, p, x, alpha,
+                                                  ratio))
 
 
 def _hk_ratio(ctx, rep, p, x):
     xs = ctx.x_power(x, p.s)
     xsi = ctx.x_power(x, -p.s)
     r = p.eps_minus / p.eps_plus
+    r_xs, r_xsi = r * xs, r * xsi
     one = ctx.one()
     return weight_diagonal(
-        rep, lambda h: (one + r * xs * ctx.q(1 - h)) / (one + r * xsi * ctx.q(1 - h)))
+        rep, lambda h: (one + r_xs * ctx.q(1 - h)) / (one + r_xsi * ctx.q(1 - h)))
 
 
 def _int_re1(ctx, rep, p, x, kop):
@@ -340,12 +343,13 @@ def _int_re1(ctx, rep, p, x, kop):
     xs = ctx.x_power(x, p.s)
     xsi = ctx.x_power(x, -p.s)
     fqmh = rep.f_mat * cartan_power(rep, -1)
+    ep_xs, ep_xsi = p.eps_plus * xs, p.eps_plus * xsi
     left_coef = (rep.e_mat.scaled(p.k_plus * ctx.q(-1) * ctx.x_power(x, p.s0))
                  + weight_diagonal(rep, lambda h: p.eps_minus * ctx.q(-1 - h)
-                                   + p.eps_plus * xs))
+                                   + ep_xs))
     right_coef = (rep.e_mat.scaled(p.k_plus * ctx.q(1) * ctx.x_power(x, -p.s0))
                   + weight_diagonal(rep, lambda h: p.eps_minus * ctx.q(1 - h)
-                                    + p.eps_plus * xsi))
+                                    + ep_xsi))
     term1 = (left_coef * kop * fqmh).scaled(-(lam2 * ctx.x_power(x, -p.s1)))
     term2 = (fqmh * kop * right_coef).scaled(lam2 * ctx.x_power(x, p.s1))
     qmh = cartan_power(rep, -1)
@@ -356,20 +360,21 @@ def _int_re1(ctx, rep, p, x, kop):
 
 def _int_re2(ctx, rep, p, x, kop):
     eqh = rep.e_mat * cartan_power(rep, 1)
-    dplus = weight_diagonal(rep, lambda h: p.eps_plus * ctx.x_power(x, p.s0)
-                            * ctx.q(h + 1) + p.eps_minus * ctx.x_power(x, -p.s1))
-    dminus = weight_diagonal(rep, lambda h: p.eps_plus * ctx.x_power(x, -p.s0)
-                             * ctx.q(h - 1) + p.eps_minus * ctx.x_power(x, p.s1))
+    ep_xs0 = p.eps_plus * ctx.x_power(x, p.s0)
+    ep_xs0i = p.eps_plus * ctx.x_power(x, -p.s0)
+    em_xs1, em_xs1i = (p.eps_minus * ctx.x_power(x, e) for e in (p.s1, -p.s1))
+    dplus = weight_diagonal(rep, lambda h: ep_xs0 * ctx.q(h + 1) + em_xs1i)
+    dminus = weight_diagonal(rep, lambda h: ep_xs0i * ctx.q(h - 1) + em_xs1)
     return eqh * kop * dplus, dminus * kop * eqh
 
 
-def _long_bracket(ctx, rep, p, x):
+def _long_bracket(ctx, rep, p, x, alpha, ratio):
     """Both sides of the reflection-proof master identity's bracket: it is
     identically zero once EF and FE are expressed through the Casimir (here:
-    as matrices).  Returned as (positive part, negative part) so the numeric
-    residual is scale-free."""
+    as matrices).  `alpha` and `ratio` are those of `check_aux_lemmas`.
+    Returned as (positive part, negative part) so the numeric residual is
+    scale-free."""
     lam = ctx.q(1) - ctx.q(-1)
-    alpha = -(ctx.q(1) * p.k_plus * ctx.x_power(x, -p.s0)) / (lam * p.eps_minus)
     xs = ctx.x_power(x, p.s)
     xsi = ctx.x_power(x, -p.s)
     xs0 = ctx.x_power(x, p.s0)
@@ -377,30 +382,30 @@ def _long_bracket(ctx, rep, p, x):
     cas = casimir(rep)
     one = ctx.one()
 
-    ratio = weight_diagonal(
-        rep, lambda h: (p.eps_plus + p.eps_minus * xs * ctx.q(1 - h))
-        / (p.eps_plus + p.eps_minus * xsi * ctx.q(1 - h)))
     head = (weight_diagonal(rep, lambda h: ctx.q(h))
             - (ratio * rep.e_mat * weight_diagonal(
                 rep, lambda h: ctx.q(2 * h + 1))).scaled(lam * alpha))
+    # the h-independent left factors of the braces' weight functions
+    c_h = lam * lam * p.eps_plus * xs0 * alpha
+    f_0, f_h = p.eps_plus * xs0, p.eps_minus * xs1i
+    e_h = lam * p.eps_plus * alpha * xs0
+    tail_2h = p.eps_plus * alpha * (one + ctx.q(2)) * xs0
+    tail_h = p.eps_minus * alpha * xs1i
+    f_coef = weight_diagonal(rep, lambda h: f_0 + f_h * ctx.q(1 - h))
 
     def inner(sign_exp, fq_scale, e_x, c_qshift, tail_qs):
         """One curly brace; sign_exp flips x^s vs x^-s, the rest are the
         stated Cartan shifts."""
         xe = xsi if sign_exp < 0 else xs
+        c_0 = lam * p.k_plus * ctx.q(-1) * xe
+        kx = p.k_plus * xe
         c_coef = weight_diagonal(
-            rep, lambda h: lam * p.k_plus * ctx.q(-1) * xe
-            - lam * lam * p.eps_plus * xs0 * alpha * ctx.q(h + c_qshift))
-        f_coef = weight_diagonal(
-            rep, lambda h: p.eps_plus * xs0 + p.eps_minus * xs1i * ctx.q(1 - h))
+            rep, lambda h: c_0 - c_h * ctx.q(h + c_qshift))
         e_coef = weight_diagonal(
-            rep, lambda h: lam * p.eps_plus * alpha * xs0 * ctx.q(3 * h + e_x)
-            - p.k_plus * xe * ctx.q(2 * h - 1))
+            rep, lambda h: e_h * ctx.q(3 * h + e_x) - kx * ctx.q(2 * h - 1))
         tail = weight_diagonal(
-            rep, lambda h: p.eps_plus * alpha * (one + ctx.q(2)) * xs0
-            * ctx.q(2 * h + tail_qs[0])
-            + p.eps_minus * alpha * xs1i * ctx.q(h + tail_qs[1])
-            - p.k_plus * xe * ctx.q(h - 2) / lam)
+            rep, lambda h: tail_2h * ctx.q(2 * h + tail_qs[0])
+            + tail_h * ctx.q(h + tail_qs[1]) - kx * ctx.q(h - 2) / lam)
         return (c_coef * cas
                 + (rep.f_mat * f_coef).scaled(lam * fq_scale)
                 - (rep.e_mat * e_coef).scaled(alpha)
@@ -562,12 +567,11 @@ def check_appendix(ctx: ScalarContext, ident: int, rep: Irrep, a, b, c):
     report names a by the text of the value passed (the suite passes its
     drawn rational string), the same on both backends.
 
-    The 13 identities of one draw (a, b, c) share G q^{bH}, a G q^{bH} and
-    both q-exponentials of it: `_conjugators` keeps them for the E and the
-    F family of the latest draw, so a draw builds 4 q-exponentials, not 26.
-    The three series identities of one (G, inverse_first) family share
-    their series variable, its powers and their denominators, which
-    `_conjugators` builds with them: 4 sequences a draw, not 12.
+    The 13 identities of one draw (a, b, c) share a G q^{bH}, its powers and
+    the q-exponential coefficients (`q_exp_terms`), and both q-exponentials
+    summed from them: `_conjugators` keeps them for the E and the F family
+    of the latest draw, so a draw sums 4 q-exponentials, not 26, from 2
+    power sequences.  Every series side reads the same table.
     """
     if ident not in _APPENDIX:
         raise ValueError("appendix identity index must be 1..13")
@@ -575,80 +579,67 @@ def check_appendix(ctx: ScalarContext, ident: int, rep: Irrep, a, b, c):
     b = Fraction(b)
     c = Fraction(c)
     pd = {"id": ident, "n": rep.dim, "a": str(a), "b": str(b), "c": str(c)}
-    arg, exp_plus, exp_minus, series = _conjugators(rep, g, a, b)
+    scalar_a, arg, powers, coeffs, exps = _conjugators(rep, g, a, b)
     qcH = cartan_power(rep, c)
-    exp_a, exp_b = (exp_minus, exp_plus) if inverse_first else (exp_plus, exp_minus)
+    exp_a, exp_b = exps[::-1] if inverse_first else exps
     middle = qcH if m == "1" else {"E": rep.e_mat, "F": rep.f_mat}[m] * qcH
     lhs = exp_a * middle * exp_b
 
     if ident == 13:
-        rhs = _hadamard_series(ctx, rep, arg, middle)
+        rhs = _hadamard_series(ctx, arg, middle, coeffs[0])
         floor = 0.0
     else:
-        rhs, floor = _appendix_series(ctx, rep, g, m, series[inverse_first],
-                                      middle, b, c)
+        rhs, floor = _appendix_series(ctx, rep, g, m, inverse_first, scalar_a,
+                                      powers, coeffs[inverse_first], middle,
+                                      b, c)
     yield f"appendix/A{ident}", pd, lhs, rhs, "", floor
 
 
 @functools.lru_cache(maxsize=2)
 def _conjugators(rep: Irrep, g: str, a, b: Fraction) -> tuple:
-    """(a G q^{bH}, exp(a G q^{bH}), exp^-1(a G q^{bH}), series) for G = g,
-    the q-exponentials in base q^-2, and `series[inverse_first]` the
-    `_series_powers` of either conjugation: what the appendix identities of
-    the draw (a, b) with conjugating generator g share.  Two entries hold
-    the E and the F family of one draw."""
+    """(a, a G q^{bH}, powers, (c+, c-), (exp, exp^-1)) for G = g: the
+    scalar a, the `q_exp_terms` of a G q^{bH} and the two q-exponentials
+    (base q^-2) summed from them, what the appendix identities of the draw
+    (a, b) with conjugating generator g share.  Two entries hold the E and
+    the F family of one draw."""
     ctx = rep.ctx
     word = (rep.e_mat if g == "E" else rep.f_mat) * cartan_power(rep, b)
     a = ctx.scalar(a)
     arg = word.scaled(a)
-    return (arg, q_exp_nilpotent(ctx, arg),
-            q_exp_nilpotent(ctx, arg, inverse=True),
-            tuple(_series_powers(ctx, word, a, inverse_first)
-                  for inverse_first in (False, True)))
+    powers, plus, minus = q_exp_terms(ctx, arg)
+    exps = tuple(Matrix.combination(ctx, rep.dim, zip(powers, coeffs))
+                 for coeffs in (plus, minus))
+    return a, arg, powers, (plus, minus), exps
 
 
-def _series_powers(ctx, word: Matrix, a, inverse_first: bool) -> tuple:
-    """(zc, step, (Z^0, ..., Z^J), (d_0, ..., d_{J+1})) for the series
-    variable Z = zc G q^{bH}, `word` G q^{bH}: zc = a (1 - q^-2) and step
-    q^-2 (direct conjugation), or zc = -a (1 - q^2) and step q^2 (inverse
-    first); Z^(J+1) = 0 and d_j = (step; step)_j.  What the three series
-    identities of the family (G, inverse_first) share."""
-    one = ctx.one()
-    zc = -(a * (one - ctx.q(2))) if inverse_first else a * (one - ctx.q(-2))
-    z = word.scaled(zc)
-    step = ctx.q(2) if inverse_first else ctx.q(-2)
-    powers = [Matrix.identity(ctx, word.size)]
-    while True:
-        zj = powers[-1] * z
-        if zj.is_zero():
-            break
-        powers.append(zj)
-    denoms = tuple(poch_sequence(ctx, step, step, len(powers)))
-    return zc, step, tuple(powers), denoms
-
-
-def _hadamard_series(ctx, rep, arg, middle):
-    """sum_k B_k / (k)_{q^-2}! with B_0 = B and B_{k+1} = [A, B_k]_{q^{-2k}}."""
+def _hadamard_series(ctx, arg, middle, plus):
+    """sum_k B_k / (k)_{q^-2}! with B_0 = B and B_{k+1} = [A, B_k]_{q^{-2k}},
+    `plus` the c+_k = 1/(k)_{q^-2}! of A = a E q^{bH} (`q_exp_terms`, up to
+    k = n on V_n): B_k shifts the weight by 2(k - 1), so B_k = 0 past n."""
     terms = [(middle, None)]
     bk = middle
-    k = 0
-    while True:
-        k += 1
+    for k in range(1, len(plus)):
         bk = arg * bk - (bk * arg).scaled(ctx.q(-2 * (k - 1)))
-        if bk.is_zero() or k > 2 * rep.dim + 4:
+        if bk.is_zero():
             break
-        terms.append((bk, ctx.one() / q_factorial(ctx, k, -2)))
-    return Matrix.combination(ctx, rep.dim, terms)
+        terms.append((bk, plus[k]))
+    return Matrix.combination(ctx, arg.size, terms)
 
 
-def _appendix_series(ctx, rep, g, m, series, middle, b, c):
+def _appendix_series(ctx, rep, g, m, inverse_first, a, powers, coeffs,
+                     middle, b, c):
     """The closed-form side of identity (g, m, inverse_first) of the draw
-    (a, b, c); `series` is the family's `_series_powers` and `middle` is
-    M q^{cH}."""
+    (a, b, c); `powers` and `coeffs` are the family's `q_exp_terms` of
+    a G q^{bH} (c+ direct, c- inverse first) and `middle` is M q^{cH}.
+
+    The expansions run over Z = a (1 - q^-2) G q^{bH} with step q^-2, or
+    Z = -a (1 - q^2) G q^{bH} with step q^2 (inverse first), as
+    Z^j / (step; step)_j, which is c_j (a G q^{bH})^j since
+    (step; step)_j = (1 - step)^j (j)_step!."""
     lam = ctx.q(1) - ctx.q(-1)
     lam2 = lam * lam
     sgn = 1 if g == "E" else -1
-    zc, step, powers, denoms = series
+    step = ctx.q(2) if inverse_first else ctx.q(-2)
 
     def qpow(e):
         # q^e for a (half-)integral exponent e
@@ -658,31 +649,32 @@ def _appendix_series(ctx, rep, g, m, series, middle, b, c):
         # base exponent +-2(c - b [M = G]), + for G = E
         base = qpow(sgn * 2 * (c - b if m == g else c))
         nums = poch_sequence(ctx, base, step, len(powers) - 1)
-        terms = [(zj * middle, nums[j] / denoms[j])
-                 for j, zj in enumerate(powers)]
+        terms = [(power * middle, nums[j] * coeffs[j])
+                 for j, power in enumerate(powers)]
         return Matrix.combination(ctx, rep.dim, terms), 0.0
 
     # the two mixed conjugations per family, whose expansions carry the
     # Casimir; the curly brace cancels internally, so its ingredient
-    # magnitudes feed the numeric normalization floor
+    # magnitudes feed the numeric normalization floor.  The j-th term's
+    # zc Z^(j-1) / (step; step)_j, Z = zc G q^{bH}, is a c_j (a G q^{bH})^(j-1)
     cas = casimir(rep)
-    front = zc * qpow(-sgn * 2 * b)
+    front = a * qpow(-sgn * 2 * b)
     terms = [(middle, None)]
     floor = 0.0 if ctx.is_exact else middle.max_abs()
     bc = b + c
     cas_h = cas * cartan_power(rep, bc)
     p0, p_plus, p_minus = (poch_sequence(ctx, qpow(sgn * 2 * e), step, len(powers))
                            for e in (bc, bc + 1, bc - 1))
-    for j, zjm1 in enumerate(powers, 1):
-        denom = denoms[j]
+    for j, power in enumerate(powers, 1):
+        coeff = front * coeffs[j]
         cterm = cas_h.scaled(p0[j])
         shift_plus = cartan_power(rep, bc + 1).scaled(p_plus[j] * ctx.q(-sgn))
         shift_minus = cartan_power(rep, bc - 1).scaled(p_minus[j] * ctx.q(sgn))
         shifts = (shift_plus + shift_minus).divided(lam2)
         brace = cterm - shifts
-        terms.append((zjm1 * brace, front / denom))
+        terms.append((power * brace, coeff))
         if not ctx.is_exact:
-            weight = abs(front / denom) * zjm1.max_abs()
+            weight = abs(coeff) * power.max_abs()
             ingredients = max(cterm.max_abs(),
                               shift_plus.max_abs() / abs(lam2),
                               shift_minus.max_abs() / abs(lam2))

@@ -41,7 +41,7 @@ from .scalars import (
     ScalarContext,
     Spectral,
     poch_ratio,
-    q_factorial,
+    q_integer,
 )
 
 
@@ -74,7 +74,7 @@ VARIANTS = {
 
 
 class NonNilpotentError(ValueError):
-    """q_exp_nilpotent got a matrix whose powers do not vanish by its size."""
+    """q_exp_terms got a matrix whose powers do not vanish by its size."""
 
 
 class RepeatedEigenvalueError(ValueError):
@@ -103,30 +103,44 @@ class KOperatorSpec:
                 f"(k_plus={p.raw['k_plus']}, k_minus={p.raw['k_minus']})")
 
 
+def q_exp_terms(ctx: ScalarContext, mat: Matrix) -> tuple:
+    """(powers, plus, minus): every term of the q-exponentials of a nilpotent M.
+
+    powers = (M^0, ..., M^J) with M^(J+1) = 0; plus and minus are
+    c+_k = 1/(k)!_{q^-2} and c-_k = (-1)^k/(k)!_{q^2} for k = 0, .., J+1, so
+    exp_{q^-2}(M) = sum_k c+_k M^k and its two-sided inverse
+    exp_{q^2}(-M) = sum_k c-_k M^k.  Every caller passes an E- or F-word,
+    whose powers vanish by the size bound on both backends; a matrix whose
+    powers do not raises NonNilpotentError.
+    """
+    powers = [Matrix.identity(ctx, mat.size)]
+    power = mat
+    while not power.is_zero():
+        if len(powers) > mat.size:
+            raise NonNilpotentError(
+                f"matrix is not nilpotent: M^{len(powers)} != 0 past its size")
+        powers.append(power)
+        power = power * mat
+    one = ctx.one()
+    plus, minus = [one], [one]
+    fact_plus = fact_minus = one
+    for k in range(1, len(powers) + 1):
+        fact_plus = fact_plus * q_integer(ctx, k, -2)
+        fact_minus = fact_minus * q_integer(ctx, k, 2)
+        plus.append(one / fact_plus)
+        minus.append(-(one / fact_minus) if k % 2 else one / fact_minus)
+    return powers, plus, minus
+
+
 def q_exp_nilpotent(ctx: ScalarContext, mat: Matrix, inverse: bool = False) -> Matrix:
     """q-exponential exp_{q^-2}(M) of a nilpotent matrix (finite sum).
 
     inverse=True returns exp_{q^-2}^-1(M) = exp_{q^2}(-M); the two are exact
-    two-sided inverses.  Every caller passes an E- or F-word, whose powers
-    vanish by the size bound on both backends; a matrix whose powers do not
-    raises NonNilpotentError.
+    two-sided inverses.  Both are sums over `q_exp_terms`.
     """
-    base = 2 if inverse else -2
-    sign = -1 if inverse else 1
-    acc = Matrix.identity(ctx, mat.size)
-    power = mat
-    k = 1
-    while not power.is_zero():
-        if k > mat.size:
-            raise NonNilpotentError(
-                f"matrix is not nilpotent: M^{k} != 0 past the size bound")
-        term = power.divided(q_factorial(ctx, k, base))
-        if sign < 0 and k % 2:
-            term = -term
-        acc = acc + term
-        k += 1
-        power = power * mat
-    return acc
+    powers, plus, minus = q_exp_terms(ctx, mat)
+    return Matrix.combination(ctx, mat.size,
+                              zip(powers, minus if inverse else plus))
 
 
 def build_K0_diagonal(rep: Irrep, params: ParamSet, x: Spectral,
@@ -202,8 +216,9 @@ def build_K_factored(spec: KOperatorSpec, rep: Irrep) -> Matrix:
     else:
         coeff = -(ctx.q(1) * k * ctx.x_power(x, -s)) / (lam * eps)
         arg = (getattr(rep, gen) * cartan_power(rep, -h)).scaled(coeff)
-    exp_plus = q_exp_nilpotent(ctx, arg, inverse=False)
-    exp_minus = q_exp_nilpotent(ctx, arg, inverse=True)
+    powers, plus, minus = q_exp_terms(ctx, arg)
+    exp_plus, exp_minus = (Matrix.combination(ctx, rep.dim, zip(powers, c))
+                           for c in (plus, minus))
     if fam.lower:
         return prefix * exp_plus * core * exp_minus
     return prefix * exp_minus * core * exp_plus

@@ -779,16 +779,6 @@ def q_integer(ctx: ScalarContext, k: int, b: int = 1):
     return acc
 
 
-def q_factorial(ctx: ScalarContext, k: int, b: int = 1):
-    """(k)! in base q^b: (1) (2) ... (k), with (0)! = 1."""
-    if k < 0:
-        raise ValueError("q_factorial needs k >= 0")
-    acc = ctx.one()
-    for j in range(1, k + 1):
-        acc = acc * q_integer(ctx, j, b)
-    return acc
-
-
 def poch_finite(ctx: ScalarContext, a, step, k: int):
     """Finite q-Pochhammer (a; step)_k = prod_{j<k} (1 - a*step^j)."""
     if k < 0:

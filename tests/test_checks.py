@@ -443,51 +443,31 @@ def test_appendix_paper_pinned_cases(ctx):
     assert r.exact_zero
 
 
+def _assert_reports_survive_a_cleared_cache(checks, ctx, rep, a, b, c, shared):
+    for ident, report in enumerate(shared, 1):
+        checks._conjugators.cache_clear()
+        cold, = check_appendix(ctx, ident, rep, a, b, c)
+        cold.elapsed_ms = report.elapsed_ms
+        assert repr(cold) == repr(report)
+
+
 def test_appendix_draw_shares_its_q_exponentials(monkeypatch):
-    """The 13 identities of one draw on V_n build 4 q-exponentials (26
-    without the shared conjugators), the cache keeps the latest draw only,
-    and every report is the one that a cold cache gives."""
-    from qreflect import checks
-
-    built = []
-    real = checks.q_exp_nilpotent
-
-    def counting(*args, **kwargs):
-        built.append(args[1].size)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(checks, "q_exp_nilpotent", counting)
-    checks._conjugators.cache_clear()
-    for ctx in (ScalarContext(), ScalarContext(q_value=1.4 + 0.3j)):
-        rep = make_irrep(ctx, 4)
-        for a, b, c in (("3/7", Fraction(1, 2), 1), ("-5/2", -1, Fraction(3, 2))):
-            built.clear()
-            shared = [check_appendix(ctx, ident, rep, a, b, c)[0]
-                      for ident in range(1, 14)]
-            assert built == [4] * 4
-            assert checks._conjugators.cache_info().currsize <= 2
-            for ident, report in enumerate(shared, 1):
-                checks._conjugators.cache_clear()
-                cold, = check_appendix(ctx, ident, rep, a, b, c)
-                cold.elapsed_ms = report.elapsed_ms
-                assert cold == report
-
-
-def test_appendix_family_shares_its_series_powers(monkeypatch):
-    """The series identities of one draw on V_n build 4 power sequences of
-    their series variable, one per (G, inverse_first) family (12 without
-    the shared conjugators), and every report, numeric residual bits
+    """The 13 identities of one draw on V_4 call `q_exp_terms` twice, once
+    for the E and once for the F family (26 without the shared
+    conjugators): it gives both q-exponentials of each family.  The cache
+    keeps the latest draw only, and every report, numeric residual bits
     included, is the one that a cleared cache gives."""
-    from qreflect import checks
+    from qreflect import checks, koperators
 
     built = []
-    real = checks._series_powers
+    real = koperators.q_exp_terms
 
-    def counting(*args):
-        built.append(args[3])
-        return real(*args)
+    def counting(ctx, mat):
+        built.append(mat.size)
+        return real(ctx, mat)
 
-    monkeypatch.setattr(checks, "_series_powers", counting)
+    monkeypatch.setattr(checks, "q_exp_terms", counting)
+    monkeypatch.setattr(koperators, "q_exp_terms", counting)
     for ctx in (ScalarContext(), ScalarContext(q_value=1.4 + 0.3j)):
         rep = make_irrep(ctx, 4)
         for a, b, c in (("3/7", Fraction(1, 2), 1), ("-5/2", -1, Fraction(3, 2))):
@@ -495,12 +475,42 @@ def test_appendix_family_shares_its_series_powers(monkeypatch):
             built.clear()
             shared = [check_appendix(ctx, ident, rep, a, b, c)[0]
                       for ident in range(1, 14)]
-            assert built == [False, True] * 2
-            for ident, report in enumerate(shared, 1):
-                checks._conjugators.cache_clear()
-                cold, = check_appendix(ctx, ident, rep, a, b, c)
-                cold.elapsed_ms = report.elapsed_ms
-                assert repr(cold) == repr(report)
+            assert built == [4, 4]
+            assert checks._conjugators.cache_info().currsize <= 2
+            _assert_reports_survive_a_cleared_cache(checks, ctx, rep, a, b, c,
+                                                    shared)
+
+
+def test_appendix_family_shares_its_series_powers(monkeypatch):
+    """The 12 series identities of one draw on V_4 read 2 power sequences
+    of their series variable, one per G family (12 without the shared
+    table), the very powers of that family's q-exponentials, and every
+    report, numeric residual bits included, is the one that a cleared
+    cache gives."""
+    from qreflect import checks
+
+    read = {}
+    real = checks._appendix_series
+
+    def recording(ctx, rep, g, m, inverse_first, a, powers, *rest):
+        read.setdefault(g, []).append(powers)
+        assert len(powers) == rep.dim
+        return real(ctx, rep, g, m, inverse_first, a, powers, *rest)
+
+    monkeypatch.setattr(checks, "_appendix_series", recording)
+    for ctx in (ScalarContext(), ScalarContext(q_value=1.4 + 0.3j)):
+        rep = make_irrep(ctx, 4)
+        for a, b, c in (("3/7", Fraction(1, 2), 1), ("-5/2", -1, Fraction(3, 2))):
+            checks._conjugators.cache_clear()
+            read.clear()
+            shared = [check_appendix(ctx, ident, rep, a, b, c)[0]
+                      for ident in range(1, 14)]
+            assert {g: len(seen) for g, seen in read.items()} == {"E": 6, "F": 6}
+            for g in "EF":
+                _, _, powers, _, _ = checks._conjugators(rep, g, a, Fraction(b))
+                assert all(seen is powers for seen in read[g])
+            _assert_reports_survive_a_cleared_cache(checks, ctx, rep, a, b, c,
+                                                    shared)
 
 
 def test_checks_evaluate_each_affine_word_once(ctx, monkeypatch):

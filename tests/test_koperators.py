@@ -28,6 +28,7 @@ from qreflect.koperators import (
     candidate_intertwining_sides,
     kappa,
     q_exp_nilpotent,
+    q_exp_terms,
 )
 from qreflect.linalg import Matrix
 from qreflect.loperators import build_K_scalar
@@ -47,6 +48,7 @@ from qreflect.scalars import (
     ScalarContext,
     TRUNCATION_TOL,
     Spectral,
+    poch_finite,
     poch_infinite_truncated,
     rational,
 )
@@ -80,6 +82,20 @@ def test_q_exp_two_sided_inverse(ctx):
     eye = Matrix.identity(ctx, 4)
     assert mat_equals(plus * minus, eye)
     assert mat_equals(minus * plus, eye)
+
+
+def test_q_exp_coefficients_clear_the_pochhammer_denominators(ctx):
+    """c+_k (q^-2; q^-2)_k = (1 - q^-2)^k and c-_k (q^2; q^2)_k =
+    (-(1 - q^2))^k exactly for k <= 8: the identity by which the appendix
+    series Z^k / (step; step)_k read the q-exponential's coefficients."""
+    rep = make_irrep(ctx, 8)
+    powers, plus, minus = q_exp_terms(ctx, rep.e_mat * cartan_power(rep, 1))
+    assert len(powers) == 8 and len(plus) == len(minus) == 9
+    one = ctx.one()
+    for coeffs, step, base in ((plus, ctx.q(-2), one - ctx.q(-2)),
+                               (minus, ctx.q(2), ctx.q(2) - one)):
+        for k, c in enumerate(coeffs):
+            assert c * poch_finite(ctx, step, step, k) == base ** k, k
 
 
 def test_q_exp_rejects_non_nilpotent(ctx):

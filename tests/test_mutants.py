@@ -37,8 +37,12 @@ MUTANTS = {
         "return p.eps_minus, p.eps_plus, p.s0, -1, plus, minus, -p.s0"),
     "q-exp-base": (
         "koperators.py",
-        "base = 2 if inverse else -2",
-        "base = 2 if inverse else 2"),
+        "fact_plus * q_integer(ctx, k, -2)",
+        "fact_plus * q_integer(ctx, k, 2)"),
+    "inverse-sign": (
+        "koperators.py",
+        "-(one / fact_minus) if k % 2 else one / fact_minus",
+        "one / fact_minus"),
     "hadamard-commutator-power": (
         "checks.py",
         "ctx.q(-2 * (k - 1))",

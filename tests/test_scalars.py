@@ -21,7 +21,6 @@ from qreflect.scalars import (
     poly_divexact,
     poly_gcd,
     poly_one,
-    q_factorial,
     q_integer,
     rational,
 )
@@ -71,12 +70,6 @@ def test_q_integer_small(ctx):
     assert q_integer(ctx, 3) == expected
     quotient = (ctx.one() - ctx.q(3)) / (ctx.one() - ctx.q(1))
     assert q_integer(ctx, 3) == quotient
-
-
-def test_q_factorial_small(ctx):
-    assert q_factorial(ctx, 0) == ctx.one()
-    assert q_factorial(ctx, 1) == ctx.one()
-    assert q_factorial(ctx, 3) == q_integer(ctx, 2) * q_integer(ctx, 3)
 
 
 def test_poch_finite_cases(ctx):
