@@ -166,36 +166,19 @@ def check_ybe(ctx: ScalarContext, kind: str, rep: Irrep | None,
 # Reflection equation
 # ---------------------------------------------------------------------------
 
-def reflection_sides_matrix(ctx: ScalarContext, params: ParamSet,
-                            x: Spectral, y: Spectral,
-                            k1: Matrix | None = None,
-                            k2: Matrix | None = None):
-    """Both sides of the matrix reflection equation on C^2 (x) C^2."""
-    if k1 is None:
-        k1 = build_K_scalar(ctx, params, x)
-    if k2 is None:
-        k2 = build_K_scalar(ctx, params, y)
-    i2 = Matrix.identity(ctx, 2)
-    k1f = k1.kron(i2)
-    k2f = i2.kron(k2)
-    lhs = (build_R(ctx, params, y.over(x)) * k1f
-           * build_R(ctx, params, x.times(y), bar=True) * k2f)
-    rhs = (k2f * build_R(ctx, params, x.times(y).inverse()) * k1f
-           * build_R(ctx, params, x.over(y), bar=True))
-    return lhs, rhs
+def reflection_sides(op, k1: Matrix, k2: Matrix, x: Spectral, y: Spectral):
+    """Both sides of the reflection equation (Sklyanin 1988)
 
+        op(y/x) K1 opbar(xy) K2 = K2 op(1/(xy)) K1 opbar(x/y),
 
-def reflection_sides_operator(rep: Irrep, params: ParamSet,
-                              x: Spectral, y: Spectral,
-                              k_op: Matrix, k2: Matrix):
-    """Both sides of the operator reflection equation on V_n (x) C^2."""
-    ctx = rep.ctx
-    k1f = k_op.kron(Matrix.identity(ctx, 2))
-    k2f = Matrix.identity(ctx, rep.dim).kron(k2)
-    lhs = (build_L(rep, params, y.over(x)) * k1f
-           * build_L(rep, params, x.times(y), bar=True) * k2f)
-    rhs = (k2f * build_L(rep, params, x.times(y).inverse()) * k1f
-           * build_L(rep, params, x.over(y), bar=True))
+    K1 = k1 (x) 1 and K2 = 1 (x) k2, for `op(point, bar)` the R-matrix on
+    C^2 (x) C^2 (k1 2x2) or the L-operator on V_n (x) C^2 (k1 on V_n)."""
+    ctx = k1.ctx
+    k1f = k1.kron(Matrix.identity(ctx, k2.size))
+    k2f = Matrix.identity(ctx, k1.size).kron(k2)
+    lhs = op(y.over(x), False) * k1f * op(x.times(y), True) * k2f
+    rhs = (k2f * op(x.times(y).inverse(), False) * k1f
+           * op(x.over(y), True))
     return lhs, rhs
 
 
@@ -206,16 +189,16 @@ def check_reflection(ctx: ScalarContext, level: str, variant: str | None,
     """Reflection equation at matrix level (general 2x2 K) or operator level
     (a K-operator variant against the matching triangular scalar K)."""
     if level == "matrix":
-        yield ("reflection/matrix", _params_dict(params, None, x=x, y=y),
-               *reflection_sides_matrix(ctx, params, x, y))
-        return
-    if level != "operator":
+        name, op = "reflection/matrix", functools.partial(build_R, ctx, params)
+        k1 = build_K_scalar(ctx, params, x)
+    elif level == "operator":
+        name, op = (f"reflection/operator/{variant}",
+                    functools.partial(build_L, rep, params))
+        k1 = build_K(KOperatorSpec(variant, params, x), rep)
+    else:
         raise ValueError("level must be 'matrix' or 'operator'")
-    kop = build_K(KOperatorSpec(variant, params, x), rep)
-    k2 = build_K_scalar(ctx, params, y)
-    yield (f"reflection/operator/{variant}",
-           _params_dict(params, rep, x=x, y=y),
-           *reflection_sides_operator(rep, params, x, y, kop, k2))
+    yield (name, _params_dict(params, rep, x=x, y=y),
+           *reflection_sides(op, k1, build_K_scalar(ctx, params, y), x, y))
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,10 @@ class Drawer:
         angle = 2 * math.pi * self.rng.random()
         return Spectral.of(cmath.rect(radius, angle))
 
+    def points(self, ctx, *pins) -> list:
+        """One spectral point per pin, drawn in order (`spectral`)."""
+        return [self.spectral(ctx, pin) for pin in pins]
+
     def params(self, ctx, k_plus_zero=False, k_minus_zero=False,
                need_k_plus=False, need_k_minus=False):
         c = self.config
@@ -281,16 +285,20 @@ def _run(ctx, drawer, check, args) -> list:
 # lazily: `_run` finishes one call before the next one's inputs are drawn.
 # `reps` maps each configured dimension to its irrep, built once per run.
 
-def _suite_ybe(ctx, config, drawer, reps):
+def _per_draw(config, reps):
+    """The irrep of each entry of `config.dims`, in order, once per draw (a
+    repeated dimension repeats)."""
     for n in config.dims:
-        rep = reps[n]
         for _ in range(config.draws):
-            params = drawer.params(ctx)
-            x = drawer.spectral(ctx, config.x_exp)
-            y = drawer.spectral(ctx, config.y_exp)
-            z = drawer.spectral(ctx, None)
-            for kind in ("RRR", "RbRbRb", "LLR", "LbLbRb"):
-                yield "check_ybe", ctx, kind, rep, params, x, y, z
+            yield reps[n]
+
+
+def _suite_ybe(ctx, config, drawer, reps):
+    for rep in _per_draw(config, reps):
+        params = drawer.params(ctx)
+        x, y, z = drawer.points(ctx, config.x_exp, config.y_exp, None)
+        for kind in ("RRR", "RbRbRb", "LLR", "LbLbRb"):
+            yield "check_ybe", ctx, kind, rep, params, x, y, z
 
 
 def _zeroed(fam) -> _Draw:
@@ -298,19 +306,16 @@ def _zeroed(fam) -> _Draw:
 
 
 def _suite_reflection(ctx, config, drawer, reps):
+    pins = config.x_exp, config.y_exp
     for _ in range(config.draws):
-        x = drawer.spectral(ctx, config.x_exp)
-        y = drawer.spectral(ctx, config.y_exp)
         yield ("check_reflection", ctx, "matrix", None, None,
-               _Draw(need_k_plus=True, need_k_minus=True), x, y)
+               _Draw(need_k_plus=True, need_k_minus=True),
+               *drawer.points(ctx, *pins))
     for n in config.dims:
-        rep = reps[n]
         for variant, fam in _TRIANGULAR.items():
             for _ in range(config.draws):
-                x = drawer.spectral(ctx, config.x_exp)
-                y = drawer.spectral(ctx, config.y_exp)
-                yield ("check_reflection", ctx, "operator", variant, rep,
-                       _zeroed(fam), x, y)
+                yield ("check_reflection", ctx, "operator", variant, reps[n],
+                       _zeroed(fam), *drawer.points(ctx, *pins))
 
 
 def _suite_intertwining(ctx, config, drawer, reps):
@@ -326,41 +331,32 @@ def _suite_intertwining(ctx, config, drawer, reps):
 
 
 def _suite_coideal(ctx, config, drawer, reps):
+    for rep in _per_draw(config, reps):
+        params = drawer.params(ctx)
+        x = drawer.spectral(ctx, config.x_exp)
+        yield "check_coideal_algebras", ctx, rep, params, x
     for n in config.dims:
-        rep = reps[n]
-        for _ in range(config.draws):
+        for rep2 in _per_draw(config, reps):
             params = drawer.params(ctx)
-            x = drawer.spectral(ctx, config.x_exp)
-            yield "check_coideal_algebras", ctx, rep, params, x
-    for n in config.dims:
-        for m in config.dims:
-            rep1, rep2 = reps[n], reps[m]
-            for _ in range(config.draws):
-                params = drawer.params(ctx)
-                x = drawer.spectral(ctx, config.x_exp)
-                y = drawer.spectral(ctx, config.y_exp)
-                yield "check_coideal_coproduct", ctx, rep1, rep2, params, x, y
+            yield ("check_coideal_coproduct", ctx, reps[n], rep2, params,
+                   *drawer.points(ctx, config.x_exp, config.y_exp))
 
 
 def _suite_appendix(ctx, config, drawer, reps):
     halves = (-2, -1, 0, 1, 2, 3)
-    for n in config.dims:
-        rep = reps[n]
-        for _ in range(config.draws):
-            a = drawer.rational_str()
-            b = Fraction(drawer.rng.choice(halves), 2)
-            c = Fraction(drawer.rng.choice(halves), 2)
-            for ident in range(1, 14):
-                yield "check_appendix", ctx, ident, rep, a, b, c
+    for rep in _per_draw(config, reps):
+        a = drawer.rational_str()
+        b = Fraction(drawer.rng.choice(halves), 2)
+        c = Fraction(drawer.rng.choice(halves), 2)
+        for ident in range(1, 14):
+            yield "check_appendix", ctx, ident, rep, a, b, c
 
 
 def _suite_symmetries(ctx, config, drawer, reps):
-    for n in config.dims:
-        rep = reps[n]
-        for _ in range(config.draws):
-            params = drawer.params(ctx)
-            x = drawer.spectral(ctx, config.x_exp)
-            yield "check_symmetries", ctx, rep, params, x
+    for rep in _per_draw(config, reps):
+        params = drawer.params(ctx)
+        x = drawer.spectral(ctx, config.x_exp)
+        yield "check_symmetries", ctx, rep, params, x
 
 
 def _suite_onsager(ctx, config, drawer, reps):
@@ -369,12 +365,10 @@ def _suite_onsager(ctx, config, drawer, reps):
     draws = (_Draw(need_k_plus=True, need_k_minus=True),
              _Draw(k_minus_zero=True, need_k_plus=True),
              _Draw(k_plus_zero=True, need_k_minus=True))
-    for n in config.dims:
-        rep = reps[n]
-        for _ in range(config.draws):
-            x = drawer.spectral(ctx, config.x_exp)
-            for draw in draws:
-                yield "check_onsager_candidate", ctx, rep, draw, x
+    for rep in _per_draw(config, reps):
+        x = drawer.spectral(ctx, config.x_exp)
+        for draw in draws:
+            yield "check_onsager_candidate", ctx, rep, draw, x
 
 
 _SUITE_RUNNERS = {

@@ -3,6 +3,7 @@ cross-level oracles connecting matrix and operator reflection equations."""
 
 import time
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -18,8 +19,7 @@ from qreflect.checks import (
     check_serre,
     check_symmetries,
     check_ybe,
-    reflection_sides_matrix,
-    reflection_sides_operator,
+    reflection_sides,
 )
 from qreflect.koperators import KOperatorSpec, build_K, build_K_factored
 from qreflect.linalg import Matrix, lift
@@ -102,7 +102,8 @@ def test_reflection_detects_perturbed_k(ctx):
     x, y = Spectral.q_power(1), Spectral.q_power(2)
     k1 = build_K_scalar(ctx, params, x)
     k1_bad = k1 + Matrix.from_scalar_entries(ctx, 2, {(0, 1): ctx.one()})
-    lhs, rhs = reflection_sides_matrix(ctx, params, x, y, k1=k1_bad)
+    lhs, rhs = reflection_sides(partial(build_R, ctx, params), k1_bad,
+                                build_K_scalar(ctx, params, y), x, y)
     assert not (lhs - rhs).is_zero()
 
 
@@ -112,7 +113,8 @@ def test_reflection_detects_perturbed_k_numeric(nctx):
     x, y = Spectral.of(1.3 + 0.4j), Spectral.of(0.8 - 0.2j)
     k1 = build_K_scalar(nctx, params, x)
     k1_bad = k1 + Matrix.from_scalar_entries(nctx, 2, {(0, 1): 1e-3 + 0j})
-    lhs, rhs = reflection_sides_matrix(nctx, params, x, y, k1=k1_bad)
+    lhs, rhs = reflection_sides(partial(build_R, nctx, params), k1_bad,
+                                build_K_scalar(nctx, params, y), x, y)
     scale = max(lhs.max_abs(), rhs.max_abs())
     assert (lhs - rhs).max_abs() / scale > 1e-6
 
@@ -144,12 +146,13 @@ def test_matrix_reflection_is_fundamental_image(ctx):
     k2 = build_K_scalar(ctx, params, y)
     # perturb so both residuals are nonzero
     kpi_bad = kpi + Matrix.from_scalar_entries(ctx, 2, {(1, 0): ctx.one()})
-    lhs_m, rhs_m = reflection_sides_matrix(ctx, params, x, y, k1=kpi_bad, k2=k2)
-    lhs_o, rhs_o = reflection_sides_operator(rep2, params, x, y, kpi_bad, k2)
+    r_op, l_op = partial(build_R, ctx, params), partial(build_L, rep2, params)
+    lhs_m, rhs_m = reflection_sides(r_op, kpi_bad, k2, x, y)
+    lhs_o, rhs_o = reflection_sides(l_op, kpi_bad, k2, x, y)
     assert mat_equals(lhs_m - rhs_m, ((lhs_o - rhs_o)).scaled(ctx.q(1)))
     # and the unperturbed residuals are both exactly zero
-    lhs_m, rhs_m = reflection_sides_matrix(ctx, params, x, y, k1=kpi, k2=k2)
-    lhs_o, rhs_o = reflection_sides_operator(rep2, params, x, y, kpi, k2)
+    lhs_m, rhs_m = reflection_sides(r_op, kpi, k2, x, y)
+    lhs_o, rhs_o = reflection_sides(l_op, kpi, k2, x, y)
     assert (lhs_m - rhs_m).is_zero() and (lhs_o - rhs_o).is_zero()
 
 
@@ -261,24 +264,32 @@ def test_onsager_candidate_degenerations(ctx):
             assert not r.is_finding
 
 
+# (m, s0, s1) of x = q^m, giving t = m (s0 + s1) = -2, -2, -1, 0, 1, 2, 2
+EXCEPTIONAL_GRID = ((-1, 1, 1), (-2, 0, 1), (-1, 0, 1), (0, 1, 1), (1, 1, 0),
+                    (2, 1, 0), (1, 1, 1))
+
+
 def test_onsager_candidate_exact_finding(ctx):
-    """The q-Onsager candidate, certified exactly: W1 intertwines, W0 does not
-    for a generic spectral point, and both hold at the exceptional points
-    x^s = q^(+-1) where the spectral function degenerates."""
-    rep = make_irrep(ctx, 2)
-    params = make_params(ctx, "3/2", "-5/7", k_plus="2/3", k_minus="1/4",
-                         s0=1, s1=1)
-    reports = {r.name: r for r in
-               check_onsager_candidate(ctx, rep, params, Spectral.q_power(1))}
-    assert reports["onsager/int_W1"].exact_zero
-    assert reports["onsager/int_W0"].exact_zero is False
-    assert reports["onsager/int_W0"].is_finding
-    # t = m*s = +-1: both relations hold exactly
-    p1 = make_params(ctx, "3/2", "-5/7", k_plus="2/3", k_minus="1/4",
-                     s0=1, s1=0)
-    for m in (1, -1):
-        for r in check_onsager_candidate(ctx, rep, p1, Spectral.q_power(m)):
-            assert r.exact_zero, (r.name, m)
+    """The q-Onsager candidate, certified exactly for n = 2..8 and two
+    parameter sets with k+ k- != 0: W1 intertwines at every t = m s, and W0
+    holds exactly at the exceptional points t in {-1, 0, 1} (x^s in
+    {q^-1, 1, q}), where the spectral function degenerates, and is a nonzero
+    finding at |t| = 2."""
+    param_sets = (("3/2", "-5/7", "2/3", "1/4"), ("2/3", "7/5", "3/5", "-5/7"))
+    for n in range(2, 9):
+        rep = make_irrep(ctx, n)
+        for eps_plus, eps_minus, k_plus, k_minus in param_sets:
+            for m, s0, s1 in EXCEPTIONAL_GRID:
+                params = make_params(ctx, eps_plus, eps_minus, k_plus=k_plus,
+                                     k_minus=k_minus, s0=s0, s1=s1)
+                w1, w0 = check_onsager_candidate(ctx, rep, params,
+                                                 Spectral.q_power(m))
+                t = m * (s0 + s1)
+                case = (n, eps_plus, t)
+                assert (w1.name, w0.name) == ("onsager/int_W1", "onsager/int_W0")
+                assert w1.exact_zero and not w1.is_finding, case
+                assert w0.is_finding, case
+                assert w0.exact_zero is (abs(t) <= 1), case
 
 
 # (t, m, s0, s1) with t = m (s0 + s1) < 0.  (n=3, t=-4) and (n=2, t=-8) are

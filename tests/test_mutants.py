@@ -51,6 +51,34 @@ MUTANTS = {
         "representations.py",
         "(params.k_minus, (f_atom(1),)),",
         "(params.k_minus * q1, (f_atom(1),)),"),
+    "variant-lower-row": (
+        "koperators.py",
+        '"lower": Variant(k_plus_zero=True, k_minus_zero=False, lower=True)',
+        '"lower": Variant(k_plus_zero=True, k_minus_zero=False, lower=False)'),
+    "frame-base-eps-swap": (
+        "koperators.py",
+        "return p.eps_minus, p.eps_plus, p.s0, -1, plus, minus, p.s0",
+        "return p.eps_plus, p.eps_minus, p.s0, -1, plus, minus, p.s0"),
+    "frame-alt-gradation": (
+        "koperators.py",
+        "return p.eps_plus, p.eps_minus, p.s1, 1, minus, plus, -p.s1",
+        "return p.eps_plus, p.eps_minus, p.s0, 1, minus, plus, -p.s1"),
+    "core-telescoping-exponent": (
+        "koperators.py",
+        "ctx.q(2 * (t - k + 1))",
+        "ctx.q(2 * (t - k))"),
+    "core-pochhammer-shift": (
+        "koperators.py",
+        "x, s, -k)",
+        "x, s, k)"),
+    "triangular-t0-e-coefficient": (
+        "representations.py",
+        "((k * q1, (e_atom(1), hq_atom(1, 1)))",
+        "((k, (e_atom(1), hq_atom(1, 1)))"),
+    "triangular-p1t-prefactor-sign": (
+        "representations.py",
+        "pre = -(q2 - ctx.q(-2))",
+        "pre = q2 - ctx.q(-2)"),
 }
 
 # (module, original text, mutated text, the finding that must turn zero)
