@@ -144,20 +144,19 @@ def _qcomm(a: Matrix, b: Matrix, p) -> Matrix:
 @_check
 def check_ybe(ctx: ScalarContext, kind: str, rep: Irrep | None,
               params: ParamSet, x: Spectral, y: Spectral, z: Spectral):
-    """(YBE) for R-matrices (RRR / RbRbRb) or L-operators (LLR / LbLbRb)."""
-    bar = kind in ("RbRbRb", "LbLbRb")
-    if kind in ("RRR", "RbRbRb"):
-        dims = (2, 2, 2)
-        m12 = lift(build_R(ctx, params, x.over(y), bar), dims, (0, 1))
-        m13 = lift(build_R(ctx, params, x.over(z), bar), dims, (0, 2))
-        m23 = lift(build_R(ctx, params, y.over(z), bar), dims, (1, 2))
-    elif kind in ("LLR", "LbLbRb"):
-        dims = (rep.dim, 2, 2)
-        m12 = lift(build_L(rep, params, x.over(y), bar), dims, (0, 1))
-        m13 = lift(build_L(rep, params, x.over(z), bar), dims, (0, 2))
-        m23 = lift(build_R(ctx, params, y.over(z), bar), dims, (1, 2))
-    else:
+    """(YBE) for R-matrices (RRR / RbRbRb) or L-operators (LLR / LbLbRb):
+    the first two legs carry R on C^2 or L on V_n, the third always R."""
+    if kind not in ("RRR", "RbRbRb", "LLR", "LbLbRb"):
         raise ValueError(f"unknown Yang-Baxter kind {kind!r}")
+    bar = "b" in kind
+    r_op = functools.partial(build_R, ctx, params)
+    if kind.startswith("R"):
+        op, dims = r_op, (2, 2, 2)
+    else:
+        op, dims = functools.partial(build_L, rep, params), (rep.dim, 2, 2)
+    m12 = lift(op(x.over(y), bar), dims, (0, 1))
+    m13 = lift(op(x.over(z), bar), dims, (0, 2))
+    m23 = lift(r_op(y.over(z), bar), dims, (1, 2))
     yield (f"ybe/{kind}", _params_dict(params, rep, x=x, y=y, z=z),
            m12 * m13 * m23, m23 * m13 * m12)
 
@@ -183,20 +182,19 @@ def reflection_sides(op, k1: Matrix, k2: Matrix, x: Spectral, y: Spectral):
 
 
 @_check
-def check_reflection(ctx: ScalarContext, level: str, variant: str | None,
+def check_reflection(ctx: ScalarContext, variant: str | None,
                      rep: Irrep | None, params: ParamSet,
                      x: Spectral, y: Spectral):
-    """Reflection equation at matrix level (general 2x2 K) or operator level
-    (a K-operator variant against the matching triangular scalar K)."""
-    if level == "matrix":
+    """The reflection equation against the scalar 2x2 K(y) of `params`: at
+    matrix level (variant None: R and the general 2x2 K(x), rep unused) or
+    at operator level (L on `rep` and the K-operator of `variant`)."""
+    if variant is None:
         name, op = "reflection/matrix", functools.partial(build_R, ctx, params)
         k1 = build_K_scalar(ctx, params, x)
-    elif level == "operator":
+    else:
         name, op = (f"reflection/operator/{variant}",
                     functools.partial(build_L, rep, params))
         k1 = build_K(KOperatorSpec(variant, params, x), rep)
-    else:
-        raise ValueError("level must be 'matrix' or 'operator'")
     yield (name, _params_dict(params, rep, x=x, y=y),
            *reflection_sides(op, k1, build_K_scalar(ctx, params, y), x, y))
 
@@ -718,16 +716,12 @@ def _serre(ctx: ScalarContext, rep: Irrep, params: ParamSet, x: Spectral):
     The outermost q-commutator is split across the two sides."""
     pd = _params_dict(params, rep, x=x)
     for i, j in ((0, 1), (1, 0)):
-        ei = eval_affine_word(rep, params, x, (e_atom(i),))
-        ej = eval_affine_word(rep, params, x, (e_atom(j),))
-        fi = eval_affine_word(rep, params, x, (f_atom(i),))
-        fj = eval_affine_word(rep, params, x, (f_atom(j),))
-        inner_e = _qcomm(ei, _qcomm(ei, ej, ctx.q(2)), ctx.one())
-        inner_f = _qcomm(fi, _qcomm(fi, fj, ctx.q(-2)), ctx.one())
-        yield (f"symmetry/serre_e{i}{j}", pd,
-               ei * inner_e, (inner_e * ei).scaled(ctx.q(-2)))
-        yield (f"symmetry/serre_f{i}{j}", pd,
-               fi * inner_f, (inner_f * fi).scaled(ctx.q(2)))
+        for atom, p in ((e_atom, 2), (f_atom, -2)):
+            gi = eval_affine_word(rep, params, x, (atom(i),))
+            gj = eval_affine_word(rep, params, x, (atom(j),))
+            inner = _qcomm(gi, _qcomm(gi, gj, ctx.q(p)), ctx.one())
+            yield (f"symmetry/serre_{atom(i)[0]}{i}{j}", pd,
+                   gi * inner, (inner * gi).scaled(ctx.q(-p)))
 
 
 check_serre = _check(_serre)

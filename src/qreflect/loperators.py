@@ -56,21 +56,16 @@ def _build_L(rep: Irrep, params: ParamSet, x: Spectral, bar: bool) -> Matrix:
 
 def build_R(ctx: ScalarContext, params: ParamSet, x: Spectral,
             bar: bool = False) -> Matrix:
-    """The 4x4 six-vertex R-matrix (or Rbar), basis order 11, 12, 21, 22."""
+    """The 4x4 six-vertex R-matrix (or Rbar), basis order 11, 12, 21, 22.
+    Rbar takes x^-s for x^s, x^-s0 for x^s1 and x^-s1 for x^s0."""
     lam = ctx.q(1) - ctx.q(-1)
     one = ctx.one()
-    if not bar:
-        xs = ctx.x_power(x, params.s)
-        corner = ctx.q(1) - ctx.q(-1) * xs
-        mid = one - xs
-        upper = lam * ctx.x_power(x, params.s1)
-        lower = lam * ctx.x_power(x, params.s0)
-    else:
-        xs = ctx.x_power(x, -params.s)
-        corner = ctx.q(1) - ctx.q(-1) * xs
-        mid = one - xs
-        upper = lam * ctx.x_power(x, -params.s0)
-        lower = lam * ctx.x_power(x, -params.s1)
+    sgn = -1 if bar else 1
+    xs = ctx.x_power(x, sgn * params.s)
+    corner = ctx.q(1) - ctx.q(-1) * xs
+    mid = one - xs
+    upper = lam * ctx.x_power(x, params.s1 if not bar else -params.s0)
+    lower = lam * ctx.x_power(x, params.s0 if not bar else -params.s1)
     return Matrix.from_scalar_entries(ctx, 4, {
         (0, 0): corner,
         (1, 1): mid, (1, 2): upper,

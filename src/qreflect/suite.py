@@ -37,12 +37,10 @@ from .scalars import (
     rational,
 )
 
-SUITES = ("all", "ybe", "reflection", "intertwining", "coideal", "appendix",
-          "symmetries", "onsager")
 SPECTRAL_EXPONENTS = (0, 1, -1, 2, -2, 3)
 GRADATIONS = (-1, 0, 1, 2)
 # the five K-families; the onsager suite covers the k+ k- != 0 candidate
-_TRIANGULAR = {v: fam for v, fam in VARIANTS.items() if fam.triangular}
+_TRIANGULAR = tuple(v for v, fam in VARIANTS.items() if fam.triangular)
 
 
 class ConfigError(ValueError):
@@ -187,20 +185,25 @@ class Drawer:
         """One spectral point per pin, drawn in order (`spectral`)."""
         return [self.spectral(ctx, pin) for pin in pins]
 
-    def params(self, ctx, k_plus_zero=False, k_minus_zero=False,
-               need_k_plus=False, need_k_minus=False):
+    def params(self, ctx, fam=None, need=False):
+        """Boundary parameters: pins as given, the rest drawn in the order
+        eps+, eps-, k+, k-, p~, s0, s1 (redrawn while eps+ = -eps-).  `fam`,
+        a VARIANTS row, sets the k's its family zeroes to 0 (None zeroes
+        neither); with `need`, a k it leaves free must not be pinned to 0."""
         c = self.config
+        zeroed = (fam.k_plus_zero, fam.k_minus_zero) if fam else (False, False)
         # a drawn rational is never 0, so only a pin can zero a needed k
-        for key, needed in (("k_plus", need_k_plus), ("k_minus", need_k_minus)):
-            if needed and getattr(c, key) and rational(getattr(c, key)) == 0:
+        for key, zero in zip(("k_plus", "k_minus"), zeroed):
+            pin = getattr(c, key)
+            if need and not zero and pin and rational(pin) == 0:
                 raise ConfigError(f"{key} is pinned to 0; this check needs {key} != 0")
         if c.eps_plus and c.eps_minus and rational(c.eps_plus) + rational(c.eps_minus) == 0:
             raise ConfigError("eps_plus = -eps_minus is pinned: a telescoping pole")
         for _ in range(100):
             ep = c.eps_plus or self.rational_str()
             em = c.eps_minus or self.rational_str()
-            kp = "0" if k_plus_zero else (c.k_plus or self.rational_str())
-            km = "0" if k_minus_zero else (c.k_minus or self.rational_str())
+            kp = "0" if zeroed[0] else (c.k_plus or self.rational_str())
+            km = "0" if zeroed[1] else (c.k_minus or self.rational_str())
             pt = c.p_tilde or self.rational_str(nonzero=False)
             s0 = self.gradation(c.s0)
             s1 = self.gradation(c.s1)
@@ -224,7 +227,7 @@ def run_suite(config: SuiteConfig) -> list:
     rng = random.Random(config.seed)
     drawer = Drawer(config, rng)
     reps = {n: make_irrep(ctx, n) for n in config.dims}
-    suites = SUITES[1:] if config.suite == "all" else (config.suite,)
+    suites = _SUITE_RUNNERS if config.suite == "all" else (config.suite,)
     reports = []
     for name in suites:
         for check, *args in _SUITE_RUNNERS[name](ctx, config, drawer, reps):
@@ -285,66 +288,59 @@ def _run(ctx, drawer, check, args) -> list:
 # lazily: `_run` finishes one call before the next one's inputs are drawn.
 # `reps` maps each configured dimension to its irrep, built once per run.
 
-def _per_draw(config, reps):
-    """The irrep of each entry of `config.dims`, in order, once per draw (a
-    repeated dimension repeats)."""
+def _per_draw(config, reps, inner=(None,)):
+    """(irrep, item) for each entry of `config.dims` in order (a repeated
+    dimension repeats), each item of `inner` and each draw, in that order:
+    the one walk of every suite but the matrix-level reflection."""
     for n in config.dims:
-        for _ in range(config.draws):
-            yield reps[n]
+        for item in inner:
+            for _ in range(config.draws):
+                yield reps[n], item
 
 
 def _suite_ybe(ctx, config, drawer, reps):
-    for rep in _per_draw(config, reps):
+    for rep, _ in _per_draw(config, reps):
         params = drawer.params(ctx)
         x, y, z = drawer.points(ctx, config.x_exp, config.y_exp, None)
         for kind in ("RRR", "RbRbRb", "LLR", "LbLbRb"):
             yield "check_ybe", ctx, kind, rep, params, x, y, z
 
 
-def _zeroed(fam) -> _Draw:
-    return _Draw(k_plus_zero=fam.k_plus_zero, k_minus_zero=fam.k_minus_zero)
-
-
 def _suite_reflection(ctx, config, drawer, reps):
     pins = config.x_exp, config.y_exp
     for _ in range(config.draws):
-        yield ("check_reflection", ctx, "matrix", None, None,
-               _Draw(need_k_plus=True, need_k_minus=True),
+        yield ("check_reflection", ctx, None, None, _Draw(need=True),
                *drawer.points(ctx, *pins))
-    for n in config.dims:
-        for variant, fam in _TRIANGULAR.items():
-            for _ in range(config.draws):
-                yield ("check_reflection", ctx, "operator", variant, reps[n],
-                       _zeroed(fam), *drawer.points(ctx, *pins))
+    for rep, variant in _per_draw(config, reps, _TRIANGULAR):
+        yield ("check_reflection", ctx, variant, rep,
+               _Draw(fam=VARIANTS[variant]), *drawer.points(ctx, *pins))
 
 
 def _suite_intertwining(ctx, config, drawer, reps):
-    for n in config.dims:
-        rep = reps[n]
-        for variant, fam in _TRIANGULAR.items():
-            for _ in range(config.draws):
-                x = drawer.spectral(ctx, config.x_exp)
-                yield "check_intertwining", ctx, variant, rep, _zeroed(fam), x
-        for _ in range(config.draws):
-            x = drawer.spectral(ctx, config.x_exp)
-            yield "check_aux_lemmas", ctx, rep, _Draw(k_minus_zero=True), x
+    # each family's relations, then the aux lemmas (None) of the k- = 0 one
+    for rep, variant in _per_draw(config, reps, (*_TRIANGULAR, None)):
+        x = drawer.spectral(ctx, config.x_exp)
+        if variant is None:
+            yield "check_aux_lemmas", ctx, rep, _Draw(fam=VARIANTS["upper"]), x
+        else:
+            yield ("check_intertwining", ctx, variant, rep,
+                   _Draw(fam=VARIANTS[variant]), x)
 
 
 def _suite_coideal(ctx, config, drawer, reps):
-    for rep in _per_draw(config, reps):
+    for rep, _ in _per_draw(config, reps):
         params = drawer.params(ctx)
         x = drawer.spectral(ctx, config.x_exp)
         yield "check_coideal_algebras", ctx, rep, params, x
-    for n in config.dims:
-        for rep2 in _per_draw(config, reps):
-            params = drawer.params(ctx)
-            yield ("check_coideal_coproduct", ctx, reps[n], rep2, params,
-                   *drawer.points(ctx, config.x_exp, config.y_exp))
+    for rep, m in _per_draw(config, reps, config.dims):
+        params = drawer.params(ctx)
+        yield ("check_coideal_coproduct", ctx, rep, reps[m], params,
+               *drawer.points(ctx, config.x_exp, config.y_exp))
 
 
 def _suite_appendix(ctx, config, drawer, reps):
     halves = (-2, -1, 0, 1, 2, 3)
-    for rep in _per_draw(config, reps):
+    for rep, _ in _per_draw(config, reps):
         a = drawer.rational_str()
         b = Fraction(drawer.rng.choice(halves), 2)
         c = Fraction(drawer.rng.choice(halves), 2)
@@ -353,7 +349,7 @@ def _suite_appendix(ctx, config, drawer, reps):
 
 
 def _suite_symmetries(ctx, config, drawer, reps):
-    for rep in _per_draw(config, reps):
+    for rep, _ in _per_draw(config, reps):
         params = drawer.params(ctx)
         x = drawer.spectral(ctx, config.x_exp)
         yield "check_symmetries", ctx, rep, params, x
@@ -362,10 +358,9 @@ def _suite_symmetries(ctx, config, drawer, reps):
 def _suite_onsager(ctx, config, drawer, reps):
     # generic k+ k- != 0, then the triangular degenerations, which satisfy
     # both relations
-    draws = (_Draw(need_k_plus=True, need_k_minus=True),
-             _Draw(k_minus_zero=True, need_k_plus=True),
-             _Draw(k_plus_zero=True, need_k_minus=True))
-    for rep in _per_draw(config, reps):
+    draws = [_Draw(fam=VARIANTS[v], need=True)
+             for v in ("onsager_candidate", "upper", "lower")]
+    for rep, _ in _per_draw(config, reps):
         x = drawer.spectral(ctx, config.x_exp)
         for draw in draws:
             yield "check_onsager_candidate", ctx, rep, draw, x
@@ -380,6 +375,8 @@ _SUITE_RUNNERS = {
     "symmetries": _suite_symmetries,
     "onsager": _suite_onsager,
 }
+# `--suite all` runs every suite in this order
+SUITES = ("all", *_SUITE_RUNNERS)
 
 
 # ---------------------------------------------------------------------------

@@ -138,7 +138,7 @@ def test_criterion_04_matrix_reflection():
         for _ in range(20):
             params = rand_params(ctx, rng, need_k=True)
             x, y = spectral_choice(rng), spectral_choice(rng)
-            r, = check_reflection(ctx, "matrix", None, None, params, x, y)
+            r, = check_reflection(ctx, None, None, params, x, y)
             assert r.exact_zero
 
 
@@ -154,7 +154,7 @@ def test_criterion_05_operator_reflection():
                     params = rand_params(ctx, rng,
                                          need_k=(variant != "diagonal"), **kw)
                     x, y = spectral_choice(rng), spectral_choice(rng)
-                    r, = check_reflection(ctx, "operator", variant, rep,
+                    r, = check_reflection(ctx, variant, rep,
                                           params, x, y)
                     assert r.exact_zero, (variant, n)
 
@@ -339,7 +339,7 @@ def test_criterion_12_backend_coherence():
                 for kind in ("RRR", "RbRbRb", "LLR", "LbLbRb"):
                     r, = check_ybe(nctx, kind, rep, params, x, y, z)
                     assert r.residual < tol
-                r, = check_reflection(nctx, "matrix", None, None, params, x, y)
+                r, = check_reflection(nctx, None, None, params, x, y)
                 assert r.residual < tol
                 for r in check_coideal_algebras(nctx, rep, params, x):
                     assert r.residual < tol, r.name
@@ -348,7 +348,7 @@ def test_criterion_12_backend_coherence():
                 for variant, kw in VARIANT_ZEROING.items():
                     p2 = rand_params(nctx, rng,
                                      need_k=(variant != "diagonal"), **kw)
-                    r, = check_reflection(nctx, "operator", variant, rep,
+                    r, = check_reflection(nctx, variant, rep,
                                           p2, x, y)
                     assert r.residual < tol, variant
                     for r in check_intertwining(nctx, variant, rep, p2, x):

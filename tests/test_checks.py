@@ -83,7 +83,7 @@ def test_reflection_matrix_general_k(ctx):
     for _ in range(5):
         params = rand_params(ctx, rng, need_k=True)
         x, y = spectral(rng), spectral(rng)
-        r, = check_reflection(ctx, "matrix", None, None, params, x, y)
+        r, = check_reflection(ctx, None, None, params, x, y)
         assert r.exact_zero
 
 
@@ -91,7 +91,7 @@ def test_reflection_trivial_x_equals_y_one(ctx):
     rng = seeded(89)
     params = rand_params(ctx, rng, need_k=True)
     one = Spectral.q_power(0)
-    r, = check_reflection(ctx, "matrix", None, None, params, one, one)
+    r, = check_reflection(ctx, None, None, params, one, one)
     assert r.exact_zero
 
 
@@ -131,7 +131,7 @@ def test_operator_reflection_all_variants(ctx):
         for variant, kw in zeroing.items():
             params = rand_params(ctx, rng, need_k=(variant != "diagonal"), **kw)
             x, y = spectral(rng), spectral(rng)
-            r, = check_reflection(ctx, "operator", variant, rep, params, x, y)
+            r, = check_reflection(ctx, variant, rep, params, x, y)
             assert r.exact_zero, (variant, n)
 
 

@@ -79,6 +79,99 @@ MUTANTS = {
         "representations.py",
         "pre = -(q2 - ctx.q(-2))",
         "pre = q2 - ctx.q(-2)"),
+    "variant-upper-alt-row": (
+        "koperators.py",
+        '"upper_alt": Variant(k_plus_zero=True, k_minus_zero=False, alt=True)',
+        '"upper_alt": Variant(k_plus_zero=True, k_minus_zero=False, alt=False)'),
+    "variant-lower-alt-row": (
+        "koperators.py",
+        "k_minus_zero=True, alt=True,",
+        "k_minus_zero=True, alt=False,"),
+    "frame-base-cartan-sign": (
+        "koperators.py",
+        "return p.eps_minus, p.eps_plus, p.s0, -1, plus, minus, p.s0",
+        "return p.eps_minus, p.eps_plus, p.s0, 1, plus, minus, p.s0"),
+    "frame-base-terms-swap": (
+        "koperators.py",
+        "return p.eps_minus, p.eps_plus, p.s0, -1, plus, minus, p.s0",
+        "return p.eps_minus, p.eps_plus, p.s0, -1, minus, plus, p.s0"),
+    "frame-base-gradation": (
+        "koperators.py",
+        "return p.eps_minus, p.eps_plus, p.s0, -1, plus, minus, p.s0",
+        "return p.eps_minus, p.eps_plus, p.s1, -1, plus, minus, p.s0"),
+    "frame-alt-cartan-sign": (
+        "koperators.py",
+        "return p.eps_plus, p.eps_minus, p.s1, 1, minus, plus, -p.s1",
+        "return p.eps_plus, p.eps_minus, p.s1, -1, minus, plus, -p.s1"),
+    "frame-alt-terms-swap": (
+        "koperators.py",
+        "return p.eps_plus, p.eps_minus, p.s1, 1, minus, plus, -p.s1",
+        "return p.eps_plus, p.eps_minus, p.s1, 1, plus, minus, -p.s1"),
+    "frame-alt-eps-swap": (
+        "koperators.py",
+        "return p.eps_plus, p.eps_minus, p.s1, 1, minus, plus, -p.s1",
+        "return p.eps_minus, p.eps_plus, p.s1, 1, minus, plus, -p.s1"),
+    "onsager-w1-e-coefficient": (
+        "representations.py",
+        "(params.k_minus * q1, (e_atom(0), hq_atom(0, 1))),",
+        "(params.k_minus, (e_atom(0), hq_atom(0, 1))),"),
+    "onsager-w1-f-coefficient": (
+        "representations.py",
+        "(params.k_plus, (f_atom(0),)),",
+        "(params.k_plus * q1, (f_atom(0),)),"),
+    "onsager-w0-cartan-index": (
+        "representations.py",
+        "(params.eps_plus, (hq_atom(1, 1),)))",
+        "(params.eps_plus, (hq_atom(0, 1),)))"),
+    "triangular-t1-f-index": (
+        "representations.py",
+        "t1 = ((k, (f_atom(0),))",
+        "t1 = ((k, (f_atom(1),))"),
+    "triangular-p1t-f-coefficient": (
+        "representations.py",
+        "pre * eps_minus * q1",
+        "pre * eps_minus"),
+    "triangular-p1t-bracket-power": (
+        "representations.py",
+        "k * ctx.q(-1)",
+        "k * ctx.q(1)"),
+    "q-exp-inverse-base": (
+        "koperators.py",
+        "fact_minus * q_integer(ctx, k, 2)",
+        "fact_minus * q_integer(ctx, k, -2)"),
+    "core-divided-difference-base": (
+        "koperators.py",
+        "/ (1 - ctx.q(-2 * k)))",
+        "/ (1 - ctx.q(2 * k)))"),
+    "core-beta-sign": (
+        "koperators.py",
+        "beta = -(ctx.q(-1) * ctx.x_power(x, -s) / eps)",
+        "beta = ctx.q(-1) * ctx.x_power(x, -s) / eps"),
+    "core-end-node": (
+        "koperators.py",
+        "nodes[i + k] if h < 0 else nodes[i]",
+        "nodes[i] if h < 0 else nodes[i + k]"),
+    "l-diagonal-power": (
+        "loperators.py",
+        "mqx = -(ctx.q(-1) * xs)",
+        "mqx = -(ctx.q(1) * xs)"),
+    "lbar-f-gradation": (
+        "loperators.py",
+        "x01 = ctx.x_power(x, params.s0 if not bar else -params.s1)",
+        "x01 = ctx.x_power(x, params.s0 if not bar else -params.s0)"),
+    "r-corner-power": (
+        "loperators.py",
+        "corner = ctx.q(1) - ctx.q(-1) * xs",
+        "corner = ctx.q(-1) - ctx.q(-1) * xs"),
+    "r-mid-sign": (
+        "loperators.py",
+        "mid = one - xs",
+        "mid = one + xs"),
+    # every exact sum scaled as if its terms shared one denominator
+    "combination-common-denominator": (
+        "linalg.py",
+        "_ONE if d is common or d == common",
+        "_ONE if True"),
 }
 
 # (module, original text, mutated text, the finding that must turn zero)
@@ -88,6 +181,12 @@ CORE_MUTANTS = {
         "linalg.py",
         "lhs.den == rhs.den and lhs.entries == rhs.entries",
         "lhs.den == rhs.den",
+        "onsager/int_W0"),
+    # every exact matrix taken as zero
+    "exact-is-zero": (
+        "linalg.py",
+        "return not self.entries",
+        "return True",
         "onsager/int_W0"),
 }
 

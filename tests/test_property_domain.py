@@ -29,7 +29,7 @@ def test_full_gradation_exponent_sweep(ctx):
                 params = make_params(ctx, f"{rng.randint(1, 20)}/{rng.randint(1, 20)}",
                                      f"{rng.randint(1, 20)}/{rng.randint(1, 20)}",
                                      k_plus=kp, k_minus=0, s0=s0, s1=s1)
-                r, = check_reflection(ctx, "operator", "upper", rep, params, x, y)
+                r, = check_reflection(ctx, "upper", rep, params, x, y)
                 assert r.exact_zero, (n, s0, s1, m, my)
                 for rr in check_intertwining(ctx, "upper", rep, params, x):
                     assert rr.exact_zero, (rr.name, n, s0, s1, m)
