@@ -141,12 +141,15 @@ def _qcomm(a: Matrix, b: Matrix, p) -> Matrix:
 # Yang-Baxter
 # ---------------------------------------------------------------------------
 
+YBE_KINDS = ("RRR", "RbRbRb", "LLR", "LbLbRb")
+
+
 @_check
 def check_ybe(ctx: ScalarContext, kind: str, rep: Irrep | None,
               params: ParamSet, x: Spectral, y: Spectral, z: Spectral):
     """(YBE) for R-matrices (RRR / RbRbRb) or L-operators (LLR / LbLbRb):
     the first two legs carry R on C^2 or L on V_n, the third always R."""
-    if kind not in ("RRR", "RbRbRb", "LLR", "LbLbRb"):
+    if kind not in YBE_KINDS:
         raise ValueError(f"unknown Yang-Baxter kind {kind!r}")
     bar = "b" in kind
     r_op = functools.partial(build_R, ctx, params)

@@ -549,8 +549,7 @@ def build_K_upper_split(rep: Irrep, params: ParamSet, x: Spectral) -> Matrix:
     """
     ctx = rep.ctx
     p = params
-    if p.k_minus != 0:
-        raise ValueError(f"the split form needs k_minus = 0, not {p.raw['k_minus']}")
+    KOperatorSpec("upper", p, x)  # raises ValueError unless k_minus = 0
     lam = ctx.q(1) - ctx.q(-1)
     d = -(ctx.q(1) * p.k_plus) / (lam * p.eps_minus)
     eqh = rep.e_mat * cartan_power(rep, 1)

@@ -9,9 +9,10 @@ carry no denominator: their `den` is 1 + 0j by construction.
 
 A linear combination sum c M is one pass of `Matrix.combination`: no
 intermediate matrix is built, an exact combination takes the lcm of its
-term denominators once and multiplies each term by its cofactor once, and a
-numeric one gives every entry the float operations, in the order, of the
-pairwise fold acc + M.scaled(c).
+term denominators once and multiplies each term by its cofactor once (the
+rule `from_scalar_entries` clears its scalars by), and a numeric one gives
+every entry the float operations, in the order, of the pairwise fold
+acc + M.scaled(c).
 
 The exact 1 (`poly_one()`) costs nothing: products, Kronecker products,
 combinations and `from_scalar_entries` skip a factor that is that object,
@@ -65,14 +66,13 @@ class Matrix:
         for v in mapping.values():
             if not v.is_zero() and v.den not in dens:
                 dens.append(v.den)
-        common = _lcm(dens)
+        common, cofactors = _common_denominator(dens)
         entries = {}
         for k, v in mapping.items():
             if v.is_zero():
                 continue
-            d = v.den
-            entries[k] = v.num if d is common else poly_product(
-                v.num, common if d is _ONE else poly_divexact(common, d))
+            f = cofactors[dens.index(v.den)]
+            entries[k] = v.num if f is _ONE else poly_product(v.num, f)
         return Matrix(ctx, size, entries, common)
 
     @staticmethod
@@ -129,9 +129,7 @@ class Matrix:
         for _, _, d in parts:
             if d not in dens:
                 dens.append(d)
-        common = _lcm(dens)
-        cofactors = [_ONE if d is common or d == common
-                     else poly_divexact(common, d) for d in dens]
+        common, cofactors = _common_denominator(dens)
         out = {}
         for entries, num, den in parts:
             f = cofactors[dens.index(den)]
@@ -218,16 +216,7 @@ class Matrix:
     def __sub__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self.ctx.is_exact:
-            return self + (-other)
-        if self.size != other.size:
-            raise ValueError("matrix size mismatch")
-        # the entries of self + (-other), without building -other: s + (-v)
-        # and -v keep the signed zeros of that sum
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            out[k] = out[k] + (-v) if k in out else -v
-        return _matrix(self.ctx, self.size, out, self.den)
+        return self + (-other)
 
     def entrywise(self, other: "Matrix") -> "Matrix":
         """The entrywise (Hadamard) product, over the product of the two
@@ -309,9 +298,11 @@ _new_matrix = object.__new__
 _ONE = poly_one()
 
 
-def _lcm(dens: list):
-    """The lcm of distinct exact denominators: one gcd for each one after
-    the first that is not 1."""
+def _common_denominator(dens: list):
+    """(lcm, cofactors) of distinct exact denominators, cofactors[i] being
+    lcm / dens[i].  The lcm takes one gcd for each denominator after the
+    first that is not 1; a cofactor takes no division when its denominator
+    equals the lcm (`_ONE`) or is 1 (the lcm itself)."""
     common = None
     for d in dens:
         if d.is_one():
@@ -320,7 +311,11 @@ def _lcm(dens: list):
             common = d
         else:
             common = common * poly_divexact(d, poly_gcd(common, d))
-    return _ONE if common is None else common
+    if common is None:
+        common = _ONE
+    return common, [_ONE if d is common or d == common
+                    else common if d.is_one() else poly_divexact(common, d)
+                    for d in dens]
 
 
 def lift(mat: Matrix, dims: tuple, legs: tuple) -> Matrix:

@@ -16,6 +16,8 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .checks import (  # the check_* names are called through _run
+    _APPENDIX,
+    YBE_KINDS,
     CheckReport,
     check_appendix,
     check_aux_lemmas,
@@ -302,7 +304,7 @@ def _suite_ybe(ctx, config, drawer, reps):
     for rep, _ in _per_draw(config, reps):
         params = drawer.params(ctx)
         x, y, z = drawer.points(ctx, config.x_exp, config.y_exp, None)
-        for kind in ("RRR", "RbRbRb", "LLR", "LbLbRb"):
+        for kind in YBE_KINDS:
             yield "check_ybe", ctx, kind, rep, params, x, y, z
 
 
@@ -344,7 +346,7 @@ def _suite_appendix(ctx, config, drawer, reps):
         a = drawer.rational_str()
         b = Fraction(drawer.rng.choice(halves), 2)
         c = Fraction(drawer.rng.choice(halves), 2)
-        for ident in range(1, 14):
+        for ident in _APPENDIX:
             yield "check_appendix", ctx, ident, rep, a, b, c
 
 

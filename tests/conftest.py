@@ -2,8 +2,12 @@ import random
 
 import pytest
 
+from qreflect.koperators import VARIANTS
 from qreflect.representations import make_params
 from qreflect.scalars import ScalarContext
+
+# the triangular VARIANTS rows, (name, row) in table order
+TRIANGULAR = [(v, fam) for v, fam in VARIANTS.items() if fam.triangular]
 
 
 @pytest.fixture
@@ -25,9 +29,11 @@ def rand_rational(rng, nonzero=True):
     return f"{sign * num}/{den}"
 
 
-def rand_params(ctx, rng, k_plus_zero=False, k_minus_zero=False,
-                need_k=False, s_range=(-1, 0, 1, 2)):
-    """Admissible random boundary parameters (avoids the eps+ = -eps- pole)."""
+def rand_params(ctx, rng, fam=None, need_k=False, s_range=(-1, 0, 1, 2)):
+    """Admissible random boundary parameters (avoids the eps+ = -eps- pole).
+    `fam`, a VARIANTS row, sets the k's its family zeroes to 0 (None zeroes
+    neither); with `need_k`, the k's it leaves free are drawn nonzero."""
+    zeroed = (fam.k_plus_zero, fam.k_minus_zero) if fam else (False, False)
     while True:
         ep = rand_rational(rng)
         em = rand_rational(rng)
@@ -35,8 +41,8 @@ def rand_params(ctx, rng, k_plus_zero=False, k_minus_zero=False,
 
         if rational(ep) + rational(em) == 0:
             continue
-        kp = "0" if k_plus_zero else rand_rational(rng, nonzero=need_k)
-        km = "0" if k_minus_zero else rand_rational(rng, nonzero=need_k)
+        kp = "0" if zeroed[0] else rand_rational(rng, nonzero=need_k)
+        km = "0" if zeroed[1] else rand_rational(rng, nonzero=need_k)
         s0 = rng.choice(s_range)
         s1 = rng.choice(s_range)
         pt = rand_rational(rng, nonzero=False)

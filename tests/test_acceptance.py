@@ -4,7 +4,7 @@ with its runtime and asserting the stated budget and tolerance."""
 import time
 from fractions import Fraction
 
-from conftest import mat_equals, rand_params, seeded
+from conftest import TRIANGULAR, mat_equals, rand_params, seeded
 from qreflect import koperators
 from qreflect.checks import (
     check_appendix,
@@ -19,6 +19,7 @@ from qreflect.checks import (
     check_ybe,
 )
 from qreflect.koperators import (
+    VARIANTS,
     KOperatorSpec,
     build_K,
     build_K0_diagonal,
@@ -42,11 +43,6 @@ from qreflect.scalars import ScalarContext, Spectral
 from qreflect.suite import SuiteConfig, run_suite
 
 EXACT = ScalarContext()
-
-VARIANT_ZEROING = {
-    variant: dict(k_plus_zero=fam.k_plus_zero, k_minus_zero=fam.k_minus_zero)
-    for variant, fam in koperators.VARIANTS.items() if fam.triangular
-}
 
 
 class Criterion:
@@ -149,10 +145,9 @@ def test_criterion_05_operator_reflection():
                            "10 draws each"):
         for n in (2, 3, 4):
             rep = make_irrep(ctx, n)
-            for variant, kw in VARIANT_ZEROING.items():
+            for variant, fam in TRIANGULAR:
                 for _ in range(10):
-                    params = rand_params(ctx, rng,
-                                         need_k=(variant != "diagonal"), **kw)
+                    params = rand_params(ctx, rng, fam, need_k=True)
                     x, y = spectral_choice(rng), spectral_choice(rng)
                     r, = check_reflection(ctx, variant, rep,
                                           params, x, y)
@@ -166,10 +161,9 @@ def test_criterion_06_intertwining():
                            "n in {2,3,4}, 10 draws each"):
         for n in (2, 3, 4):
             rep = make_irrep(ctx, n)
-            for variant, kw in VARIANT_ZEROING.items():
+            for variant, fam in TRIANGULAR:
                 for _ in range(10):
-                    params = rand_params(ctx, rng,
-                                         need_k=(variant != "diagonal"), **kw)
+                    params = rand_params(ctx, rng, fam, need_k=True)
                     x = spectral_choice(rng)
                     for r in check_intertwining(ctx, variant, rep, params, x):
                         assert r.exact_zero, (r.name, n)
@@ -182,11 +176,11 @@ def test_criterion_07_fundamental_k_reduction():
         rep2 = make_irrep(ctx, 2)
         for _ in range(10):
             x = spectral_choice(rng)
-            pu = rand_params(ctx, rng, k_minus_zero=True, need_k=True)
+            pu = rand_params(ctx, rng, VARIANTS["upper"], need_k=True)
             ku = build_K(KOperatorSpec("upper", pu, x), rep2)
             assert mat_equals(
                 ku, build_K_scalar(ctx, pu, x).scaled(kappa(ctx, pu, x)))
-            pl = rand_params(ctx, rng, k_plus_zero=True, need_k=True)
+            pl = rand_params(ctx, rng, VARIANTS["lower"], need_k=True)
             kl = build_K(KOperatorSpec("lower", pl, x), rep2)
             assert mat_equals(
                 kl, build_K_scalar(ctx, pl, x).scaled(kappa(ctx, pl, x)))
@@ -200,12 +194,12 @@ def form_equivalence_draws(ctx, rng) -> int:
         rep = make_irrep(ctx, n)
         for _ in range(7):
             x = spectral_choice(rng)
-            pu = rand_params(ctx, rng, k_minus_zero=True, need_k=True)
+            pu = rand_params(ctx, rng, VARIANTS["upper"], need_k=True)
             spec = KOperatorSpec("upper", pu, x)
             a = build_K(spec, rep)
             assert mat_equals(a, build_K_factored(spec, rep))
             assert mat_equals(a, build_K_upper_split(rep, pu, x))
-            pl = rand_params(ctx, rng, k_plus_zero=True, need_k=True)
+            pl = rand_params(ctx, rng, VARIANTS["lower"], need_k=True)
             for variant, par in (("lower", pl), ("upper_alt", pl),
                                  ("lower_alt", pu)):
                 s2 = KOperatorSpec(variant, par, x)
@@ -224,7 +218,7 @@ def test_criterion_08_form_equivalence():
         # k+ = k- = 0 degeneration reproduces the diagonal solution
         for n in (2, 3, 4):
             rep = make_irrep(ctx, n)
-            p0 = rand_params(ctx, rng, k_plus_zero=True, k_minus_zero=True)
+            p0 = rand_params(ctx, rng, VARIANTS["diagonal"])
             x = spectral_choice(rng)
             diag = (spectral_cartan(rep, x, p0.s0)
                     * build_K0_diagonal(rep, p0, x))
@@ -310,8 +304,8 @@ def test_criterion_11_onsager_finding():
             w0 = reports["onsager/int_W0"]
             assert w0.is_finding
             assert w0.residual > 1e-6, w0.residual
-        for kw in (dict(k_minus_zero=True), dict(k_plus_zero=True)):
-            params = rand_params(nctx, rng, need_k=True, **kw)
+        for fam in (VARIANTS["upper"], VARIANTS["lower"]):
+            params = rand_params(nctx, rng, fam, need_k=True)
             x = spectral_choice(rng)
             for r in check_onsager_candidate(nctx, rep, params, x):
                 assert r.residual < 1e-10, r.name
@@ -345,15 +339,14 @@ def test_criterion_12_backend_coherence():
                     assert r.residual < tol, r.name
                 for r in check_symmetries(nctx, rep, params, x):
                     assert r.residual < tol, r.name
-                for variant, kw in VARIANT_ZEROING.items():
-                    p2 = rand_params(nctx, rng,
-                                     need_k=(variant != "diagonal"), **kw)
+                for variant, fam in TRIANGULAR:
+                    p2 = rand_params(nctx, rng, fam, need_k=True)
                     r, = check_reflection(nctx, variant, rep,
                                           p2, x, y)
                     assert r.residual < tol, variant
                     for r in check_intertwining(nctx, variant, rep, p2, x):
                         assert r.residual < tol, r.name
-                pu = rand_params(nctx, rng, k_minus_zero=True, need_k=True)
+                pu = rand_params(nctx, rng, VARIANTS["upper"], need_k=True)
                 for r in check_aux_lemmas(nctx, rep, pu, x):
                     assert r.residual < tol, r.name
                 a = f"{rng.choice((1, -1)) * rng.randint(1, 9)}/{rng.randint(1, 9)}"

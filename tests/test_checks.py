@@ -7,7 +7,7 @@ from functools import partial
 
 import pytest
 
-from conftest import mat_equals, rand_params, seeded
+from conftest import TRIANGULAR, mat_equals, rand_params, seeded
 from qreflect.checks import (
     check_appendix,
     check_aux_lemmas,
@@ -21,7 +21,12 @@ from qreflect.checks import (
     check_ybe,
     reflection_sides,
 )
-from qreflect.koperators import KOperatorSpec, build_K, build_K_factored
+from qreflect.koperators import (
+    VARIANTS,
+    KOperatorSpec,
+    build_K,
+    build_K_factored,
+)
 from qreflect.linalg import Matrix, lift
 from qreflect.loperators import build_K_scalar, build_L, build_R
 from qreflect.representations import (
@@ -121,15 +126,10 @@ def test_reflection_detects_perturbed_k_numeric(nctx):
 
 def test_operator_reflection_all_variants(ctx):
     rng = seeded(101)
-    zeroing = {"diagonal": dict(k_plus_zero=True, k_minus_zero=True),
-               "upper": dict(k_minus_zero=True),
-               "lower": dict(k_plus_zero=True),
-               "upper_alt": dict(k_plus_zero=True),
-               "lower_alt": dict(k_minus_zero=True)}
     for n in (2, 3):
         rep = make_irrep(ctx, n)
-        for variant, kw in zeroing.items():
-            params = rand_params(ctx, rng, need_k=(variant != "diagonal"), **kw)
+        for variant, fam in TRIANGULAR:
+            params = rand_params(ctx, rng, fam, need_k=True)
             x, y = spectral(rng), spectral(rng)
             r, = check_reflection(ctx, variant, rep, params, x, y)
             assert r.exact_zero, (variant, n)
@@ -139,7 +139,7 @@ def test_matrix_reflection_is_fundamental_image(ctx):
     """With n = 2 and K1 = pi(K-operator), the matrix-level residual equals
     q times the operator-level residual, including for perturbed inputs."""
     rng = seeded(103)
-    params = rand_params(ctx, rng, k_minus_zero=True, need_k=True)
+    params = rand_params(ctx, rng, VARIANTS["upper"], need_k=True)
     x, y = Spectral.q_power(1), Spectral.q_power(2)
     rep2 = make_irrep(ctx, 2)
     kpi = build_K(KOperatorSpec("upper", params, x), rep2)
@@ -158,15 +158,10 @@ def test_matrix_reflection_is_fundamental_image(ctx):
 
 def test_intertwining_all_variants(ctx):
     rng = seeded(107)
-    zeroing = {"diagonal": dict(k_plus_zero=True, k_minus_zero=True),
-               "upper": dict(k_minus_zero=True),
-               "lower": dict(k_plus_zero=True),
-               "upper_alt": dict(k_plus_zero=True),
-               "lower_alt": dict(k_minus_zero=True)}
     for n in (2, 3):
         rep = make_irrep(ctx, n)
-        for variant, kw in zeroing.items():
-            params = rand_params(ctx, rng, need_k=(variant != "diagonal"), **kw)
+        for variant, fam in TRIANGULAR:
+            params = rand_params(ctx, rng, fam, need_k=True)
             x = spectral(rng)
             for r in check_intertwining(ctx, variant, rep, params, x):
                 assert r.exact_zero, r.name
@@ -175,7 +170,7 @@ def test_intertwining_all_variants(ctx):
 def test_intertwining_unfactored_form(ctx):
     rng = seeded(109)
     rep = make_irrep(ctx, 3)
-    params = rand_params(ctx, rng, k_minus_zero=True, need_k=True)
+    params = rand_params(ctx, rng, VARIANTS["upper"], need_k=True)
     x = Spectral.q_power(2)
     spec = KOperatorSpec("upper", params, x)
     assert mat_equals(build_K(spec, rep), build_K_factored(spec, rep))
@@ -187,7 +182,7 @@ def test_p_tilde_drops_out(ctx):
     """The scalar p-tilde shifts ev(P1t) by a multiple of the identity and
     cancels from the intertwining relation."""
     rng = seeded(113)
-    base = rand_params(ctx, rng, k_minus_zero=True, need_k=True)
+    base = rand_params(ctx, rng, VARIANTS["upper"], need_k=True)
     shifted = make_params(ctx, base.raw["eps_plus"], base.raw["eps_minus"],
                           base.raw["k_plus"], 0, base.s0, base.s1, "7/2")
     rep = make_irrep(ctx, 2)
@@ -209,7 +204,7 @@ def test_aux_lemmas_grid(ctx):
     rng = seeded(127)
     for n in (2, 4):
         rep = make_irrep(ctx, n)
-        params = rand_params(ctx, rng, k_minus_zero=True, need_k=True)
+        params = rand_params(ctx, rng, VARIANTS["upper"], need_k=True)
         x = spectral(rng)
         for r in check_aux_lemmas(ctx, rep, params, x):
             assert r.exact_zero, r.name
@@ -217,7 +212,7 @@ def test_aux_lemmas_grid(ctx):
 
 def test_aux_similarity_trivial_at_zero_k(ctx):
     rng = seeded(131)
-    params = rand_params(ctx, rng, k_plus_zero=True, k_minus_zero=True)
+    params = rand_params(ctx, rng, VARIANTS["diagonal"])
     rep = make_irrep(ctx, 3)
     for r in check_aux_lemmas(ctx, rep, params, Spectral.q_power(1)):
         assert r.exact_zero, r.name
@@ -238,7 +233,7 @@ def test_coideal_with_zero_k_plus(ctx):
     # k+ = 0 collapses the right sides of the first two relations
     rng = seeded(139)
     rep = make_irrep(ctx, 2)
-    params = rand_params(ctx, rng, k_plus_zero=True)
+    params = rand_params(ctx, rng, VARIANTS["lower"])
     for r in check_coideal_algebras(ctx, rep, params, Spectral.q_power(1)):
         assert r.exact_zero, r.name
 
@@ -257,8 +252,8 @@ def test_onsager_candidate_degenerations(ctx):
     rng = seeded(151)
     rep = make_irrep(ctx, 2)
     x = Spectral.q_power(1)
-    for kw in (dict(k_minus_zero=True), dict(k_plus_zero=True)):
-        params = rand_params(ctx, rng, need_k=True, **kw)
+    for fam in (VARIANTS["upper"], VARIANTS["lower"]):
+        params = rand_params(ctx, rng, fam, need_k=True)
         for r in check_onsager_candidate(ctx, rep, params, x):
             assert r.exact_zero, r.name
             assert not r.is_finding

@@ -55,11 +55,11 @@ from qreflect.scalars import (
 
 
 def upper_params(ctx, rng, **kw):
-    return rand_params(ctx, rng, k_minus_zero=True, need_k=True, **kw)
+    return rand_params(ctx, rng, VARIANTS["upper"], need_k=True, **kw)
 
 
 def lower_params(ctx, rng, **kw):
-    return rand_params(ctx, rng, k_plus_zero=True, need_k=True, **kw)
+    return rand_params(ctx, rng, VARIANTS["lower"], need_k=True, **kw)
 
 
 # -- q-exponential --------------------------------------------------------------
@@ -190,7 +190,7 @@ def test_kappa_at_one_and_against_numeric(ctx):
 def test_upper_with_zero_k_is_diagonal(ctx):
     rng = seeded(31)
     rep = make_irrep(ctx, 3)
-    params = rand_params(ctx, rng, k_plus_zero=True, k_minus_zero=True)
+    params = rand_params(ctx, rng, VARIANTS["diagonal"])
     x = Spectral.q_power(2)
     diag = spectral_cartan(rep, x, params.s0) * build_K0_diagonal(rep, params, x)
     for variant in ("upper", "lower", "diagonal"):
@@ -230,8 +230,8 @@ def test_variant_constraints_enforced(ctx, nctx):
         assert (not fam.k_plus_zero, not fam.k_minus_zero) == keep, variant
     # one-sided parameters: a variant accepts them iff it keeps that k only
     for c in (ctx, nctx):
-        only_plus = rand_params(c, rng, k_minus_zero=True, need_k=True)
-        only_minus = rand_params(c, rng, k_plus_zero=True, need_k=True)
+        only_plus = rand_params(c, rng, VARIANTS["upper"], need_k=True)
+        only_minus = rand_params(c, rng, VARIANTS["lower"], need_k=True)
         for params, accepted in (
                 (only_plus, {"upper", "lower_alt", "onsager_candidate"}),
                 (only_minus, {"lower", "upper_alt", "onsager_candidate"})):
@@ -257,8 +257,7 @@ def test_spectral_argument_is_the_evaluated_generator(backend):
     for variant, fam in VARIANTS.items():
         for n in (2, 3, 4):
             rep = make_irrep(c, n)
-            params = rand_params(c, rng, k_plus_zero=fam.k_plus_zero,
-                                 k_minus_zero=fam.k_minus_zero, need_k=True)
+            params = rand_params(c, rng, fam, need_k=True)
             gen = (variant_generator_exprs(c, variant, params)["T1"]
                    if fam.triangular else onsager_generators(c, params)["W1"])
             arg = _spectral_argument(rep, KOperatorSpec(variant, params, x))
@@ -325,8 +324,7 @@ def test_numeric_triangular_forms_agree(nctx):
             if not fam.triangular:
                 continue
             for _ in range(4):
-                p = rand_params(nctx, rng, k_plus_zero=fam.k_plus_zero,
-                                k_minus_zero=fam.k_minus_zero, need_k=True)
+                p = rand_params(nctx, rng, fam, need_k=True)
                 x = Spectral.of(cmath.rect(0.5 + 1.5 * rng.random(),
                                            2 * math.pi * rng.random()))
                 k = build_K_factored(KOperatorSpec(variant, p, x), rep)
@@ -474,8 +472,7 @@ def test_triangular_function_is_the_matrix_polynomial(q):
             rep = make_irrep(nctx, n)
             eye = Matrix.identity(nctx, n)
             for m in range(-3, 4):
-                p = rand_params(nctx, rng, k_plus_zero=fam.k_plus_zero,
-                                k_minus_zero=fam.k_minus_zero, need_k=True,
+                p = rand_params(nctx, rng, fam, need_k=True,
                                 s_range=(-1, 1, 2))
                 spec = KOperatorSpec(variant, p, Spectral.q_power(m))
                 t = _telescoped_t(spec)
@@ -513,8 +510,7 @@ def test_numeric_triangular_k_matches_pinned_exact():
             erep, nrep = make_irrep(ectx, n), make_irrep(nctx, n)
             for eps in (None, "1/100000000000", "1/10000000000000"):
                 for m in range(-2, 4):
-                    raw = rand_params(ectx, rng, k_plus_zero=fam.k_plus_zero,
-                                      k_minus_zero=fam.k_minus_zero,
+                    raw = rand_params(ectx, rng, fam,
                                       need_k=True, s_range=(-1, 1, 2)).raw
                     if eps:
                         raw["eps_plus" if fam.alt else "eps_minus"] = eps
@@ -625,8 +621,7 @@ def test_numeric_candidate_k_matches_pinned_exact():
             erep, nrep = make_irrep(ectx, n), make_irrep(nctx, n)
             for m in range(-3, 4):
                 for _ in range(4):
-                    raw = rand_params(ectx, rng, need_k=True,
-                                      s_range=(-1, 0, 1, 2)).raw
+                    raw = rand_params(ectx, rng, need_k=True).raw
                     x = Spectral.q_power(m)
                     spec = KOperatorSpec("onsager_candidate",
                                          make_params(nctx, **raw), x)
@@ -664,8 +659,7 @@ def test_exact_closed_form_equals_factored(v):
         for n in range(1, 9):
             rep = make_irrep(ctx, n)
             for m in range(-2, 4):
-                p = rand_params(ctx, rng, k_plus_zero=fam.k_plus_zero,
-                                k_minus_zero=fam.k_minus_zero, need_k=True,
+                p = rand_params(ctx, rng, fam, need_k=True,
                                 s_range=(-1, 1, 2))
                 spec = KOperatorSpec(variant, p, Spectral.q_power(m))
                 try:
@@ -757,8 +751,7 @@ def test_det_one_plus_against_sympy(ctx):
     rng = seeded(97)
     x = Spectral.q_power(1)
     for variant, fam in VARIANTS.items():
-        params = rand_params(ctx, rng, k_plus_zero=fam.k_plus_zero,
-                             k_minus_zero=fam.k_minus_zero, need_k=True)
+        params = rand_params(ctx, rng, fam, need_k=True)
         spec = KOperatorSpec(variant, params, x)
         eps_f = _frame(variant, params)[1]
         for n in range(1, 7):

@@ -313,6 +313,28 @@ def test_exact_combination_equals_the_fold_over_different_denominators(ctx):
     assert total.den.max_exp() - total.den.min_exp() == 3
 
 
+def test_scalar_entries_share_the_combination_denominator_rule(ctx):
+    """`from_scalar_entries` over unit, equal and proper-divisor
+    denominators gives the denominator and entries of the `combination` of
+    the matching unit matrices: both take one lcm-and-cofactor rule."""
+    one, v = ctx.one(), ctx.v(1)
+    f1, f2 = one + v, one + 2 * v
+    unit = [3 * one, v, disguised(one), disguised(v * v)]
+    equal = [one / (f1 * f2), v / (f1 * f2), (2 + v) / (f2 * f1)]
+    divisor = [one / f1, v / f2, one / (f1 * f1)]
+    for values, lcm in ((unit, one), (equal, f1 * f2), (unit + equal, f1 * f2),
+                        (divisor[:2] + equal, f1 * f2),
+                        (unit + divisor, f1 * f1 * f2),
+                        (divisor + equal + unit, f1 * f1 * f2)):
+        n = len(values)
+        mapping = {(i, (3 * i) % n): s for i, s in enumerate(values)}
+        built = Matrix.from_scalar_entries(ctx, n, mapping)
+        terms = [(Matrix(ctx, n, {k: poly_one()}), s) for k, s in mapping.items()]
+        assert_identical(built, Matrix.combination(ctx, n, terms))
+        assert built.den == (one / lcm).den
+        assert all(built.entry(*k) == s for k, s in mapping.items())
+
+
 def disguised_matrix(m):
     """m with each entry and denominator that is the shared unit replaced by
     `other_one()`, so that its products take the general route."""

@@ -167,6 +167,30 @@ MUTANTS = {
         "loperators.py",
         "mid = one - xs",
         "mid = one + xs"),
+    "triangular-t0-cartan-power": (
+        "representations.py",
+        "(eps_plus, (hq_atom(1, 1),)))",
+        "(eps_plus, (hq_atom(1, -1),)))"),
+    "triangular-t1-cartan-power": (
+        "representations.py",
+        "(eps_minus, (hq_atom(0, 1),)))",
+        "(eps_minus, (hq_atom(0, -1),)))"),
+    "triangular-p1t-e-index": (
+        "representations.py",
+        "((pre * eps_plus, (e_atom(0),)),)",
+        "((pre * eps_plus, (e_atom(1),)),)"),
+    "onsager-w0-e-coefficient": (
+        "representations.py",
+        "w0 = ((params.k_plus * q1, (e_atom(1), hq_atom(1, 1))),",
+        "w0 = ((params.k_plus, (e_atom(1), hq_atom(1, 1))),"),
+    "onsager-w1-cartan-power": (
+        "representations.py",
+        "(params.eps_minus, (hq_atom(0, 1),)))",
+        "(params.eps_minus, (hq_atom(0, -1),)))"),
+    "variant-upper-row": (
+        "koperators.py",
+        '"upper": Variant(k_plus_zero=False, k_minus_zero=True)',
+        '"upper": Variant(k_plus_zero=False, k_minus_zero=True, lower=True)'),
     # every exact sum scaled as if its terms shared one denominator
     "combination-common-denominator": (
         "linalg.py",
