@@ -13,8 +13,6 @@ from .scalars import (
     RationalExpression,
     ScalarContext,
     Spectral,
-    poch_finite,
-    poch_infinite_truncated,
     poch_ratio,
     poch_ratio_telescoped,
     q_integer,

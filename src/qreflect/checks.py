@@ -654,7 +654,7 @@ def _appendix_series(ctx, rep, g, m, inverse_first, a, powers, coeffs,
         cterm = cas_h.scaled(p0[j])
         shift_plus = cartan_power(rep, bc + 1).scaled(p_plus[j] * ctx.q(-sgn))
         shift_minus = cartan_power(rep, bc - 1).scaled(p_minus[j] * ctx.q(sgn))
-        shifts = (shift_plus + shift_minus).divided(lam2)
+        shifts = (shift_plus + shift_minus).scaled(ctx.one() / lam2)
         brace = cterm - shifts
         terms.append((power * brace, coeff))
         if not ctx.is_exact:
@@ -725,6 +725,3 @@ def _serre(ctx: ScalarContext, rep: Irrep, params: ParamSet, x: Spectral):
             inner = _qcomm(gi, _qcomm(gi, gj, ctx.q(p)), ctx.one())
             yield (f"symmetry/serre_{atom(i)[0]}{i}{j}", pd,
                    gi * inner, (inner * gi).scaled(ctx.q(-p)))
-
-
-check_serre = _check(_serre)

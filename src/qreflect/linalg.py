@@ -154,54 +154,31 @@ class Matrix:
             return NotImplemented
         if self.size != other.size:
             raise ValueError("matrix size mismatch")
-        rows_b, distinct_columns = other._row_index()
-        if distinct_columns:  # no two products land on one key: no sums
-            acc = {}
-            for (i, k), a in self.entries.items():
-                row = rows_b.get(k)
-                if row is not None:
-                    for j, b in row:
-                        acc[(i, j)] = b if a is _ONE else a if b is _ONE else a * b
-        else:
-            # each output row sums in its own dict keyed by column; `order`
-            # keeps the keys in the order a flat dict would first meet them
-            sums, order = {}, []
-            for (i, k), a in self.entries.items():
-                row = rows_b.get(k)
-                if row is None:
-                    continue
-                row_sums = sums.get(i)
-                if row_sums is None:
-                    row_sums = sums[i] = {}
-                for j, b in row:
-                    p = a * b
-                    if j in row_sums:
-                        row_sums[j] = row_sums[j] + p
-                    else:
-                        row_sums[j] = p
-                        order.append((i, j))
-            acc = {key: sums[key[0]][key[1]] for key in order}
-            if self.ctx.is_exact:  # only a sum can vanish
-                acc = {k: v for k, v in acc.items() if not v.is_zero()}
+        rows_b = other._row_index()
+        acc = {}
+        for (i, k), a in self.entries.items():
+            for j, b in rows_b.get(k, ()):
+                key = (i, j)
+                p = b if a is _ONE else a if b is _ONE else a * b
+                acc[key] = acc[key] + p if key in acc else p
+        if self.ctx.is_exact:  # only a sum can vanish
+            acc = {k: v for k, v in acc.items() if not v.is_zero()}
         return _matrix(self.ctx, self.size, acc, poly_product(self.den, other.den))
 
-    def _row_index(self):
-        """(rows, distinct_columns): the entries as {row: [(column, value),
-        ...]} in entry order, and whether no column holds two entries.
+    def _row_index(self) -> dict:
+        """The entries as {row: [(column, value), ...]} in entry order.
         Built on the first use as a right factor and kept, since a Matrix
         is never mutated."""
-        index = self._rows
-        if index is None:
-            rows, columns = {}, set()
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = {}
             for (k, j), b in self.entries.items():
-                columns.add(j)
                 row = rows.get(k)
                 if row is None:
                     rows[k] = [(j, b)]
                 else:
                     row.append((j, b))
-            index = self._rows = (rows, len(columns) == len(self.entries))
-        return index
+        return rows
 
     def __add__(self, other):
         if not isinstance(other, Matrix):
@@ -228,10 +205,6 @@ class Matrix:
     def scaled(self, s) -> "Matrix":
         """Multiply by a field scalar."""
         return Matrix.combination(self.ctx, self.size, ((self, s),))
-
-    def divided(self, s) -> "Matrix":
-        """Divide by a nonzero field scalar."""
-        return self.scaled(self.ctx.one() / s)
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product, row-major composite index (self is the major leg)."""

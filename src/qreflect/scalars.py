@@ -139,12 +139,6 @@ class LaurentPolynomial:
     def is_one(self) -> bool:
         return self.cn == 1 and self.cd == 1 and self.prim == _ONE_PRIM
 
-    def min_exp(self) -> int:
-        return min(self.prim)
-
-    def max_exp(self) -> int:
-        return max(self.prim)
-
     def __add__(self, other):
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
@@ -211,8 +205,6 @@ class LaurentPolynomial:
             if a == _ONE_PRIM:
                 return other
             n, d = bn, bd
-        elif ad == 1 and bd == 1:  # integer contents: no gcd to take
-            n, d = an * bn, 1
         else:
             n, d = _times(an, ad, bn, bd)
         if len(a) > len(b):
@@ -779,16 +771,10 @@ def q_integer(ctx: ScalarContext, k: int, b: int = 1):
     return acc
 
 
-def poch_finite(ctx: ScalarContext, a, step, k: int):
-    """Finite q-Pochhammer (a; step)_k = prod_{j<k} (1 - a*step^j)."""
-    if k < 0:
-        raise ValueError("poch_finite needs k >= 0")
-    return poch_sequence(ctx, a, step, k)[k]
-
-
 def poch_sequence(ctx: ScalarContext, a, step, k: int) -> list:
-    """[(a; step)_0, ..., (a; step)_k] in one pass: each entry is the one
-    before it times 1 - a*step^j.  `poch_finite` is its last entry."""
+    """[(a; step)_0, ..., (a; step)_k] in one pass, (a; step)_j being
+    prod_{i<j} (1 - a*step^i): each entry is the one before it times
+    1 - a*step^j."""
     one = ctx.one()
     out = [one]
     term = a
@@ -850,13 +836,6 @@ def poch_ratio_telescoped(ctx: ScalarContext, a, t: int):
     if invert:
         return RationalExpression(_POLY_ONE, acc)
     return RationalExpression(acc, _POLY_ONE, _reduced=True)
-
-
-def poch_infinite_truncated(ctx: ScalarContext, a, step):
-    """Truncated (a; step)_inf for |step| < 1 on the numeric backend."""
-    if ctx.is_exact:
-        raise ValueError("infinite products require the numeric backend")
-    return _truncated_ratio(complex(a), 0j, complex(step))
 
 
 def _truncated_ratio(num: complex, den: complex, step: complex) -> complex:

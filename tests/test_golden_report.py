@@ -82,17 +82,30 @@ GOLDEN = [
     # one again, and the coideal coproduct pairs each with each
     (dict(seed=5, dims=(2, 3, 2), draws=2),
      "b4c315dabc28c567d3c12849f8d425a2659867d25709fb6281537d912e3e5fba"),
+    # the rest of the byte-identity gate a refactor is held to: larger
+    # single dims, the exact backend at a pinned q, and the numeric
+    # backend over dims 2-6
+    (dict(seed=3, dims=(4,)),
+     "34c202faaf3f8d7673a099ed4240230102dbbc9830ca7c3356964964345e1ac1"),
+    (dict(seed=7, dims=(6,)),
+     "f3bedc2ddf8b91a3aa337ada54fc8fcc4c4ac05656fd798c40093cc0a5f4b307"),
+    (dict(seed=11, dims=(2, 3), q="49/25"),
+     "fd6389d36f38599534898ff6c6cbf463a4a87f4c685bc719d2466dd911f00da2"),
+    (dict(seed=1, dims=(2, 3, 4, 5, 6), backend="numeric", q="1.4+0.3i"),
+     "1a0fe75d597d5bb3ea86b32f336533fb6cccd507bc7f2ab5d4681716b07c0ac9"),
 ]
 
 
 def golden_id(cfg: dict) -> str:
     """The backend alone for the seed-7 dims (2, 3) configs, else the
-    backend with the dims, draws and seed."""
+    backend with the dims, draws and seed, and a q pinned on the exact
+    backend."""
     backend = cfg.get("backend", "exact")
     if cfg["seed"] == 7 and cfg["dims"] == (2, 3):
         return backend
     dims = ",".join(map(str, cfg["dims"]))
-    return f"{backend}-dims{dims}-draws{cfg.get('draws', 3)}-seed{cfg['seed']}"
+    out = f"{backend}-dims{dims}-draws{cfg.get('draws', 3)}-seed{cfg['seed']}"
+    return f"{out}-{cfg['q']}" if backend == "exact" and "q" in cfg else out
 
 
 def canonical_sha256(config: SuiteConfig) -> str:

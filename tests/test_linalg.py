@@ -61,7 +61,7 @@ def test_scaled_divided_inverse(ctx):
     s = rand_expr(rng)
     while s.is_zero():
         s = rand_expr(rng)
-    assert mat_equals(m.scaled(s).divided(s), m)
+    assert mat_equals(m.scaled(s).scaled(ctx.one() / s), m)
 
 
 def test_kron_row_major(ctx):
@@ -175,7 +175,7 @@ def test_sum_takes_the_lcm_of_shared_denominator_factors(ctx):
     total = a + b
     # lcm (1 + v)(1 + 2v)(1 + 3v), not the product with (1 + v) squared
     assert total.den == (one / (f1 * f2 * f3)).den
-    assert total.den.max_exp() - total.den.min_exp() == 3
+    assert max(total.den.prim) - min(total.den.prim) == 3
     assert total.entry(0, 0) == one / (f1 * f2)
     assert total.entry(0, 1) == one / (f1 * f3)
     assert total.entry(1, 1) == one
@@ -192,7 +192,7 @@ def test_numeric_matrices_carry_no_denominator(nctx):
     a, b = rand_numeric(2), rand_numeric(2)
     built = [Matrix.identity(nctx, 2), Matrix.diagonal(nctx, [2, 3j]),
              a * b, a + b, a - b, -a, a.kron(b), lift(a, (2, 3), (0,)),
-             a.scaled(1.5 - 2j), a.divided(3j), a.transpose()]
+             a.scaled(1.5 - 2j), a.scaled(1 / 3j), a.transpose()]
     for m in built:
         assert m.den == 1
         # entries are read as stored, with no division
@@ -270,6 +270,48 @@ def test_numeric_combination_is_the_pairwise_fold_bit_for_bit(nctx):
     assert_difference_is_a_plus_minus_b(a, b)
 
 
+def reference_product(a, b) -> dict:
+    """The entries of a * b: each left entry (i, k), in order, meets row k
+    of b in b's entry order, and each product is added to the sum so far."""
+    acc = {}
+    for (i, k), x in a.entries.items():
+        for (r, j), y in b.entries.items():
+            if r == k:
+                p = x * y
+                acc[(i, j)] = acc[(i, j)] + p if (i, j) in acc else p
+    return acc
+
+
+def test_numeric_product_is_the_reference_loop_bit_for_bit(nctx):
+    rng = seeded(71)
+
+    def rand_entry():
+        return complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        keys = [(i, j) for i in range(n) for j in range(n)]
+        rng.shuffle(keys)  # an insertion order that is not row-major
+        left = Matrix(nctx, n, {k: rand_entry() for k in keys if rng.random() < 0.7})
+        # a full column, so that the products into it sum
+        col = rng.randrange(n)
+        repeated = Matrix(nctx, n, {
+            **{k: rand_entry() for k in keys if rng.random() < 0.5},
+            **{(i, col): rand_entry() for i in rng.sample(range(n), n)}})
+        assert n == 1 or len({j for _, j in repeated.entries}) < len(repeated.entries)
+        perm = rng.sample(range(n), n)
+        factors = [left, repeated,
+                   Matrix(nctx, n, {(i, perm[i]): rand_entry() for i in range(n)}),
+                   Matrix.diagonal(nctx, [rand_entry() for _ in range(n)]),
+                   Matrix.identity(nctx, n)]
+        for a in factors:
+            for b in factors:
+                ours, theirs = (a * b).entries, reference_product(a, b)
+                assert list(ours) == list(theirs)
+                assert [bits(v) for v in ours.values()] == \
+                    [bits(v) for v in theirs.values()]
+
+
 def assert_difference_is_a_plus_minus_b(a, b):
     """a - b has the keys and bits of a + (-b), the negated copy built."""
     minus_b = {k: -v for k, v in b.entries.items()}
@@ -310,7 +352,7 @@ def test_exact_combination_equals_the_fold_over_different_denominators(ctx):
     b = Matrix.from_scalar_entries(ctx, 2, {(0, 1): one / (f1 * f3)})
     # the lcm of the term denominators, taken once
     total = Matrix.combination(ctx, 2, [(a, None), (b, v), (a, one / f3)])
-    assert total.den.max_exp() - total.den.min_exp() == 3
+    assert max(total.den.prim) - min(total.den.prim) == 3
 
 
 def test_scalar_entries_share_the_combination_denominator_rule(ctx):
@@ -389,7 +431,7 @@ def test_entry_is_reduced(ctx):
     m = Matrix.diagonal(ctx, [s, s * s])
     e = m.entry(1, 1)
     assert e == s * s
-    assert e.den.min_exp() == 0
+    assert min(e.den.prim) == 0
 
 
 # -- differential tests against sympy over QQ(v) -----------------------------

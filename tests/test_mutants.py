@@ -196,6 +196,11 @@ MUTANTS = {
         "linalg.py",
         "_ONE if d is common or d == common",
         "_ONE if True"),
+    # every matrix product keeps only the last term of each entry's sum
+    "matmul-keeps-last-term": (
+        "linalg.py",
+        "acc[key] = acc[key] + p if key in acc else p",
+        "acc[key] = p"),
 }
 
 # (module, original text, mutated text, the finding that must turn zero)
